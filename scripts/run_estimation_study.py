@@ -10,6 +10,8 @@ particular distribution.
 
 import argparse
 
+import numpy as np
+
 from bmdlimits.simulate import run_estimation_study
 from bmdlimits.transactions import AttributeSpec, TransactionDistribution, TransactionSpace
 
@@ -30,8 +32,8 @@ def main() -> None:
     space = TransactionSpace((AttributeSpec("profile", args.support_size),))
     dist = TransactionDistribution.sparse(
         space,
-        [(i,) for i in range(args.support_size)],
-        [1.0 / args.support_size] * args.support_size,
+        np.arange(args.support_size).reshape(-1, 1),
+        np.full(args.support_size, 1.0 / args.support_size),
     )
     for n in (int(x) for x in args.train_sizes.split(",")):
         report = run_estimation_study(

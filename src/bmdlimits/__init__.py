@@ -70,7 +70,6 @@ from .transactions import (
     l1_distance,
     optimistic_preset,
     realistic_preset,
-    sample,
 )
 
 __version__ = "0.1.0"

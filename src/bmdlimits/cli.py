@@ -366,3 +366,7 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

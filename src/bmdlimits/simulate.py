@@ -27,7 +27,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from .kernels import PoissonModel, poisson_sf
 from .parallel import detection_prob_iid
 from .transactions import (
@@ -35,10 +35,16 @@ from .transactions import (
     TransactionDistribution,
     TransactionSpace,
     distribution_from_config,
+    load_config,
+    require,
     space_from_config,
 )
 
 CHUNK_TRIALS = 4096  # fixed; never dependent on the worker count
+
+#: Most multinomial cells the estimation study holds at once (8 bytes each),
+#: so that its memory stays bounded at any support size.
+ESTIMATION_BLOCK_CELLS = 2**22
 
 _STREAM_TESTS = 0
 _STREAM_PASSIVE_NULL = 1
@@ -188,6 +194,17 @@ class SimReport:
 # -- trigger probabilities --------------------------------------------------
 
 
+def _support_matches(
+    mallory: MalloryStrategy, dist: TransactionDistribution
+) -> np.ndarray:
+    """Boolean mask over the sparse support of ``dist``: the point matches
+    the trigger."""
+    hit = np.ones(len(dist.support), dtype=bool)
+    for name, vals in mallory.trigger:
+        hit &= np.isin(dist.support[:, dist.space.index_of(name)], vals)
+    return hit
+
+
 def trigger_mass(
     mallory: MalloryStrategy, dist: TransactionDistribution
 ) -> float:
@@ -199,12 +216,9 @@ def trigger_mass(
             i = space.index_of(name)
             mass *= float(dist.marginal(i)[list(vals)].sum())
         return mass
-    assert dist.support is not None and dist.weights is not None
-    total = 0.0
-    for pt, w in zip(dist.support, dist.weights):
-        if mallory.matches(Transaction(pt), space):
-            total += float(w)
-    return total
+    hits = dist.weights[_support_matches(mallory, dist)]
+    # a running sum adds the matching weights left to right, in support order
+    return float(np.cumsum(hits)[-1]) if len(hits) else 0.0
 
 
 def _pat_sampling_dist(s: SimScenario) -> TransactionDistribution | None:
@@ -229,11 +243,7 @@ def _triggered_tests(
     dist = _pat_sampling_dist(s)
     assert dist is not None
     if dist.form == "sparse":
-        assert dist.support is not None
-        trig_table = np.array(
-            [s.mallory.matches(Transaction(pt), s.space) for pt in dist.support],
-            dtype=bool,
-        )
+        trig_table = _support_matches(s.mallory, dist)
         idx = dist.sample_support_indices(rng, (n_rep, n))
         return trig_table[idx]
     # uniform / factored: draw only the attributes the trigger constrains
@@ -420,8 +430,15 @@ def _estimation_chunk(
     weights: np.ndarray, n_train: int, seed: int, chunk: int, n_rep: int
 ) -> np.ndarray:
     rng = _chunk_rng(seed, _STREAM_ESTIMATION, chunk)
-    counts = rng.multinomial(n_train, weights, size=n_rep)
-    return np.abs(counts / n_train - weights).sum(axis=1)
+    l1 = np.empty(n_rep)
+    block = max(1, ESTIMATION_BLOCK_CELLS // len(weights))
+    # successive multinomial calls continue one stream: blocking keeps the draws
+    for lo in range(0, n_rep, block):
+        err = rng.multinomial(n_train, weights, size=min(block, n_rep - lo)) / n_train
+        err -= weights
+        np.abs(err, out=err)
+        l1[lo : lo + len(err)] = err.sum(axis=1)
+    return l1
 
 
 def run_estimation_study(
@@ -487,23 +504,24 @@ def _estimation_chunk_star(job):
 
 def scenario_from_config(cfg: Mapping) -> SimScenario:
     """Scenario from a JSON-style mapping; see the repository scenarios/ for
-    worked examples."""
-    space = space_from_config(cfg["space"])
+    worked examples.  A missing key is a ``ParseError`` that names it."""
+    space = space_from_config(require(cfg, "space", "scenario"))
     voter_dist = distribution_from_config(space, cfg.get("voter_distribution", {}))
-    mallory_cfg = cfg["mallory"]
+    mallory_cfg = require(cfg, "mallory", "scenario")
+    flip_prob = require(mallory_cfg, "flip_prob", "mallory")
     mallory = MalloryStrategy.from_mapping(
-        mallory_cfg.get("trigger", {}),
-        mallory_cfg["flip_prob"],
-        mallory_cfg.get("label", ""),
+        mallory_cfg.get("trigger", {}), flip_prob, mallory_cfg.get("label", "")
     )
-    pat_cfg = cfg["pat"]
-    mode = pat_cfg["mode"]
+    pat_cfg = require(cfg, "pat", "scenario")
+    mode = require(pat_cfg, "mode", "pat")
+    if mode not in ("uniform", "distribution", "script"):
+        raise ParseError(f"unknown tester mode {mode!r}")
     dist = None
     scripts = None
     if mode == "distribution":
-        dist = distribution_from_config(space, pat_cfg["distribution"])
+        dist = distribution_from_config(space, require(pat_cfg, "distribution", "pat"))
     if mode == "script":
-        scripts = tuple(Transaction(tuple(c)) for c in pat_cfg["scripts"])
+        scripts = tuple(Transaction(tuple(c)) for c in require(pat_cfg, "scripts", "pat"))
         for tx in scripts:
             space.validate_coordinates(tx.coordinates)
     pat = PatStrategy(
@@ -513,31 +531,35 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
         scripts=scripts,
     )
     passive = None
-    if "passive" in cfg and cfg["passive"] is not None:
+    if cfg.get("passive") is not None:
         p = cfg["passive"]
         passive = PassiveParams(
-            detect_rate=p["detect_rate"],
-            base_rate=p["base_rate"],
-            alarm_threshold=int(p["alarm_threshold"]),
+            detect_rate=require(p, "detect_rate", "passive"),
+            base_rate=require(p, "base_rate", "passive"),
+            alarm_threshold=int(require(p, "alarm_threshold", "passive")),
         )
     return SimScenario(
         space=space,
         voter_dist=voter_dist,
-        n_voters=int(cfg["n_voters"]),
+        n_voters=int(require(cfg, "n_voters", "scenario")),
         mallory=mallory,
         pat=pat,
-        trials=int(cfg["trials"]),
-        seed=int(cfg["seed"]),
+        trials=int(require(cfg, "trials", "scenario")),
+        seed=int(require(cfg, "seed", "scenario")),
         passive=passive,
         label=cfg.get("label", ""),
     )
 
 
-def load_scenario(path: str) -> tuple[str, SimScenario]:
-    """(kind, scenario) from a JSON file; kind is 'parallel' or 'passive'."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+def _kind_and_scenario(cfg: Mapping) -> tuple[str, SimScenario]:
+    if not isinstance(cfg, Mapping):
+        raise ParseError("a scenario must be a JSON object")
     kind = cfg.get("kind", "parallel")
     if kind not in ("parallel", "passive"):
-        raise DomainError(f"unknown scenario kind {kind!r}")
+        raise ParseError(f"unknown scenario kind {kind!r}")
     return kind, scenario_from_config(cfg)
+
+
+def load_scenario(path: str) -> tuple[str, SimScenario]:
+    """(kind, scenario) from a JSON file; kind is 'parallel' or 'passive'."""
+    return load_config(path, _kind_and_scenario)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -25,6 +24,10 @@ from .errors import DomainError, ParseError
 DENSE_LIMIT = 10**7
 
 _MASS_TOL = 1e-9
+
+_INT64_MAX = 2**63 - 1
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,56 @@ def cardinality(space: TransactionSpace) -> int:
     return space.cardinality
 
 
+def _as_points(space: TransactionSpace, points) -> np.ndarray:
+    """Validated ``(n, d)`` int64 array of coordinate rows.
+
+    An int64 array comes back without a copy; anything else array-like is
+    converted, and non-integral or out-of-range coordinates raise
+    ``DomainError``.
+    """
+    d = len(space.attributes)
+    try:
+        arr = np.asarray(points)
+    except ValueError:  # ragged rows
+        raise DomainError(f"every point needs {d} coordinates") from None
+    if arr.ndim != 2 or arr.shape[1] != d:
+        raise DomainError(f"expected points of {d} coordinates, got shape {arr.shape}")
+    if arr.dtype.kind in "iu":
+        arr = arr.astype(np.int64, copy=False)
+    else:
+        try:
+            as_int = arr.astype(np.int64)
+        except (OverflowError, TypeError, ValueError):
+            raise DomainError("coordinates must be integers below 2**63") from None
+        if not (as_int == arr).all():
+            raise DomainError("coordinates must be integers")
+        arr = as_int
+    cards = np.array(
+        [min(a.cardinality, _INT64_MAX) for a in space.attributes], dtype=np.int64
+    )
+    # the clamp can flag a legal coordinate; the exact check below decides
+    flagged = ((arr < 0) | (arr >= cards)).any(axis=1)
+    for row in arr[flagged]:
+        space.validate_coordinates(tuple(int(c) for c in row))
+    return arr
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte-string key per coordinate row.
+
+    Keys hold the coordinates as big-endian int64, so for non-negative
+    coordinates comparing keys byte by byte compares rows lexicographically,
+    however large the space's cardinality.
+    """
+    be = np.ascontiguousarray(rows, dtype=">i8")
+    return be.view(np.dtype((np.void, 8 * be.shape[1]))).ravel()
+
+
+def _lexsorted(rows: np.ndarray) -> np.ndarray:
+    """Permutation that sorts ``rows`` lexicographically (first column first)."""
+    return np.lexsort(rows.T[::-1])
+
+
 class TransactionDistribution:
     """A distribution over a transaction space.
 
@@ -138,8 +191,11 @@ class TransactionDistribution:
 
     * ``factored`` -- independent categorical weights per attribute, stored as
       one weight vector per attribute (``None`` meaning uniform);
-    * ``sparse`` -- explicit support (coordinate tuples) with weights, the only
-      form usable at realistic scale.
+    * ``sparse`` -- an explicit support, the only form usable at realistic
+      scale: ``support`` is an ``(S, d)`` int64 array of coordinate rows in
+      the caller's order and ``weights`` the matching probabilities.  A
+      lookup index (the rows' lexicographic order and one sorted byte key
+      per row) answers point queries by binary search.
     """
 
     def __init__(
@@ -147,8 +203,8 @@ class TransactionDistribution:
         space: TransactionSpace,
         *,
         factored: Sequence[np.ndarray | None] | None = None,
-        support: tuple[tuple[int, ...], ...] | None = None,
-        weights: np.ndarray | None = None,
+        support: np.ndarray | Sequence[Sequence[int]] | None = None,
+        weights: np.ndarray | Sequence[float] | None = None,
     ):
         self.space = space
         if (factored is None) == (support is None):
@@ -173,9 +229,12 @@ class TransactionDistribution:
             self.weights = None
         else:
             self.form = "sparse"
-            assert support is not None and weights is not None
+            if weights is None:
+                raise DomainError("a sparse support needs weights")
             weights = np.asarray(weights, dtype=float)
-            if len(support) != len(weights):
+            if not hasattr(support, "__len__"):
+                support = list(support)
+            if weights.ndim != 1 or len(support) != len(weights):
                 raise DomainError("support and weights lengths differ")
             if len(support) == 0:
                 raise DomainError("sparse support must be nonempty")
@@ -184,13 +243,15 @@ class TransactionDistribution:
             total = weights.sum()
             if abs(total - 1.0) > _MASS_TOL:
                 raise DomainError(f"sparse weights sum to {total}, not 1")
-            seen = set()
-            for coords in support:
-                space.validate_coordinates(coords)
-                if coords in seen:
-                    raise DomainError(f"duplicate support point {coords}")
-                seen.add(coords)
-            self.support = tuple(tuple(c) for c in support)
+            # a read-only view: the caller's array is neither copied nor frozen
+            self.support = _as_points(space, support).view()
+            self.support.flags.writeable = False
+            self._order = _lexsorted(self.support)
+            self._keys = _row_keys(self.support[self._order])
+            dup = self._keys[1:] == self._keys[:-1]
+            if dup.any():
+                pt = self.support[self._order[int(dup.argmax())]]
+                raise DomainError(f"duplicate support point {tuple(int(c) for c in pt)}")
             self.weights = weights / total
             self._marginals = []
 
@@ -218,14 +279,15 @@ class TransactionDistribution:
     def sparse(
         cls,
         space: TransactionSpace,
-        support: Iterable[Sequence[int]],
-        weights: Sequence[float],
+        support: np.ndarray | Iterable[Sequence[int]],
+        weights: np.ndarray | Sequence[float],
     ) -> "TransactionDistribution":
-        return cls(
-            space,
-            support=tuple(tuple(c) for c in support),
-            weights=np.asarray(weights, dtype=float),
-        )
+        """Explicit support (an ``(S, d)`` array or coordinate rows) with weights.
+
+        An int64 support array is used as it is, without a copy, so it must
+        not change afterwards.
+        """
+        return cls(space, support=support, weights=weights)
 
     @classmethod
     def point_mass(cls, space: TransactionSpace, tx: Transaction) -> "TransactionDistribution":
@@ -243,20 +305,21 @@ class TransactionDistribution:
             return np.full(card, 1.0 / card)
         return w
 
+    def _masses_at(self, points: np.ndarray) -> np.ndarray:
+        """Probabilities of validated coordinate rows."""
+        if self.form == "sparse":
+            keys = _row_keys(points)
+            at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+            found = self._keys[at] == keys
+            return np.where(found, self.weights[self._order[at]], 0.0)
+        mass = np.ones(len(points))
+        for i, (w, attr) in enumerate(zip(self._marginals, self.space.attributes)):
+            mass *= 1.0 / attr.cardinality if w is None else w[points[:, i]]
+        return mass
+
     def mass_of(self, coords: Sequence[int]) -> float:
         """Probability of a single transaction."""
-        self.space.validate_coordinates(coords)
-        if self.form == "sparse":
-            key = tuple(coords)
-            assert self.support is not None and self.weights is not None
-            for pt, w in zip(self.support, self.weights):
-                if pt == key:
-                    return float(w)
-            return 0.0
-        mass = 1.0
-        for i, c in enumerate(coords):
-            mass *= float(self.marginal(i)[c])
-        return mass
+        return float(self._masses_at(_as_points(self.space, [coords]))[0])
 
     def to_dense(self) -> np.ndarray:
         """Flattened dense probability vector (cardinality <= DENSE_LIMIT only)."""
@@ -270,71 +333,35 @@ class TransactionDistribution:
             return reduce(np.multiply.outer, parts).reshape(-1)
         dense = np.zeros(card)
         dims = [a.cardinality for a in self.space.attributes]
-        assert self.support is not None and self.weights is not None
-        for coords, w in zip(self.support, self.weights):
-            dense[int(np.ravel_multi_index(coords, dims))] = w
+        dense[np.ravel_multi_index(self.support.T, dims)] = self.weights
         return dense
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_matrix(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-        """Coordinate array of samples, last axis indexing attributes.
-
-        Draw order is fixed (attribute by attribute for the factored form, one
-        support draw for the sparse form) so that results are a pure function
-        of the generator state.
-        """
-        if self.form == "factored":
-            out = np.empty(shape + (len(self.space.attributes),), dtype=np.int64)
-            for i, attr in enumerate(self.space.attributes):
-                w = self._marginals[i]
-                if w is None:
-                    out[..., i] = rng.integers(0, attr.cardinality, size=shape)
-                else:
-                    cdf = np.cumsum(w)
-                    cdf[-1] = 1.0
-                    out[..., i] = np.searchsorted(cdf, rng.random(shape), side="right")
-            return out
-        assert self.support is not None and self.weights is not None
-        cdf = np.cumsum(self.weights)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, rng.random(shape), side="right")
-        pts = np.asarray(self.support, dtype=np.int64)
-        return pts[idx]
-
     def sample_support_indices(
         self, rng: np.random.Generator, shape: tuple[int, ...]
     ) -> np.ndarray:
-        """Indices into the sparse support (sparse form only); same draw order
-        as ``sample_matrix``."""
+        """Indices into the sparse support (sparse form only), drawn by
+        inverting the cdf of ``weights`` in support order."""
         if self.form != "sparse":
             raise DomainError("support indices require the sparse form")
-        assert self.weights is not None
         cdf = np.cumsum(self.weights)
         cdf[-1] = 1.0
         return np.searchsorted(cdf, rng.random(shape), side="right")
 
 
-def sample(dist: TransactionDistribution, rng: np.random.Generator) -> Transaction:
-    """One transaction distributed per ``dist``; deterministic given rng state."""
-    coords = dist.sample_matrix(rng, ())
-    return Transaction(tuple(int(c) for c in coords))
-
-
 def estimate(
     space: TransactionSpace, training: Sequence[Transaction]
 ) -> TransactionDistribution:
-    """Empirical (plug-in) distribution over the observed support."""
+    """Empirical (plug-in) distribution over the observed support, whose
+    points are in lexicographic order."""
     if len(training) == 0:
         raise DomainError("cannot estimate from an empty training set")
-    counts: Counter[tuple[int, ...]] = Counter()
-    for tx in training:
-        space.validate_coordinates(tx.coordinates)
-        counts[tx.coordinates] += 1
-    support = sorted(counts)
-    n = len(training)
-    weights = [counts[pt] / n for pt in support]
-    return TransactionDistribution.sparse(space, support, weights)
+    rows = _as_points(space, [tx.coordinates for tx in training])
+    rows = rows[_lexsorted(rows)]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(rows)])
+    return TransactionDistribution.sparse(space, rows[starts], counts / len(rows))
 
 
 def _same_space(p: TransactionDistribution, q: TransactionDistribution) -> None:
@@ -343,46 +370,68 @@ def _same_space(p: TransactionDistribution, q: TransactionDistribution) -> None:
 
 
 def l1_distance(p: TransactionDistribution, q: TransactionDistribution) -> float:
-    """Sum over the union of supports of |p(x) - q(x)|; lies in [0, 2]."""
+    """Sum over the union of supports of |p(x) - q(x)|; lies in [0, 2].
+
+    The result is clipped to that range, which rounding can leave by an ulp.
+    """
     _same_space(p, q)
-    if p.form == "sparse" and q.form == "sparse":
-        assert p.support is not None and q.support is not None
-        masses: dict[tuple[int, ...], list[float]] = {}
-        for pt, w in zip(p.support, p.weights):
-            masses.setdefault(pt, [0.0, 0.0])[0] = float(w)
-        for pt, w in zip(q.support, q.weights):
-            masses.setdefault(pt, [0.0, 0.0])[1] = float(w)
-        return float(sum(abs(a - b) for a, b in masses.values()))
     if p.form == "sparse" or q.form == "sparse":
         sp, other = (p, q) if p.form == "sparse" else (q, p)
-        assert sp.support is not None and sp.weights is not None
-        # off-support, |0 - other(x)| sums to the mass other puts outside supp(sp)
-        on_support = 0.0
-        other_on_support = 0.0
-        for pt, w in zip(sp.support, sp.weights):
-            m = other.mass_of(pt)
-            on_support += abs(float(w) - m)
-            other_on_support += m
-        return float(on_support + (1.0 - other_on_support))
-    return float(np.abs(p.to_dense() - q.to_dense()).sum())
+        m = other._masses_at(sp.support)
+        # off supp(sp), |0 - other(x)| sums to the mass other puts outside it
+        total = np.abs(sp.weights - m).sum() + (1.0 - m.sum())
+    else:
+        total = np.abs(p.to_dense() - q.to_dense()).sum()
+    return float(min(max(total, 0.0), 2.0))
 
 
 # -- declarative config ----------------------------------------------------
 
 
+def require(cfg: Mapping, key: str, where: str):
+    """``cfg[key]``, where ``where`` names ``cfg`` in a config file; a missing
+    key, or a ``cfg`` that is not a JSON object, is a ``ParseError``."""
+    if not isinstance(cfg, Mapping):
+        raise ParseError(f"{where} must be a JSON object")
+    if key not in cfg:
+        raise ParseError(f"{where} needs {key!r}")
+    return cfg[key]
+
+
+def load_config(path: str, parse: Callable[[Mapping], _T]) -> _T:
+    """``parse`` applied to the JSON in the file at ``path``.
+
+    A file that is not UTF-8 JSON, and any ``ParseError`` from ``parse``,
+    raise a ``ParseError`` that names the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            cfg = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{path}: not valid UTF-8 JSON ({exc})") from None
+    try:
+        return parse(cfg)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def space_from_config(cfg: Mapping) -> TransactionSpace:
     """Space from ``{"preset": name}`` or ``{"attributes": [{name, cardinality}]}``."""
+    if not isinstance(cfg, Mapping):
+        raise ParseError("space config must be a JSON object")
     if "preset" in cfg:
         name = cfg["preset"]
         if name not in PRESETS:
             raise ParseError(f"unknown preset {name!r}")
         return PRESETS[name]()
     if "attributes" in cfg:
-        return TransactionSpace(
-            tuple(
-                AttributeSpec(a["name"], int(a["cardinality"])) for a in cfg["attributes"]
+        specs = []
+        for i, a in enumerate(cfg["attributes"]):
+            where = f"space attribute {i}"
+            specs.append(
+                AttributeSpec(require(a, "name", where), int(require(a, "cardinality", where)))
             )
-        )
+        return TransactionSpace(tuple(specs))
     raise ParseError("space config needs 'preset' or 'attributes'")
 
 
@@ -390,16 +439,20 @@ def distribution_from_config(
     space: TransactionSpace, cfg: Mapping
 ) -> TransactionDistribution:
     """Distribution from a config mapping with a ``form`` discriminator."""
+    if not isinstance(cfg, Mapping):
+        raise ParseError("distribution config must be a JSON object")
     form = cfg.get("form", "uniform")
+    where = f"{form} distribution"
     if form == "uniform":
         return TransactionDistribution.uniform(space)
     if form == "factored":
-        return TransactionDistribution.factored(space, cfg["weights"])
+        return TransactionDistribution.factored(space, require(cfg, "weights", where))
     if form == "sparse":
-        return TransactionDistribution.sparse(space, cfg["support"], cfg["weights"])
+        return TransactionDistribution.sparse(
+            space, require(cfg, "support", where), require(cfg, "weights", where)
+        )
     raise ParseError(f"unknown distribution form {form!r}")
 
 
 def load_space(path: str) -> TransactionSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return space_from_config(json.load(fh))
+    return load_config(path, space_from_config)

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +77,51 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["oracle"])
         assert exc.value.code == 2
+
+
+class TestMalformedConfig:
+    """A malformed config file ends in one ``error:`` line naming the file
+    and the key, and exit code 1, never a traceback."""
+
+    def fails_cleanly(self, argv, capsys, *needles):
+        code, out = invoke(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        for needle in needles:
+            assert needle in err
+
+    def test_space_attribute_without_cardinality(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"attributes": [{"name": "x", "cardinality": 3}, {"name": "y"}]}))
+        self.fails_cleanly(["cardinality", "--space", str(path)], capsys, str(path), "'cardinality'")
+
+    def test_scenario_without_mallory(self, scenario_dir, tmp_path, capsys):
+        cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())
+        del cfg["mallory"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, str(path), "'mallory'")
+
+    def test_scenario_not_json(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"kind": "parallel",')
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, str(path), "JSON")
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["bmdlimits", "bmdlimits.cli"])
+    def test_python_dash_m(self, module):
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "cardinality", "--preset", "optimistic"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "space,cardinality\noptimistic,6144000\n")
 
 
 class TestFormats:

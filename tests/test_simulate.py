@@ -5,6 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bmdlimits import simulate
 
 from bmdlimits.errors import DomainError
 from bmdlimits.simulate import (
@@ -25,6 +29,7 @@ from bmdlimits.transactions import (
     Transaction,
     TransactionDistribution,
     TransactionSpace,
+    realistic_preset,
 )
 
 SPACE = TransactionSpace(
@@ -219,6 +224,158 @@ class TestEstimationStudy:
         d = TransactionDistribution.sparse(SPACE, [(0, 0)], [1.0])
         with pytest.raises(DomainError):
             run_estimation_study(SPACE, d, 0, 100, 1)
+
+
+# -- sparse paths: reference loop and pinned reports -------------------------
+
+
+PIN_SPACE = TransactionSpace(
+    (AttributeSpec("profile", 40), AttributeSpec("review", 2), AttributeSpec("language", 5))
+)
+
+
+def random_sparse(seed: int, size: int) -> TransactionDistribution:
+    rng = np.random.default_rng(seed)
+    dims = [a.cardinality for a in PIN_SPACE.attributes]
+    flat = rng.choice(PIN_SPACE.cardinality, size=size, replace=False)
+    weights = rng.gamma(2.0, size=size)
+    return TransactionDistribution.sparse(
+        PIN_SPACE, np.stack(np.unravel_index(flat, dims), axis=1), weights / weights.sum()
+    )
+
+
+def pin_scenario(sparse_role: str) -> SimScenario:
+    """A scenario whose tester or whose voters draw from a sparse support."""
+    sparse = random_sparse(17 if sparse_role == "tester" else 18, 150)
+    tester = sparse if sparse_role == "tester" else None
+    return SimScenario(
+        space=PIN_SPACE,
+        voter_dist=sparse if sparse_role == "voter" else TransactionDistribution.uniform(PIN_SPACE),
+        n_voters=800,
+        mallory=MalloryStrategy.from_mapping({"profile": [3, 7, 11, 20], "language": [1, 2]}, 0.4),
+        pat=PatStrategy("distribution" if tester else "uniform", 30, tester),
+        trials=2 * CHUNK_TRIALS + 123,
+        seed=2024,
+        passive=PassiveParams(0.3, 0.01, 12),
+    )
+
+
+def ref_trigger_mass(m: MalloryStrategy, d: TransactionDistribution) -> float:
+    """Point-at-a-time trigger mass of a sparse distribution."""
+    total = 0.0
+    for pt, w in zip(d.support.tolist(), d.weights):
+        if m.matches(Transaction(tuple(pt)), d.space):
+            total += float(w)
+    return total
+
+
+@st.composite
+def sparse_and_trigger(draw, space):
+    points = st.tuples(*(st.integers(0, a.cardinality - 1) for a in space.attributes))
+    support = draw(st.lists(points, min_size=1, max_size=15, unique=True))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support))))
+    dist = TransactionDistribution.sparse(space, support, raw / raw.sum())
+    trigger = {}
+    for a in space.attributes[:4]:
+        if draw(st.booleans()):
+            # values seen in the support, so that the trigger can match
+            seen = [pt[space.index_of(a.name)] for pt in support]
+            trigger[a.name] = draw(st.lists(st.sampled_from(seen), min_size=1, max_size=3))
+    return MalloryStrategy.from_mapping(trigger, 1.0), dist
+
+
+class TestSparseTriggerAgainstReference:
+    @given(sparse_and_trigger(SPACE))
+    @settings(max_examples=100)
+    def test_trigger_mass(self, case):
+        m, d = case
+        assert trigger_mass(m, d) == ref_trigger_mass(m, d)
+
+    @given(sparse_and_trigger(realistic_preset()))
+    @settings(max_examples=50)
+    def test_trigger_mass_realistic_preset(self, case):
+        m, d = case
+        assert trigger_mass(m, d) == ref_trigger_mass(m, d)
+
+    def test_trigger_table_matches_loop(self):
+        d = random_sparse(17, 150)
+        m = pin_scenario("tester").mallory
+        want = [m.matches(Transaction(tuple(pt)), PIN_SPACE) for pt in d.support.tolist()]
+        assert simulate._support_matches(m, d).tolist() == want
+
+
+#: Reports of the point-at-a-time implementation, byte for byte.
+PINNED = {
+    "tester_parallel": (
+        '{"label": "", "trials": 8315, "seed": 2024, '
+        '"empirical_detection": {"value": 0.434996993385448, '
+        '"std_error": 0.005436725177270337, "trials": 8315}, '
+        '"empirical_altered_fraction": {"value": 0.016059530968129884, '
+        '"std_error": 4.8738787404457236e-05, "trials": 8315}, "empirical_fp": null, '
+        '"empirical_fn": null, '
+        '"analytic": {"trigger_mass_under_tests": 0.0473858691676196, '
+        '"detection": 0.43678200267880735, "altered_fraction": 0.016000000000000004}}'
+    ),
+    "tester_passive": (
+        '{"label": "", "trials": 8315, "seed": 2024, "empirical_detection": null, '
+        '"empirical_altered_fraction": {"value": 0.015974293445580278, '
+        '"std_error": 4.8611377829620326e-05, "trials": 8315}, '
+        '"empirical_fp": {"value": 0.10932050511124473, '
+        '"std_error": 0.0034220032300174403, "trials": 8315}, '
+        '"empirical_fn": {"value": 0.4895971136500301, '
+        '"std_error": 0.005482073556760303, "trials": 8315}, '
+        '"analytic": {"fp": 0.11192400101851856, "fn": 0.4800126732377159, '
+        '"altered_fraction": 0.016000000000000004}}'
+    ),
+    "voter_parallel": (
+        '{"label": "", "trials": 8315, "seed": 2024, '
+        '"empirical_detection": {"value": 0.38075766686710766, '
+        '"std_error": 0.005325047926225588, "trials": 8315}, '
+        '"empirical_altered_fraction": {"value": 0.01554990980156344, '
+        '"std_error": 4.7971651321756496e-05, "trials": 8315}, "empirical_fp": null, '
+        '"empirical_fn": null, '
+        '"analytic": {"trigger_mass_under_tests": 0.04000000000000001, '
+        '"detection": 0.38361373469388776, "altered_fraction": 0.015596502740618712}}'
+    ),
+    "voter_passive": (
+        '{"label": "", "trials": 8315, "seed": 2024, "empirical_detection": null, '
+        '"empirical_altered_fraction": {"value": 0.01557050511124474, '
+        '"std_error": 4.8002907060547867e-05, "trials": 8315}, '
+        '"empirical_fp": {"value": 0.10932050511124473, '
+        '"std_error": 0.0034220032300174403, "trials": 8315}, '
+        '"empirical_fn": {"value": 0.5023451593505712, '
+        '"std_error": 0.005483200168908441, "trials": 8315}, '
+        '"analytic": {"fp": 0.11192400101851856, "fn": 0.4912627979239651, '
+        '"altered_fraction": 0.015596502740618712}}'
+    ),
+    "study": (
+        '{"n_train": 500, "trials": 4146, "seed": 31, '
+        '"mean_l1": 0.41347278735032816, "std_l1": 0.026190882090539134, '
+        '"min_l1": 0.3302635848088096, "max_l1": 0.513232374869921, '
+        '"support_size": 150, "lower_bound_at_n": -9.876444214329153}'
+    ),
+}
+
+
+class TestSparsePins:
+    @pytest.mark.parametrize("role", ["tester", "voter"])
+    def test_parallel(self, role):
+        assert run_parallel_sim(pin_scenario(role)).to_json() == PINNED[f"{role}_parallel"]
+
+    @pytest.mark.parametrize("role", ["tester", "voter"])
+    def test_passive(self, role):
+        assert run_passive_sim(pin_scenario(role)).to_json() == PINNED[f"{role}_passive"]
+
+    def test_estimation_study(self):
+        report = run_estimation_study(PIN_SPACE, random_sparse(19, 150), 500, CHUNK_TRIALS + 50, 31)
+        assert report.to_json() == PINNED["study"]
+
+    def test_estimation_blocks_keep_the_draws(self, monkeypatch):
+        d = random_sparse(19, 150)
+        whole = run_estimation_study(PIN_SPACE, d, 500, 300, 5)
+        # 7 rows per multinomial call instead of all 300 at once
+        monkeypatch.setattr(simulate, "ESTIMATION_BLOCK_CELLS", 7 * 150 + 10)
+        assert run_estimation_study(PIN_SPACE, d, 500, 300, 5) == whole
 
 
 class TestScenarioFiles:

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from bmdlimits.transactions import (
     load_space,
     optimistic_preset,
     realistic_preset,
-    sample,
     space_from_config,
 )
 
@@ -96,22 +96,6 @@ class TestDistributionConstruction:
 
 
 class TestSampling:
-    def test_point_mass_always_same(self):
-        space = small_space()
-        d = TransactionDistribution.point_mass(space, Transaction((1, 0)))
-        rng = np.random.default_rng(0)
-        assert all(sample(d, rng) == Transaction((1, 0)) for _ in range(20))
-
-    def test_uniform_frequencies(self):
-        space = small_space()
-        d = TransactionDistribution.uniform(space)
-        rng = np.random.default_rng(42)
-        draws = d.sample_matrix(rng, (100_000,))
-        flat = draws[:, 0] * 2 + draws[:, 1]
-        counts = np.bincount(flat, minlength=4)
-        # each cell 25000 +- 3 sigma (sigma ~ 137)
-        assert np.all(np.abs(counts - 25_000) < 3 * math.sqrt(100_000 * 0.25 * 0.75))
-
     def test_sparse_frequencies(self):
         space = TransactionSpace((AttributeSpec("a", 3),))
         d = TransactionDistribution.sparse(space, [(0,), (1,), (2,)], [0.5, 0.3, 0.2])
@@ -122,24 +106,18 @@ class TestSampling:
             sd = math.sqrt(100_000 * w * (1 - w))
             assert abs(c - 100_000 * w) < 3 * sd
 
-    def test_deterministic_given_state(self):
-        d = TransactionDistribution.uniform(small_space())
-        a = d.sample_matrix(np.random.default_rng(3), (50,))
-        b = d.sample_matrix(np.random.default_rng(3), (50,))
-        assert np.array_equal(a, b)
-
 
 class TestEstimate:
     def test_point_training(self):
         space = small_space()
         d = estimate(space, [Transaction((0, 1))] * 5)
-        assert d.support == ((0, 1),)
+        assert d.support.tolist() == [[0, 1]]
         assert d.weights[0] == 1.0
 
     def test_counting(self):
         space = small_space()
         d = estimate(space, [Transaction((0, 0))] * 3 + [Transaction((1, 1))])
-        assert d.support == ((0, 0), (1, 1))
+        assert d.support.tolist() == [[0, 0], [1, 1]]
         assert list(d.weights) == [0.75, 0.25]
 
     def test_empty_rejected(self):
@@ -149,7 +127,7 @@ class TestEstimate:
     def test_mass_one_within_tolerance(self):
         space = small_space()
         rng = np.random.default_rng(11)
-        training = [sample(TransactionDistribution.uniform(space), rng) for _ in range(257)]
+        training = [Transaction(tuple(row)) for row in rng.integers(0, 2, size=(257, 2)).tolist()]
         d = estimate(space, training)
         assert abs(float(np.sum(d.weights)) - 1.0) < 1e-12
 
@@ -216,6 +194,208 @@ class TestL1Distance:
         assert dpq <= l1_distance(p, r) + l1_distance(r, q) + 1e-12
 
 
+# -- reference implementations ---------------------------------------------
+#
+# Point-at-a-time versions of the sparse queries, kept as the oracle that the
+# array-backed implementation must agree with: exactly for lookups, counts and
+# dense vectors, to rounding for L1 sums.
+
+
+def ref_points(d: TransactionDistribution) -> list[tuple[int, ...]]:
+    return [tuple(row) for row in d.support.tolist()]
+
+
+def ref_mass_of(d: TransactionDistribution, coords) -> float:
+    if d.form == "sparse":
+        for pt, w in zip(ref_points(d), d.weights):
+            if pt == tuple(coords):
+                return float(w)
+        return 0.0
+    mass = 1.0
+    for i, c in enumerate(coords):
+        mass *= float(d.marginal(i)[c])
+    return mass
+
+
+def ref_l1(p: TransactionDistribution, q: TransactionDistribution) -> float:
+    if p.form == "sparse" and q.form == "sparse":
+        masses: dict[tuple[int, ...], list[float]] = {}
+        for pt, w in zip(ref_points(p), p.weights):
+            masses.setdefault(pt, [0.0, 0.0])[0] = float(w)
+        for pt, w in zip(ref_points(q), q.weights):
+            masses.setdefault(pt, [0.0, 0.0])[1] = float(w)
+        return float(sum(abs(a - b) for a, b in masses.values()))
+    sp, other = (p, q) if p.form == "sparse" else (q, p)
+    on_support = other_on_support = 0.0
+    for pt, w in zip(ref_points(sp), sp.weights):
+        m = ref_mass_of(other, pt)
+        on_support += abs(float(w) - m)
+        other_on_support += m
+    return float(on_support + (1.0 - other_on_support))
+
+
+def ref_estimate(training: list[tuple[int, ...]]) -> tuple[list, list[float]]:
+    counts = Counter(training)
+    support = sorted(counts)
+    # the sparse constructor renormalizes the relative frequencies
+    freq = np.array([counts[pt] / len(training) for pt in support])
+    return [list(pt) for pt in support], (freq / freq.sum()).tolist()
+
+
+def ref_to_dense(d: TransactionDistribution) -> np.ndarray:
+    dims = [a.cardinality for a in d.space.attributes]
+    dense = np.zeros(math.prod(dims))
+    for pt, w in zip(ref_points(d), d.weights):
+        dense[int(np.ravel_multi_index(pt, dims))] = w
+    return dense
+
+
+@st.composite
+def small_spaces(draw):
+    cards = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3))
+    return TransactionSpace(tuple(AttributeSpec(f"x{i}", c) for i, c in enumerate(cards)))
+
+
+def points_of(space: TransactionSpace):
+    return st.tuples(*(st.integers(0, a.cardinality - 1) for a in space.attributes))
+
+
+def normalized(draw, n: int) -> list[float]:
+    raw = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n))
+    total = sum(raw)
+    return [w / total for w in raw]
+
+
+@st.composite
+def sparse_over(draw, space: TransactionSpace, pool=None):
+    """A sparse distribution on ``space``, its points drawn from ``pool``
+    when one is given, so that two draws can share support points."""
+    points = st.sampled_from(pool) if pool else points_of(space)
+    support = draw(st.lists(points, min_size=1, max_size=12, unique=True))
+    return TransactionDistribution.sparse(space, support, normalized(draw, len(support)))
+
+
+@st.composite
+def overlapping_pair(draw, space=None):
+    space = space or draw(small_spaces())
+    pool = draw(st.lists(points_of(space), min_size=1, max_size=10, unique=True))
+    return draw(sparse_over(space, pool)), draw(sparse_over(space, pool)), pool
+
+
+@st.composite
+def factored_over(draw, space: TransactionSpace):
+    marginals = {}
+    for a in space.attributes:
+        if draw(st.booleans()):
+            marginals[a.name] = normalized(draw, a.cardinality)
+    return TransactionDistribution.factored(space, marginals)
+
+
+class TestAgainstReference:
+    @given(overlapping_pair())
+    @settings(max_examples=100)
+    def test_mass_of(self, case):
+        p, _, pool = case
+        for pt in pool:
+            assert p.mass_of(pt) == ref_mass_of(p, pt)
+
+    @given(overlapping_pair())
+    @settings(max_examples=100)
+    def test_l1_sparse_sparse(self, case):
+        p, q, _ = case
+        assert l1_distance(p, q) == pytest.approx(ref_l1(p, q), abs=1e-12)
+        assert l1_distance(q, p) == pytest.approx(ref_l1(q, p), abs=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_l1_sparse_factored(self, data):
+        space = data.draw(small_spaces())
+        p = data.draw(sparse_over(space))
+        f = data.draw(factored_over(space))
+        assert l1_distance(p, f) == pytest.approx(ref_l1(p, f), abs=1e-12)
+        assert l1_distance(f, p) == pytest.approx(ref_l1(f, p), abs=1e-12)
+        for pt in ref_points(p):
+            assert f.mass_of(pt) == ref_mass_of(f, pt)
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_estimate(self, data):
+        space = data.draw(small_spaces())
+        training = data.draw(st.lists(points_of(space), min_size=1, max_size=40))
+        d = estimate(space, [Transaction(pt) for pt in training])
+        support, weights = ref_estimate(training)
+        assert d.support.tolist() == support
+        assert d.weights.tolist() == weights
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_to_dense(self, data):
+        space = data.draw(small_spaces())
+        d = data.draw(sparse_over(space))
+        assert np.array_equal(d.to_dense(), ref_to_dense(d))
+
+    @given(overlapping_pair(realistic_preset()))
+    @settings(max_examples=50)
+    def test_realistic_preset(self, case):
+        # the preset's cardinality (~1e47) overflows int64: no raveled index exists
+        p, q, pool = case
+        for pt in pool:
+            assert p.mass_of(pt) == ref_mass_of(p, pt)
+        assert l1_distance(p, q) == pytest.approx(ref_l1(p, q), abs=1e-12)
+        training = [pt for pt in pool for _ in range(1 + pt[0] % 3)]
+        d = estimate(p.space, [Transaction(pt) for pt in training])
+        support, weights = ref_estimate(training)
+        assert d.support.tolist() == support
+        assert d.weights.tolist() == weights
+
+
+class TestSparseArrays:
+    def test_int64_support_is_not_copied(self):
+        rows = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        d = TransactionDistribution.sparse(small_space(), rows, [0.5, 0.5])
+        assert np.shares_memory(d.support, rows)
+        assert not d.support.flags.writeable
+        assert rows.flags.writeable
+
+    def test_support_keeps_caller_order(self):
+        d = TransactionDistribution.sparse(small_space(), [(1, 1), (0, 1), (1, 0)], [0.5, 0.3, 0.2])
+        assert d.support.tolist() == [[1, 1], [0, 1], [1, 0]]
+        assert [d.mass_of(pt) for pt in [(0, 1), (1, 0), (1, 1), (0, 0)]] == [0.3, 0.2, 0.5, 0.0]
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            [(0.5, 1)],  # not an integer
+            [(0, 1, 0)],  # too many coordinates
+            [(0,)],  # too few
+            [(2**70, 0)],  # beyond int64
+            [(-1, 0)],
+        ],
+    )
+    def test_bad_points_rejected(self, support):
+        with pytest.raises(DomainError):
+            TransactionDistribution.sparse(small_space(), support, [1.0])
+
+    def test_integral_floats_accepted(self):
+        d = TransactionDistribution.sparse(small_space(), [(1.0, 0.0)], [1.0])
+        assert d.support.tolist() == [[1, 0]]
+
+    def test_duplicate_named(self):
+        with pytest.raises(DomainError, match=r"duplicate support point \(1, 0\)"):
+            TransactionDistribution.sparse(small_space(), [(1, 0), (0, 0), (1, 0)], [0.2, 0.4, 0.4])
+
+    def test_l1_stays_in_range(self):
+        # disjoint supports whose weights, summed left to right, come to 2.0000000000000004
+        a = np.array([0.8097107759127777, 0.5604759520061858, 0.2884212144312105])
+        b = np.array([0.4128963426808927, 0.8181209709709104, 0.6265064624197535])
+        space = TransactionSpace((AttributeSpec("a", 6),))
+        p = TransactionDistribution.sparse(space, [(0,), (1,), (2,)], a / a.sum())
+        q = TransactionDistribution.sparse(space, [(3,), (4,), (5,)], b / b.sum())
+        assert l1_distance(p, q) == l1_distance(q, p) == 2.0
+        uniform = TransactionDistribution.uniform(small_space())
+        assert l1_distance(uniform, uniform) == 0.0
+
+
 class TestConfig:
     def test_preset_roundtrip(self):
         space = space_from_config({"preset": "optimistic"})
@@ -239,7 +419,7 @@ class TestConfig:
         d = distribution_from_config(
             space, {"form": "sparse", "support": [[0, 1]], "weights": [1.0]}
         )
-        assert d.support == ((0, 1),)
+        assert d.support.tolist() == [[0, 1]]
         with pytest.raises(ParseError):
             distribution_from_config(space, {"form": "nope"})
 
