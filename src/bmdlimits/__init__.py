@@ -12,7 +12,6 @@ from .feasibility import (
 )
 from .kernels import (
     PoissonModel,
-    binomial_sf,
     no_replacement_miss_prob,
     poisson_sf,
     poisson_upper_quantile,

@@ -217,7 +217,7 @@ def _cmd_simulate(args) -> list[dict]:
         )
     run = run_passive_sim if kind == "passive" else run_parallel_sim
     report = run(scenario, workers=args.workers)
-    return [json.loads(report.to_json())]
+    return [report.to_dict()]
 
 
 def _cmd_feasibility(args) -> list[dict]:

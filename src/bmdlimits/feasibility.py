@@ -52,9 +52,19 @@ class FeasibilitySummary:
 
 
 def load_turnout(path: str) -> list[JurisdictionRecord]:
-    """Records from a CSV file; malformed rows are reported with line numbers."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_turnout(fh)
+    """Records from a UTF-8 CSV file; a malformed file is a ``ParseError``
+    that names the file and the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not valid UTF-8") from None
+    try:
+        return parse_turnout(io.StringIO(text, newline=""))
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def parse_turnout(fh) -> list[JurisdictionRecord]:

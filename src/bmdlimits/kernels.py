@@ -1,10 +1,8 @@
 """Exact log-space probability primitives shared by all solvers.
 
 Poisson tails are regularized incomplete gamma functions, evaluated through
-the log-gamma machinery inside scipy's ``gammainc``; binomial tails are summed
-in log space over the smaller tail (complementing when needed).  Both stay
-within 1e-12 absolute error at means in the thousands, where naive products
-underflow.
+the log-gamma machinery inside scipy's ``gammainc``; they stay within 1e-12
+absolute error at means in the thousands, where naive products underflow.
 """
 
 from __future__ import annotations
@@ -13,8 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-from scipy.special import gammainc, gammaln, logsumexp
+from scipy.special import gammainc
 
 from .errors import DomainError
 
@@ -92,39 +89,6 @@ def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> fl
         - math.lgamma(population + 1)
         + math.lgamma(population - draws + 1)
     )
-
-
-def binomial_sf(trials: int, p: float, k: int) -> float:
-    """P{X >= k} for X ~ Binomial(trials, p), absolute error <= 1e-12."""
-    if trials < 0:
-        raise DomainError(f"trials must be >= 0, got {trials}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if k > trials + 1:
-        raise DomainError(f"k must be <= trials + 1, got k={k}, trials={trials}")
-    if k <= 0:
-        return 1.0
-    if k > trials:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-
-    def log_pmf(ks: np.ndarray) -> np.ndarray:
-        return (
-            gammaln(trials + 1)
-            - gammaln(ks + 1)
-            - gammaln(trials - ks + 1)
-            + ks * math.log(p)
-            + (trials - ks) * math.log1p(-p)
-        )
-
-    if k <= trials * p:
-        lo = np.arange(0, k)
-        return float(min(1.0, max(0.0, 1.0 - math.exp(logsumexp(log_pmf(lo))))))
-    hi = np.arange(k, trials + 1)
-    return float(math.exp(logsumexp(log_pmf(hi))))
 
 
 def smallest_int_where(

@@ -230,7 +230,8 @@ def min_training_sample(q: MinimaxQuery) -> BoundReport:
             lo = mid
     b_at, z_at = bound(hi)
     b_below, _ = bound(hi - 1)
-    assert b_at <= threshold < b_below
+    if not b_at <= threshold < b_below:
+        raise AssertionError("minimality certificate failed")
     return BoundReport(hi, z_at, threshold, b_at, b_below, formula, beta_used)
 
 

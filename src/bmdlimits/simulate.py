@@ -19,6 +19,7 @@ attacker's trigger and whose independent flip event fires is a catch.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -35,6 +36,8 @@ from .transactions import (
     TransactionDistribution,
     TransactionSpace,
     distribution_from_config,
+    get_int,
+    get_number,
     load_config,
     require,
     space_from_config,
@@ -172,13 +175,13 @@ class SimReport:
     empirical_fn: Estimate | None = None
     analytic: Mapping[str, float] | None = None
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         def enc(v):
             if isinstance(v, Estimate):
                 return {"value": v.value, "std_error": v.std_error, "trials": v.trials}
             return v
 
-        payload = {
+        return {
             "label": self.label,
             "trials": self.trials,
             "seed": self.seed,
@@ -188,7 +191,9 @@ class SimReport:
             "empirical_fn": enc(self.empirical_fn),
             "analytic": dict(self.analytic) if self.analytic is not None else None,
         }
-        return json.dumps(payload, sort_keys=False)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 # -- trigger probabilities --------------------------------------------------
@@ -248,16 +253,47 @@ def _triggered_tests(
         return trig_table[idx]
     # uniform / factored: draw only the attributes the trigger constrains
     out = np.ones((n_rep, n), dtype=bool)
+    u = np.empty((n_rep, n))
     for name, vals in s.mallory.trigger:
-        i = dist.space.index_of(name)
-        w = dist.marginal(i)
-        cdf = np.cumsum(w)
-        cdf[-1] = 1.0
-        draws = np.searchsorted(cdf, rng.random((n_rep, n)), side="right")
-        allowed = np.zeros(len(w), dtype=bool)
-        allowed[list(vals)] = True
-        out &= allowed[draws]
+        rng.random(out=u)
+        out &= _in_runs(u, _allowed_runs(dist.marginal(dist.space.index_of(name)), vals))
     return out
+
+
+def _allowed_runs(w: np.ndarray, vals: Sequence[int]) -> list[tuple[float, float]]:
+    """Disjoint intervals ``[lo, hi)`` of a uniform ``u`` in [0, 1) whose
+    inverse-CDF draw from weights ``w`` is one of ``vals``.
+
+    ``searchsorted(cdf, u, side="right")`` draws value v iff
+    ``edges[v] <= u < edges[v + 1]``, so a run of consecutive allowed values
+    is one interval, and comparing ``u`` with its ends selects exactly the
+    draws that land in it.
+    """
+    cdf = np.cumsum(w)
+    cdf[-1] = 1.0
+    edges = np.concatenate(([0.0], cdf))
+    # keep[v + 1] is value v, between two False ends so that every run closes;
+    # a value of zero width is never drawn, so it may join the runs around it
+    keep = np.zeros(len(w) + 2, dtype=bool)
+    keep[1:-1] = edges[:-1] >= edges[1:]
+    keep[[v + 1 for v in vals]] = True
+    start, stop = np.flatnonzero(np.diff(keep)).reshape(-1, 2).T
+    lo, hi = edges[start], edges[stop]
+    return [(a, b) for a, b in zip(lo.tolist(), hi.tolist()) if a < b]
+
+
+def _in_runs(u: np.ndarray, runs: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Boolean mask: ``u`` lies in one of the disjoint intervals ``[lo, hi)``.
+
+    ``u`` lies in ``[lo, hi)`` iff exactly one of ``lo``, ``hi`` is at or
+    below it, and in at most one interval, so the mask is the parity of the
+    interval ends at or below ``u``.
+    """
+    hit = np.zeros(u.shape, dtype=bool)
+    passed = np.empty(u.shape, dtype=bool)
+    for end in itertools.chain.from_iterable(runs):
+        hit ^= np.greater_equal(u, end, out=passed)
+    return hit
 
 
 def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
@@ -266,6 +302,14 @@ def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
 
 def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, chunk)))
+
+
+def _map_chunks(fn, jobs: Sequence[tuple], workers: int) -> list:
+    """``[fn(*job) for job in jobs]``, spread over ``workers`` processes."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]
 
 
 # -- parallel-testing simulation --------------------------------------------
@@ -290,13 +334,8 @@ def _parallel_chunk(s: SimScenario, chunk: int, lo: int, hi: int) -> tuple[int, 
 
 def run_parallel_sim(s: SimScenario, workers: int = 1) -> SimReport:
     """Empirical detection rate of the tester against the configured attack."""
-    chunks = _chunk_bounds(s.trials)
-    jobs = [(s, c, lo, hi) for c, (lo, hi) in enumerate(chunks)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_parallel_chunk_star, jobs))
-    else:
-        results = [_parallel_chunk(*job) for job in jobs]
+    jobs = [(s, c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(s.trials))]
+    results = _map_chunks(_parallel_chunk, jobs, workers)
     detected = sum(r[0] for r in results)
     altered = sum(r[1] for r in results)
 
@@ -325,10 +364,6 @@ def run_parallel_sim(s: SimScenario, workers: int = 1) -> SimReport:
         ),
         analytic=analytic,
     )
-
-
-def _parallel_chunk_star(job):
-    return _parallel_chunk(*job)
 
 
 # -- passive-testing simulation ---------------------------------------------
@@ -362,13 +397,8 @@ def run_passive_sim(s: SimScenario, workers: int = 1) -> SimReport:
     next to the Poisson-model predictions."""
     if s.passive is None:
         raise DomainError("scenario has no passive parameters")
-    chunks = _chunk_bounds(s.trials)
-    jobs = [(s, c, lo, hi) for c, (lo, hi) in enumerate(chunks)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_passive_chunk_star, jobs))
-    else:
-        results = [_passive_chunk(*job) for job in jobs]
+    jobs = [(s, c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(s.trials))]
+    results = _map_chunks(_passive_chunk, jobs, workers)
     alarms0 = sum(r[0] for r in results)
     alarms1 = sum(r[1] for r in results)
     altered = sum(r[2] for r in results)
@@ -397,10 +427,6 @@ def run_passive_sim(s: SimScenario, workers: int = 1) -> SimReport:
         ),
         analytic=analytic,
     )
-
-
-def _passive_chunk_star(job):
-    return _passive_chunk(*job)
 
 
 def _estimate(p: float, trials: int) -> Estimate:
@@ -473,12 +499,7 @@ def run_estimation_study(
 
     chunks = _chunk_bounds(trials)
     jobs = [(weights, n_train, seed, c, hi - lo) for c, (lo, hi) in enumerate(chunks)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_estimation_chunk_star, jobs))
-    else:
-        parts = [_estimation_chunk(*job) for job in jobs]
-    l1 = np.concatenate(parts)
+    l1 = np.concatenate(_map_chunks(_estimation_chunk, jobs, workers))
     bound = (
         hjw_lower_bound(n_train, support_size, 1.0) if support_size >= 2 else float("-inf")
     )
@@ -495,10 +516,6 @@ def run_estimation_study(
     )
 
 
-def _estimation_chunk_star(job):
-    return _estimation_chunk(*job)
-
-
 # -- declarative scenario files ---------------------------------------------
 
 
@@ -508,7 +525,7 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
     space = space_from_config(require(cfg, "space", "scenario"))
     voter_dist = distribution_from_config(space, cfg.get("voter_distribution", {}))
     mallory_cfg = require(cfg, "mallory", "scenario")
-    flip_prob = require(mallory_cfg, "flip_prob", "mallory")
+    flip_prob = get_number(mallory_cfg, "flip_prob", "mallory")
     mallory = MalloryStrategy.from_mapping(
         mallory_cfg.get("trigger", {}), flip_prob, mallory_cfg.get("label", "")
     )
@@ -526,7 +543,7 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
             space.validate_coordinates(tx.coordinates)
     pat = PatStrategy(
         mode=mode,
-        test_count=int(pat_cfg.get("test_count", len(scripts) if scripts else 0)),
+        test_count=get_int(pat_cfg, "test_count", "pat", len(scripts) if scripts else 0),
         distribution=dist,
         scripts=scripts,
     )
@@ -534,18 +551,18 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
     if cfg.get("passive") is not None:
         p = cfg["passive"]
         passive = PassiveParams(
-            detect_rate=require(p, "detect_rate", "passive"),
-            base_rate=require(p, "base_rate", "passive"),
-            alarm_threshold=int(require(p, "alarm_threshold", "passive")),
+            detect_rate=get_number(p, "detect_rate", "passive"),
+            base_rate=get_number(p, "base_rate", "passive"),
+            alarm_threshold=get_int(p, "alarm_threshold", "passive"),
         )
     return SimScenario(
         space=space,
         voter_dist=voter_dist,
-        n_voters=int(require(cfg, "n_voters", "scenario")),
+        n_voters=get_int(cfg, "n_voters", "scenario"),
         mallory=mallory,
         pat=pat,
-        trials=int(require(cfg, "trials", "scenario")),
-        seed=int(require(cfg, "seed", "scenario")),
+        trials=get_int(cfg, "trials", "scenario"),
+        seed=get_int(cfg, "seed", "scenario"),
         passive=passive,
         label=cfg.get("label", ""),
     )

@@ -398,6 +398,24 @@ def require(cfg: Mapping, key: str, where: str):
     return cfg[key]
 
 
+def get_int(cfg: Mapping, key: str, where: str, default: int | None = None) -> int:
+    """``int(cfg[key])``, or ``default`` if ``key`` is missing; a missing key
+    without a default, or a value that is not a number, is a ``ParseError``."""
+    value = require(cfg, key, where) if default is None or key in cfg else default
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{where} {key!r} must be an integer, got {value!r}") from None
+
+
+def get_number(cfg: Mapping, key: str, where: str) -> float:
+    """``cfg[key]``, which must be a JSON number; otherwise a ``ParseError``."""
+    value = require(cfg, key, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where} {key!r} must be a number, got {value!r}")
+    return value
+
+
 def load_config(path: str, parse: Callable[[Mapping], _T]) -> _T:
     """``parse`` applied to the JSON in the file at ``path``.
 
@@ -429,7 +447,7 @@ def space_from_config(cfg: Mapping) -> TransactionSpace:
         for i, a in enumerate(cfg["attributes"]):
             where = f"space attribute {i}"
             specs.append(
-                AttributeSpec(require(a, "name", where), int(require(a, "cardinality", where)))
+                AttributeSpec(require(a, "name", where), get_int(a, "cardinality", where))
             )
         return TransactionSpace(tuple(specs))
     raise ParseError("space config needs 'preset' or 'attributes'")

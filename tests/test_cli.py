@@ -108,6 +108,41 @@ class TestMalformedConfig:
         path.write_text('{"kind": "parallel",')
         self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, str(path), "JSON")
 
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            (None, "trials"),
+            (None, "n_voters"),
+            (None, "seed"),
+            ("pat", "test_count"),
+            ("passive", "alarm_threshold"),
+            ("passive", "base_rate"),
+            ("mallory", "flip_prob"),
+        ],
+    )
+    def test_scenario_value_not_a_number(self, scenario_dir, tmp_path, capsys, section, key):
+        cfg = json.loads((scenario_dir / "passive_poisson_gap.json").read_text())
+        (cfg if section is None else cfg[section])[key] = "many"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(
+            ["simulate", "--scenario", str(path)], capsys, str(path), repr(key), "'many'"
+        )
+
+    def test_space_cardinality_not_a_number(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"attributes": [{"name": "x", "cardinality": "three"}]}))
+        self.fails_cleanly(
+            ["cardinality", "--space", str(path)], capsys, str(path), "'cardinality'", "'three'"
+        )
+
+    def test_turnout_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "turnout.csv"
+        path.write_bytes(b"state,jurisdiction,turnout\nAA,Caf\xe9,1200\n")
+        self.fails_cleanly(
+            ["feasibility", "--data", str(path)], capsys, str(path), "line 2", "UTF-8"
+        )
+
 
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["bmdlimits", "bmdlimits.cli"])

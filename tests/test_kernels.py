@@ -16,7 +16,6 @@ from bmdlimits.errors import DomainError
 from bmdlimits.kernels import (
     TAIL_ABS_TOL,
     PoissonModel,
-    binomial_sf,
     log_no_replacement_miss_prob,
     no_replacement_miss_prob,
     poisson_sf,
@@ -34,14 +33,6 @@ def poisson_sf_oracle(mean: float, k: int) -> float:
         mpmath.e ** (-m) * m**i / mpmath.factorial(i) for i in range(k)
     )
     return float(1 - lower)
-
-
-def binomial_sf_oracle(n: int, p: float, k: int) -> float:
-    pp = mpmath.mpf(p)
-    upper = mpmath.fsum(
-        mpmath.binomial(n, i) * pp**i * (1 - pp) ** (n - i) for i in range(k, n + 1)
-    )
-    return float(upper)
 
 
 class TestPoissonSf:
@@ -198,35 +189,6 @@ class TestNoReplacementMiss:
         assert miss_prob_exact(2980, 15, 539) <= Fraction(1, 20)
         assert no_replacement_miss_prob(2980, 15, 538) > 0.05
         assert no_replacement_miss_prob(2980, 15, 539) <= 0.05
-
-
-class TestBinomialSf:
-    def test_edge_probabilities(self):
-        assert binomial_sf(20, 0.0, 1) == 0.0
-        assert binomial_sf(20, 1.0, 20) == 1.0
-        assert binomial_sf(20, 0.3, 0) == 1.0
-        assert binomial_sf(20, 0.3, 21) == 0.0
-
-    def test_oracle_case(self):
-        assert binomial_sf(20, 0.3, 10) == pytest.approx(
-            binomial_sf_oracle(20, 0.3, 10), abs=TAIL_ABS_TOL
-        )
-
-    @pytest.mark.parametrize(
-        "n,p,k", [(50, 0.1, 2), (50, 0.1, 20), (1000, 0.005, 10), (1000, 0.9, 920)]
-    )
-    def test_against_oracle(self, n, p, k):
-        assert binomial_sf(n, p, k) == pytest.approx(
-            binomial_sf_oracle(n, p, k), abs=TAIL_ABS_TOL
-        )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            binomial_sf(10, -0.1, 2)
-        with pytest.raises(DomainError):
-            binomial_sf(10, 0.5, 12)
-        with pytest.raises(DomainError):
-            binomial_sf(-1, 0.5, 0)
 
 
 class TestSmallestIntWhere:

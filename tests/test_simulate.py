@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: worker-count invariance, agreement with the
 closed-form predictions, and degenerate scenarios with known outcomes."""
 
+import json
 import math
 
 import numpy as np
@@ -376,6 +377,177 @@ class TestSparsePins:
         # 7 rows per multinomial call instead of all 300 at once
         monkeypatch.setattr(simulate, "ESTIMATION_BLOCK_CELLS", 7 * 150 + 10)
         assert run_estimation_study(PIN_SPACE, d, 500, 300, 5) == whole
+
+
+# -- uniform / factored trigger draw: searchsorted reference and pins --------
+
+
+def ref_triggered_tests(s: SimScenario, rng: np.random.Generator, n_rep: int) -> np.ndarray:
+    """Trigger matrix of a uniform or factored tester by inverse-CDF value
+    draws: the value index of every test attribute, then a table lookup."""
+    n = s.pat.test_count
+    dist = simulate._pat_sampling_dist(s)
+    out = np.ones((n_rep, n), dtype=bool)
+    for name, vals in s.mallory.trigger:
+        w = dist.marginal(dist.space.index_of(name))
+        cdf = np.cumsum(w)
+        cdf[-1] = 1.0
+        draws = np.searchsorted(cdf, rng.random((n_rep, n)), side="right")
+        allowed = np.zeros(len(w), dtype=bool)
+        allowed[list(vals)] = True
+        out &= allowed[draws]
+    return out
+
+
+@st.composite
+def factored_trigger_scenario(draw):
+    cards = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    space = TransactionSpace(tuple(AttributeSpec(f"a{i}", c) for i, c in enumerate(cards)))
+    marginals = {}
+    trigger = {}
+    for a in space.attributes:
+        if draw(st.booleans()):
+            # integer weights give exact zeros; floats give sums a few ulps off 1
+            raw = draw(st.one_of(
+                st.lists(st.integers(0, 3), min_size=a.cardinality, max_size=a.cardinality),
+                st.lists(st.floats(0.0, 1.0), min_size=a.cardinality, max_size=a.cardinality),
+            ))
+            w = np.array(raw, dtype=float)
+            if w.sum() > 0:
+                marginals[a.name] = w / w.sum()
+        if draw(st.booleans()):
+            values = range(a.cardinality)
+            shape = draw(st.sampled_from(["contiguous", "scattered", "full"]))
+            if shape == "full":
+                trigger[a.name] = list(values)
+            elif shape == "scattered":
+                trigger[a.name] = draw(st.lists(st.sampled_from(values), min_size=1))
+            else:
+                lo = draw(st.integers(0, a.cardinality - 1))
+                trigger[a.name] = list(range(lo, draw(st.integers(lo + 1, a.cardinality))))
+    if draw(st.booleans()):
+        pat = PatStrategy("uniform", draw(st.integers(1, 40)))
+    else:
+        tester = TransactionDistribution.factored(space, marginals)
+        pat = PatStrategy("distribution", draw(st.integers(1, 40)), tester)
+    return SimScenario(
+        space=space,
+        voter_dist=TransactionDistribution.uniform(space),
+        n_voters=10,
+        mallory=MalloryStrategy.from_mapping(trigger, 0.5),
+        pat=pat,
+        trials=1,
+        seed=0,
+    )
+
+
+#: Cumulative weights reach 1.0000000000000002 before the last, zero-weight
+#: value, so the CDF array is not monotone once its last entry is set to 1.
+OVERSHOOT = [
+    0.10263397919429064, 0.1499824281457144, 0.10381675370987502, 0.05342415508841949,
+    0.0764806371484379, 0.15154024547200093, 0.11604756078091066, 0.17764959774664688,
+    0.06842464271370415, 0.0,
+]
+
+
+class TestFactoredTriggerAgainstReference:
+    @given(factored_trigger_scenario(), st.integers(1, 50), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_matrix_from_the_same_seed(self, s, n_rep, seed):
+        want = ref_triggered_tests(s, np.random.default_rng(seed), n_rep)
+        got = simulate._triggered_tests(s, np.random.default_rng(seed), n_rep)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "vals", [[0], [7], [8], [9], [8, 9], [0, 2, 4, 6, 8], list(range(10))]
+    )
+    def test_cdf_overshoot(self, vals):
+        space = TransactionSpace((AttributeSpec("a", 10),))
+        tester = TransactionDistribution.factored(space, {"a": OVERSHOOT})
+        assert np.cumsum(tester.marginal(0))[-2] > 1.0
+        s = SimScenario(
+            space=space,
+            voter_dist=tester,
+            n_voters=10,
+            mallory=MalloryStrategy.from_mapping({"a": vals}, 1.0),
+            pat=PatStrategy("distribution", 500, tester),
+            trials=1,
+            seed=0,
+        )
+        want = ref_triggered_tests(s, np.random.default_rng(1), 200)
+        assert np.array_equal(simulate._triggered_tests(s, np.random.default_rng(1), 200), want)
+
+
+FACTORED_SPACE = TransactionSpace(
+    (AttributeSpec("profile", 12), AttributeSpec("language", 5), AttributeSpec("review", 2))
+)
+
+
+def factored_pin_scenario() -> SimScenario:
+    """A factored tester with zero-weight values; the profile trigger is three
+    separate runs of values."""
+    tester = TransactionDistribution.factored(
+        FACTORED_SPACE,
+        {
+            "profile": [0.2, 0.0, 0.1, 0.05, 0.0, 0.15, 0.1, 0.05, 0.1, 0.0, 0.15, 0.1],
+            "language": [0.4, 0.3, 0.0, 0.2, 0.1],
+        },
+    )
+    return SimScenario(
+        space=FACTORED_SPACE,
+        voter_dist=TransactionDistribution.uniform(FACTORED_SPACE),
+        n_voters=700,
+        mallory=MalloryStrategy.from_mapping(
+            {"profile": [1, 2, 3, 6, 7, 11], "language": [0, 2, 3]}, 0.3
+        ),
+        pat=PatStrategy("distribution", 25, tester),
+        trials=2 * CHUNK_TRIALS + 77,
+        seed=4242,
+    )
+
+
+#: Reports of the searchsorted implementation, byte for byte.
+FACTORED_PINNED = {
+    "subpopulation_attack": (
+        '{"label": "attack triggered by a 1%-mass voter profile; 299 uniform tests", '
+        '"trials": 100000, "seed": 20260824, '
+        '"empirical_detection": {"value": 0.95052, "std_error": 0.0006857968328885748, '
+        '"trials": 100000}, '
+        '"empirical_altered_fraction": {"value": 0.010001185, '
+        '"std_error": 3.146611081559933e-06, "trials": 100000}, '
+        '"empirical_fp": null, "empirical_fn": null, '
+        '"analytic": {"trigger_mass_under_tests": 0.01, "detection": 0.9504637433623375, '
+        '"altered_fraction": 0.01}}'
+    ),
+    "factored": (
+        '{"label": "", "trials": 8269, "seed": 4242, '
+        '"empirical_detection": {"value": 0.840004837344298, '
+        '"std_error": 0.00403151076398002, "trials": 8269}, '
+        '"empirical_altered_fraction": {"value": 0.08996959383584127, '
+        '"std_error": 0.00011893243636661239, "trials": 8269}, '
+        '"empirical_fp": null, "empirical_fn": null, '
+        '"analytic": {"trigger_mass_under_tests": 0.24, "detection": 0.845581472973999, '
+        '"altered_fraction": 0.09}}'
+    ),
+}
+
+
+class TestFactoredPins:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_subpopulation_attack(self, scenario_dir, workers):
+        _, s = load_scenario(str(scenario_dir / "subpopulation_attack.json"))
+        report = run_parallel_sim(s, workers=workers)
+        assert report.to_json() == FACTORED_PINNED["subpopulation_attack"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_factored_multi_run_trigger(self, workers):
+        report = run_parallel_sim(factored_pin_scenario(), workers=workers)
+        assert report.to_json() == FACTORED_PINNED["factored"]
+
+    def test_to_dict_is_the_json_payload(self):
+        report = run_parallel_sim(factored_pin_scenario())
+        assert json.dumps(report.to_dict()) == report.to_json()
+        assert json.loads(report.to_json()) == report.to_dict()
 
 
 class TestScenarioFiles:
