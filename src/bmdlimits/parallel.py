@@ -89,12 +89,23 @@ def min_tests_iid(p: float, confidence: float) -> int:
         raise Infeasible("an attack that touches no transactions cannot be detected")
     if not p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p}")
-    t = max(1, math.ceil(math.log1p(-confidence) / math.log1p(-p)))
+    t = _closed_form_count(math.log1p(-confidence), math.log1p(-p), f"p = {p}")
     while detection_prob_iid(p, t) < confidence:  # float guard
         t += 1
     while t > 1 and detection_prob_iid(p, t - 1) >= confidence:
         t -= 1
     return t
+
+
+def _closed_form_count(target: float, log_step: float, what: str) -> int:
+    """max(1, ceil(target / log_step)) for a negative per-test log factor.
+
+    Beyond 2**53 tests a float cannot tell t from t - 1, so the certificate
+    walks that follow would never end; such counts are rejected.
+    """
+    if not log_step < 0.0 or target / log_step > 2**53:
+        raise DomainError(f"{what}: more than 2**53 tests needed")
+    return max(1, math.ceil(target / log_step))
 
 
 def oracle_min_samples(q: OracleBoundQuery) -> int:
@@ -219,7 +230,7 @@ def min_tests_with_estimation_error(
         )
     base = 1.0 + epsilon / 2.0 - r
     target = math.log(alpha - beta)
-    t = max(1, math.ceil(target / math.log(base)))
+    t = _closed_form_count(target, math.log(base), f"r = {r}, epsilon = {epsilon}")
     while t * math.log(base) > target:
         t += 1
     while t > 1 and (t - 1) * math.log(base) <= target:

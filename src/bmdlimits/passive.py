@@ -19,14 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
+
+from scipy.special import gammainccinv
 
 from .errors import DomainError, Infeasible
-from .kernels import PoissonModel, poisson_sf, poisson_upper_quantile, smallest_int_where
+from .kernels import PoissonModel, poisson_sf, poisson_upper_quantile
 
 Convention = Literal["published", "strict"]
 
-_DOWNWARD_SCAN = 64  # guard width against discreteness-induced feasibility pockets
+# fewest spoils that may alarm: a one-spoil alarm would make the published
+# miss event X <= k - 2 vacuous
+_THRESHOLD_FLOOR = {"published": 2, "strict": 1}
 
 
 @dataclass(frozen=True)
@@ -93,71 +97,42 @@ def alarm_threshold(N: int, design: PassiveDesign) -> int:
     return poisson_upper_quantile(PoissonModel(N * design.base_rate), design.fp_budget)
 
 
+def _threshold(N: int, design: PassiveDesign, convention: Convention) -> tuple[int, int]:
+    """Alarm threshold k at contest size N, floored per convention, and its
+    miss index j: the attack is missed when fewer than j spoils occur, so
+    j = k - 1 under ``published`` (X <= k - 2) and j = k under ``strict``."""
+    k = max(_THRESHOLD_FLOOR[convention], alarm_threshold(N, design))
+    return k, k - 1 if convention == "published" else k
+
+
+def _miss(N: int, design: PassiveDesign, j: int) -> float:
+    """P{X < j} for the spoil count X of an attacked contest of size N."""
+    return 1.0 - poisson_sf(PoissonModel(N * (design.base_rate + design.attack_rate)), j)
+
+
 def _achieved(N: int, design: PassiveDesign, convention: Convention) -> tuple[int, float, float]:
-    k = alarm_threshold(N, design)
-    if convention == "published" and k < 2:
-        # a one-spoil alarm would make the k-2 miss event vacuous; require
-        # at least two spoils before alarming
-        k = 2
-    fp = poisson_sf(PoissonModel(N * design.base_rate), k)
-    attacked = PoissonModel(N * (design.base_rate + design.attack_rate))
-    if convention == "published":
-        fn = 1.0 - poisson_sf(attacked, k - 1)  # P{X <= k - 2}
-    elif convention == "strict":
-        fn = 1.0 - poisson_sf(attacked, k)  # P{X < k}
-    else:
-        raise DomainError(f"unknown convention {convention!r}")
-    return k, fp, fn
+    k, j = _threshold(N, design, convention)
+    return k, poisson_sf(PoissonModel(N * design.base_rate), k), _miss(N, design, j)
 
 
-def _feasible(N: int, design: PassiveDesign, convention: Convention) -> bool:
-    _, fp, fn = _achieved(N, design, convention)
-    return fp <= design.fp_budget and fn <= design.fn_budget
+def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
+    """Smallest N whose miss probability below j spoils meets the fn budget.
 
-
-def _fn_at(N: int, design: PassiveDesign, k: int, convention: Convention) -> float:
-    attacked = PoissonModel(N * (design.base_rate + design.attack_rate))
-    if convention == "published":
-        return 1.0 - poisson_sf(attacked, k - 1)  # P{X <= k - 2}
-    return 1.0 - poisson_sf(attacked, k)  # P{X < k}
-
-
-def _largest_fp_ok(design: PassiveDesign, k: int) -> int:
-    """Largest N whose benign tail at threshold k stays within the fp budget
-    (0 when even N=1 exceeds it); the tail is increasing in N."""
-
-    def too_big(N: int) -> bool:
-        return poisson_sf(PoissonModel(N * design.base_rate), k) > design.fp_budget
-
-    guess = max(1, int(k / design.base_rate))
-    return smallest_int_where(too_big, lo=0, guess=guess) - 1
-
-
-def _smallest_fn_ok(design: PassiveDesign, k: int, convention: Convention) -> int:
-    """Smallest N whose miss probability at threshold k meets the fn budget;
-    the miss probability is decreasing in N."""
+    P{Pois(m) < j} is the regularized upper incomplete gamma function
+    Q(j, m), so inverting it in m gives the answer up to rounding; a walk
+    of unit steps then certifies it (the miss probability falls with N).
+    """
 
     def ok(N: int) -> bool:
-        return _fn_at(N, design, k, convention) <= design.fn_budget
+        return _miss(N, design, j) <= design.fn_budget
 
-    guess = max(1, int(k / (design.base_rate + design.attack_rate)))
-    return smallest_int_where(ok, lo=0, guess=guess)
-
-
-def _interval_start(
-    design: PassiveDesign, k: int, convention: Convention, k_floor: int
-) -> tuple[int, int]:
-    """(start, end) of the contest sizes at which threshold k is both the
-    alarm threshold and meets the budgets; start > end means empty.
-
-    At sizes up to ``_largest_fp_ok(k - 1)`` the quantile would pick a smaller
-    threshold, so those are excluded (except at the floor threshold).
-    """
-    end = _largest_fp_ok(design, k)
-    start = _smallest_fn_ok(design, k, convention)
-    if k > k_floor:
-        start = max(start, _largest_fp_ok(design, k - 1) + 1)
-    return start, end
+    rate = design.base_rate + design.attack_rate
+    N = max(1, math.ceil(gammainccinv(j, design.fn_budget) / rate))
+    while N > 1 and ok(N - 1):
+        N -= 1
+    while not ok(N):
+        N += 1
+    return N
 
 
 def min_contest_size(
@@ -167,45 +142,40 @@ def min_contest_size(
 
     Feasibility in N is not monotone: every unit increase of the alarm
     threshold opens a pocket of infeasible sizes just above it.  The search
-    therefore runs over thresholds k, for which the feasible sizes form an
-    interval whose endpoints are increasing in k, so the answer is the start
-    of the first nonempty interval.  A downward scan over ``_DOWNWARD_SCAN``
-    thresholds certifies that no smaller threshold admits a smaller size.
+    is one exact climb over N.  Let k(N) be the alarm threshold at size N
+    (the fp budget holds there by construction) and need(N) the smallest
+    size meeting the fn budget at k(N) (``_smallest_fn_ok``):
+
+    1. N is feasible iff N >= need(N), since the miss probability at a fixed
+       threshold falls with N.
+    2. need is nondecreasing, since k(N) is and so is the size needed at a
+       higher threshold.
+    3. Hence if N < need(N), every M in [N, need(N)) has M < need(N) <=
+       need(M) and is infeasible: climbing N <- need(N) from N = 1 stops at
+       the smallest feasible size.
     """
+    if convention not in _THRESHOLD_FLOOR:
+        raise DomainError(f"unknown convention {convention!r}")
     if design.attack_rate <= 0.0:
         raise Infeasible("attack is statistically invisible (margin * detect_rate = 0)")
-    k_floor = 2 if convention == "published" else 1
-
-    def nonempty(k: int) -> bool:
-        start, end = _interval_start(design, k, convention, k_floor)
-        return start <= end
-
-    # bracket the first workable threshold, then bisect to it
-    k_hi = k_floor
-    while not nonempty(k_hi):
-        k_hi *= 2
-        if k_hi > 10**7:
+    N = 1
+    while True:
+        k, j = _threshold(N, design, convention)
+        if k > 10**7:
             raise Infeasible("no alarm threshold below 1e7 meets both budgets")
-    k_lo = max(k_floor - 1, k_hi // 2)  # empty (or below the floor)
-    while k_hi - k_lo > 1:
-        mid = (k_lo + k_hi) // 2
-        if nonempty(mid):
-            k_hi = mid
-        else:
-            k_lo = mid
-    # guard: integer jitter can make emptiness non-monotone right below
-    for k in range(max(k_floor, k_hi - _DOWNWARD_SCAN), k_hi):
-        if nonempty(k):
-            k_hi = k
+        need = _smallest_fn_ok(design, j)
+        if need <= N:
             break
-    best, _ = _interval_start(design, k_hi, convention, k_floor)
-    # certificates: best is feasible, best - 1 is not
-    k, fp, fn = _achieved(best, design, convention)
+        N = need
+    # certificates: N is feasible, N - 1 is not
+    k, fp, fn = _achieved(N, design, convention)
     if not (fp <= design.fp_budget and fn <= design.fn_budget):  # pragma: no cover
         raise AssertionError("feasibility certificate failed")
-    if best > 1 and _feasible(best - 1, design, convention):  # pragma: no cover
-        raise AssertionError("minimality certificate failed")
-    return PassiveSolution(best, k, fp, fn, convention)
+    if N > 1:
+        _, fp_below, fn_below = _achieved(N - 1, design, convention)
+        if fp_below <= design.fp_budget and fn_below <= design.fn_budget:  # pragma: no cover
+            raise AssertionError("minimality certificate failed")
+    return PassiveSolution(N, k, fp, fn, convention)
 
 
 def table_passive(

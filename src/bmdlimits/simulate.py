@@ -35,9 +35,12 @@ from .transactions import (
     Transaction,
     TransactionDistribution,
     TransactionSpace,
+    as_int,
     distribution_from_config,
     get_int,
     get_number,
+    list_of,
+    lists_by_name,
     load_config,
     require,
     space_from_config,
@@ -526,9 +529,8 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
     voter_dist = distribution_from_config(space, cfg.get("voter_distribution", {}))
     mallory_cfg = require(cfg, "mallory", "scenario")
     flip_prob = get_number(mallory_cfg, "flip_prob", "mallory")
-    mallory = MalloryStrategy.from_mapping(
-        mallory_cfg.get("trigger", {}), flip_prob, mallory_cfg.get("label", "")
-    )
+    trigger = lists_by_name(mallory_cfg.get("trigger", {}), as_int, "mallory 'trigger'")
+    mallory = MalloryStrategy.from_mapping(trigger, flip_prob, mallory_cfg.get("label", ""))
     pat_cfg = require(cfg, "pat", "scenario")
     mode = require(pat_cfg, "mode", "pat")
     if mode not in ("uniform", "distribution", "script"):
@@ -538,7 +540,13 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
     if mode == "distribution":
         dist = distribution_from_config(space, require(pat_cfg, "distribution", "pat"))
     if mode == "script":
-        scripts = tuple(Transaction(tuple(c)) for c in require(pat_cfg, "scripts", "pat"))
+        scripts = tuple(
+            list_of(
+                require(pat_cfg, "scripts", "pat"),
+                lambda row, what: Transaction(tuple(list_of(row, as_int, what))),
+                "pat 'scripts'",
+            )
+        )
         for tx in scripts:
             space.validate_coordinates(tx.coordinates)
     pat = PatStrategy(

@@ -398,22 +398,49 @@ def require(cfg: Mapping, key: str, where: str):
     return cfg[key]
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an int: a JSON integer, or a float with an integral value;
+    anything else (a boolean, a string, a fraction) is a ``ParseError``."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_number(value, what: str) -> float:
+    """``value`` unchanged if it is a JSON number; otherwise a ``ParseError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def list_of(values, convert: Callable[[object, str], _T], what: str) -> list[_T]:
+    """``convert`` applied to each item of the JSON array ``values``; anything
+    but an array is a ``ParseError``."""
+    if not isinstance(values, list):
+        raise ParseError(f"{what} must be a list, got {values!r}")
+    return [convert(v, what) for v in values]
+
+
+def lists_by_name(values, convert: Callable[[object, str], _T], what: str) -> dict[str, list[_T]]:
+    """``list_of`` applied to each array of the JSON object ``values``, which
+    maps attribute names to arrays; anything else is a ``ParseError``."""
+    if not isinstance(values, Mapping):
+        raise ParseError(f"{what} must map attribute names to lists, got {values!r}")
+    return {name: list_of(v, convert, f"{what} {name!r}") for name, v in values.items()}
+
+
 def get_int(cfg: Mapping, key: str, where: str, default: int | None = None) -> int:
-    """``int(cfg[key])``, or ``default`` if ``key`` is missing; a missing key
-    without a default, or a value that is not a number, is a ``ParseError``."""
+    """``cfg[key]`` read by ``as_int``, or ``default`` if ``key`` is missing; a
+    missing key without a default is a ``ParseError``."""
     value = require(cfg, key, where) if default is None or key in cfg else default
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where} {key!r} must be an integer, got {value!r}") from None
+    return as_int(value, f"{where} {key!r}")
 
 
 def get_number(cfg: Mapping, key: str, where: str) -> float:
     """``cfg[key]``, which must be a JSON number; otherwise a ``ParseError``."""
-    value = require(cfg, key, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where} {key!r} must be a number, got {value!r}")
-    return value
+    return as_number(require(cfg, key, where), f"{where} {key!r}")
 
 
 def load_config(path: str, parse: Callable[[Mapping], _T]) -> _T:
@@ -464,11 +491,11 @@ def distribution_from_config(
     if form == "uniform":
         return TransactionDistribution.uniform(space)
     if form == "factored":
-        return TransactionDistribution.factored(space, require(cfg, "weights", where))
+        weights = lists_by_name(require(cfg, "weights", where), as_number, f"{where} 'weights'")
+        return TransactionDistribution.factored(space, weights)
     if form == "sparse":
-        return TransactionDistribution.sparse(
-            space, require(cfg, "support", where), require(cfg, "weights", where)
-        )
+        weights = list_of(require(cfg, "weights", where), as_number, f"{where} 'weights'")
+        return TransactionDistribution.sparse(space, require(cfg, "support", where), weights)
     raise ParseError(f"unknown distribution form {form!r}")
 
 

@@ -13,6 +13,7 @@ from bmdlimits.cli import FORMATS, emit, run
 from bmdlimits.parallel import min_tests_iid
 from bmdlimits.passive import PassiveDesign, min_contest_size
 from bmdlimits.repro import build_manifest, manifest_passes
+from bmdlimits.simulate import load_scenario
 
 
 def invoke(argv):
@@ -67,6 +68,13 @@ class TestExitCodes:
     def test_missing_file_is_one(self):
         code, _ = invoke(["feasibility", "--data", "/nonexistent.csv"])
         assert code == 1
+
+    def test_tiny_p_is_one(self, capsys):
+        # ~3e300 tests: beyond what a float can certify; once an endless loop
+        code, out = invoke(["parallel", "--p", "1e-300"])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
 
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -128,6 +136,64 @@ class TestMalformedConfig:
         self.fails_cleanly(
             ["simulate", "--scenario", str(path)], capsys, str(path), repr(key), "'many'"
         )
+
+    @pytest.mark.parametrize(
+        "edit,key,bad",
+        [
+            (lambda c: c["mallory"].update(trigger=[7]), "'trigger'", "[7]"),
+            (lambda c: c["mallory"]["trigger"].update(profile=7), "'trigger'", "7"),
+            (lambda c: c["mallory"]["trigger"].update(profile=["x"]), "'trigger'", "'x'"),
+            (lambda c: c.update(pat={"mode": "script", "scripts": [[1, 0], ["a", 1]]}), "'scripts'", "'a'"),
+            (lambda c: c.update(pat={"mode": "script", "scripts": [[1, 0], [0.5, 1]]}), "'scripts'", "0.5"),
+            (
+                lambda c: c.update(voter_distribution={"form": "factored", "weights": {"review": ["x", 1]}}),
+                "'weights'",
+                "'x'",
+            ),
+            (
+                lambda c: c.update(voter_distribution={"form": "sparse", "support": [[0, 1]], "weights": ["x"]}),
+                "'weights'",
+                "'x'",
+            ),
+        ],
+        ids=[
+            "trigger-list",
+            "trigger-value-scalar",
+            "trigger-value-string",
+            "script-coordinate-string",
+            "script-coordinate-fraction",
+            "factored-weight-string",
+            "sparse-weight-string",
+        ],
+    )
+    def test_scenario_value_malformed(self, scenario_dir, tmp_path, capsys, edit, key, bad):
+        cfg = json.loads((scenario_dir / "subpopulation_attack.json").read_text())
+        edit(cfg)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, str(path), key, bad)
+
+    @pytest.mark.parametrize("value", [5.7, True, "5"])
+    @pytest.mark.parametrize("section,key", [(None, "trials"), ("pat", "test_count")])
+    def test_scenario_integer_not_integral(
+        self, scenario_dir, tmp_path, capsys, section, key, value
+    ):
+        cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())
+        (cfg if section is None else cfg[section])[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(
+            ["simulate", "--scenario", str(path)], capsys, str(path), repr(key), repr(value)
+        )
+
+    def test_scenario_integral_float_accepted(self, scenario_dir, tmp_path):
+        cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())
+        cfg["trials"], cfg["pat"]["test_count"] = 5.0, 3.0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        _, scenario = load_scenario(str(path))
+        assert (scenario.trials, scenario.pat.test_count) == (5, 3)
+        assert type(scenario.trials) is int and type(scenario.pat.test_count) is int
 
     def test_space_cardinality_not_a_number(self, tmp_path, capsys):
         path = tmp_path / "space.json"

@@ -67,6 +67,18 @@ class TestMinTestsIid:
         with pytest.raises(Infeasible):
             min_tests_iid(0.0, 0.95)
 
+    def test_tiny_p_rejected(self):
+        # ~3e300 tests: beyond 2**53 the float guard cannot tell t from t - 1
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            min_tests_iid(1e-300, 0.95)
+        with pytest.raises(DomainError):
+            min_tests_iid(1e-17, 0.95)
+
+    def test_largest_certifiable_count(self):
+        t = min_tests_iid(1e-15, 0.95)
+        assert 2**51 < t <= 2**53
+        assert detection_prob_iid(1e-15, t) >= 0.95 > detection_prob_iid(1e-15, t - 1)
+
     @given(
         p=st.floats(min_value=1e-4, max_value=0.99),
         confidence=st.floats(min_value=0.01, max_value=0.999),
@@ -200,6 +212,11 @@ class TestEstimationErrorBudget:
     def test_hiding_attack_infeasible(self):
         with pytest.raises(Infeasible):
             min_tests_with_estimation_error(0.05, 0.10, 0.05, 0.01)
+
+    def test_base_rounding_to_one_rejected(self):
+        # 1 - 1e-17 rounds to 1.0, whose log is 0
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            min_tests_with_estimation_error(1e-17, 0.0, 0.05, 0.0)
 
     def test_beta_order(self):
         with pytest.raises(Infeasible):

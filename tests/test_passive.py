@@ -30,6 +30,30 @@ def poisson_sf_oracle(mean, k):
     return float(1 - mpmath.fsum(mpmath.e ** (-m) * m**i / mpmath.factorial(i) for i in range(k)))
 
 
+def ref_threshold(N, design, convention):
+    """Smallest alarm threshold at size N meeting the fp budget, at least two
+    spoils under ``published``; bisection on ``passive_power`` alone."""
+
+    def fp_ok(k):
+        return passive_power(N, design, k)[0] <= design.fp_budget
+
+    lo = hi = 2 if convention == "published" else 1
+    while not fp_ok(hi):  # from here on the fp budget fails at lo
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fp_ok(mid) else (mid, hi)
+    return hi
+
+
+def ref_feasible(N, design, convention):
+    """Whether size N meets both budgets, from ``passive_power`` alone: a miss
+    is X <= k - 2 under ``published`` and X < k under ``strict``."""
+    k = ref_threshold(N, design, convention)
+    _, fn = passive_power(N, design, k - 1 if convention == "published" else k)
+    return fn <= design.fn_budget
+
+
 class TestDesign:
     def test_attack_rate(self):
         d = PassiveDesign(0.04, 0.25, 0.005, 0.05, 0.05)
@@ -154,8 +178,16 @@ class TestSolver:
         sol = min_contest_size(design)
         # re-derive the achieved error rates independently of the solver
         k = sol.alarm_threshold
+        assert k == ref_threshold(sol.contest_size, design, "published")
         fp, _ = passive_power(sol.contest_size, design, k)
+        _, fn = passive_power(sol.contest_size, design, k - 1)  # P{X <= k - 2}
         assert fp <= budget
+        assert fn <= budget
+        assert not ref_feasible(sol.contest_size - 1, design, "published")
+
+    def test_unknown_convention(self):
+        with pytest.raises(DomainError, match="convention"):
+            min_contest_size(PassiveDesign(0.03, 0.07, 0.005, 0.05, 0.05), "lenient")
 
     def test_monotone_in_margin_and_detect(self):
         base = min_contest_size(PassiveDesign(0.03, 0.07, 0.005, 0.05, 0.05)).contest_size
@@ -165,3 +197,53 @@ class TestSolver:
         assert wider < base
         assert louder < base
         assert tighter > base
+
+
+class TestExactness:
+    """Minimality against references built on ``passive_power`` alone."""
+
+    @pytest.mark.parametrize(
+        "args,convention,size,threshold",
+        [
+            # a 64-threshold downward scan returned 2,897,108 here
+            (
+                (0.004592118757343271, 0.7073616750791027, 0.31219009020784033,
+                 0.013491675797890913, 0.0031646988249618806),
+                "published", 2_897_044, 906_533,
+            ),
+            # ... and 1,478,604 here
+            (
+                (0.1988776638599964, 0.010583523436023002, 0.30056658497329014,
+                 0.14158260201820638, 0.10405165836032376),
+                "strict", 1_478_521, 445_110,
+            ),
+            # threshold above 2**23 but below the 1e7 cap: once reported Infeasible
+            (
+                (0.014702350976361103, 0.01081400790081225, 0.05764086794474691,
+                 0.03186078856027115, 0.00892923586386329),
+                "published", 162_727_591, 9_385_439,
+            ),
+        ],
+    )
+    def test_pinned_minimum(self, args, convention, size, threshold):
+        design = PassiveDesign(*args)
+        sol = min_contest_size(design, convention)
+        assert (sol.contest_size, sol.alarm_threshold) == (size, threshold)
+        assert ref_threshold(size, design, convention) == threshold
+        assert ref_feasible(size, design, convention)
+        assert not ref_feasible(size - 1, design, convention)
+
+    @given(
+        margin=st.floats(0.1, 0.4),
+        d=st.floats(0.3, 0.9),
+        b=st.floats(0.01, 0.05),
+        fp=st.sampled_from([0.01, 0.05, 0.1]),
+        fn=st.sampled_from([0.01, 0.05, 0.1]),
+        convention=st.sampled_from(["published", "strict"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_brute_force_oracle(self, margin, d, b, fp, fn, convention):
+        design = PassiveDesign(margin, d, b, fp, fn)
+        sol = min_contest_size(design, convention)
+        assert ref_feasible(sol.contest_size, design, convention)
+        assert not any(ref_feasible(N, design, convention) for N in range(1, sol.contest_size))
