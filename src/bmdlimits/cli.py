@@ -7,6 +7,10 @@ the ``BMDLIMITS_FORMAT`` environment variable.
 
 Exit codes: 0 success; 1 domain or infeasibility errors (and a failing
 reproduction manifest); 2 usage errors.
+
+Each handler imports the library modules it calls, so a call loads only
+what its answer needs: an answer that needs only ``math`` loads neither
+numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -18,29 +22,13 @@ import sys
 from typing import Sequence
 
 from .errors import DomainError
-from .feasibility import load_turnout, passive_feasibility_join, summarize
-from .minimax import (
-    DEFAULT_SUPPORT_SIZE,
-    FixedZeta,
-    GridZeta,
-    MinimaxQuery,
-    min_training_sample,
-    table_lower_bounds,
-)
-from .parallel import (
-    BudgetedTestQuery,
-    OracleBoundQuery,
-    detection_prob_iid,
-    min_electorate_for_budget,
-    min_tests_iid,
-    oracle_min_samples,
-)
-from .passive import PassiveDesign, min_contest_size, table_passive
-from .repro import PUBLISHED_TRAINING_BOUNDS_MILLIONS, build_manifest, manifest_passes
-from .simulate import load_scenario, run_parallel_sim, run_passive_sim
-from .transactions import PRESETS, load_space
+from .minimax import DEFAULT_SUPPORT_SIZE
 
 FORMATS = ("csv", "markdown", "json-lines")
+
+#: ``sorted(transactions.PRESETS)``, spelled out so that building the parser
+#: does not import numpy.
+PRESET_NAMES = ("optimistic", "realistic")
 
 
 def _format_value(v) -> str:
@@ -90,6 +78,8 @@ def _csv_floats(text: str) -> list[float]:
 
 
 def _cmd_passive(args) -> list[dict]:
+    from .passive import PassiveDesign, min_contest_size, table_passive
+
     margins = _csv_floats(args.margin)
     detect_rates = _csv_floats(args.detect_rate)
     base_rates = _csv_floats(args.base_rate)
@@ -114,6 +104,13 @@ def _cmd_passive(args) -> list[dict]:
 
 
 def _cmd_parallel(args) -> list[dict]:
+    from .parallel import (
+        BudgetedTestQuery,
+        detection_prob_iid,
+        min_electorate_for_budget,
+        min_tests_iid,
+    )
+
     if args.tests_per_day is not None:
         if args.capacity is None or args.altered_fraction is None:
             raise DomainError("--tests-per-day needs --capacity and --altered-fraction")
@@ -144,6 +141,8 @@ def _cmd_parallel(args) -> list[dict]:
 
 
 def _cmd_oracle(args) -> list[dict]:
+    from .parallel import OracleBoundQuery, oracle_min_samples
+
     q = OracleBoundQuery(args.population, args.flawed, args.confidence)
     n = oracle_min_samples(q)
     return [
@@ -157,6 +156,8 @@ def _cmd_oracle(args) -> list[dict]:
 
 
 def _zeta_strategy(args):
+    from .minimax import FixedZeta, GridZeta
+
     if args.zeta is not None:
         return FixedZeta(args.zeta)
     if args.zeta_grid:
@@ -165,6 +166,9 @@ def _zeta_strategy(args):
 
 
 def _cmd_minimax(args) -> list[dict]:
+    from .minimax import MinimaxQuery, min_training_sample, table_lower_bounds
+    from .repro import PUBLISHED_TRAINING_BOUNDS_MILLIONS
+
     if args.altered_fraction is not None:
         T = None if args.test_limit in (None, 0) else args.test_limit
         q = MinimaxQuery(
@@ -200,6 +204,8 @@ def _cmd_minimax(args) -> list[dict]:
 
 
 def _cmd_cardinality(args) -> list[dict]:
+    from .transactions import PRESETS, load_space
+
     if args.space:
         space = load_space(args.space)
         name = args.space
@@ -210,6 +216,8 @@ def _cmd_cardinality(args) -> list[dict]:
 
 
 def _cmd_simulate(args) -> list[dict]:
+    from .simulate import load_scenario, run_parallel_sim, run_passive_sim
+
     kind, scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = type(scenario)(
@@ -221,6 +229,8 @@ def _cmd_simulate(args) -> list[dict]:
 
 
 def _cmd_feasibility(args) -> list[dict]:
+    from .feasibility import load_turnout, summarize
+
     records = load_turnout(args.data)
     thresholds = args.threshold or [43_000]
     summary = summarize(records, thresholds)
@@ -240,6 +250,9 @@ def _cmd_feasibility(args) -> list[dict]:
         }
     )
     if args.margin is not None:
+        from .feasibility import passive_feasibility_join
+        from .passive import PassiveDesign
+
         design = PassiveDesign(
             args.margin, args.detect_rate, args.base_rate, args.fp, args.fn
         )
@@ -258,6 +271,8 @@ def _cmd_feasibility(args) -> list[dict]:
 
 
 def _cmd_repro(args) -> tuple[list[dict], int]:
+    from .repro import build_manifest, manifest_passes
+
     manifest = build_manifest()
     rows = [r.to_record() for r in manifest]
     return rows, 0 if manifest_passes(manifest) else 1
@@ -314,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cardinality", help="transaction-space size")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--preset", choices=sorted(PRESETS))
+    g.add_argument("--preset", choices=PRESET_NAMES)
     g.add_argument("--space", help="JSON space definition file")
 
     p = sub.add_parser("simulate", help="run a Monte Carlo scenario file")

@@ -15,10 +15,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import DomainError, ParseError
-from .passive import PassiveDesign, min_contest_size
+
+if TYPE_CHECKING:
+    from .passive import PassiveDesign
 
 _COLUMNS = ("state", "jurisdiction", "turnout")
 
@@ -171,6 +173,8 @@ def passive_feasibility_join(
 ) -> JoinResult:
     """Flag each jurisdiction by whether its turnout covers the minimum contest
     size of the design; a turnout exactly equal to the requirement is feasible."""
+    from .passive import min_contest_size
+
     if not records:
         raise DomainError("cannot join an empty dataset")
     required = min_contest_size(design).contest_size

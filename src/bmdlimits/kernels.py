@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.special import gammainc
-
 from .errors import DomainError
 
 #: Absolute tolerance documented for tail probabilities.
@@ -31,6 +29,19 @@ class PoissonModel:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mean) or self.mean < 0:
             raise DomainError(f"Poisson mean must be finite and >= 0, got {self.mean}")
+
+
+def gammainc(a, x):
+    """``scipy.special.gammainc``, imported on the first Poisson tail.
+
+    The first call rebinds this module's ``gammainc`` to scipy's ufunc, so
+    importing the module does not import scipy and later calls pay no
+    import statement.
+    """
+    global gammainc
+    from scipy.special import gammainc
+
+    return gammainc(a, x)
 
 
 def poisson_sf(model: PoissonModel, k: int) -> float:

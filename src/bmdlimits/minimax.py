@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import DomainError, Infeasible
 from .parallel import epsilon_budget
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SUPPORT_SIZE = 6_140_000
 
@@ -53,6 +54,8 @@ class GridZeta:
             raise DomainError("grid must lie within (0, 1]")
 
     def values(self) -> np.ndarray:
+        import numpy as np
+
         return np.exp(np.linspace(math.log(self.low), math.log(self.high), self.points))
 
 
@@ -148,6 +151,8 @@ def _optimal_beta(alpha: float, r: float, T: int) -> float:
     in beta except extremely close to alpha, so a log-spaced scan of the gap
     u = alpha - beta is accurate and deterministic.
     """
+    import numpy as np
+
     gaps = np.exp(np.linspace(math.log(alpha * 1e-12), math.log(alpha * (1.0 - 1e-9)), 4001))
     best_beta = alpha / 2.0
     best = -math.inf
@@ -185,6 +190,8 @@ def _resolved_bound(q: MinimaxQuery):
             return hjw_lower_bound(n, q.S, z), z
 
     else:
+        import numpy as np
+
         zs = q.zeta.values()
 
         def bound(n: int) -> tuple[float, float]:

@@ -213,31 +213,6 @@ def epsilon_budget(alpha: float, beta: float, r: float, T: int) -> float:
     return 2.0 * ((alpha - beta) ** (1.0 / T) + r - 1.0)
 
 
-def min_tests_with_estimation_error(
-    r: float, epsilon: float, alpha: float, beta: float
-) -> int:
-    """Smallest t with (1 + epsilon/2 - r)^t <= alpha - beta."""
-    if not beta < alpha:
-        raise Infeasible("no test count works unless beta < alpha")
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must be in (0, 1), got {r}")
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
-    if epsilon >= 2.0 * r:
-        raise Infeasible(
-            "estimation error at least 2r: the attack can hide in unestimated "
-            "support with zero chance of detection"
-        )
-    base = 1.0 + epsilon / 2.0 - r
-    target = math.log(alpha - beta)
-    t = _closed_form_count(target, math.log(base), f"r = {r}, epsilon = {epsilon}")
-    while t * math.log(base) > target:
-        t += 1
-    while t > 1 and (t - 1) * math.log(base) <= target:
-        t -= 1
-    return t
-
-
 def session_minutes(test_counts: Sequence[int], minutes_per_test: float) -> float:
     """Total tester minutes for a set of test sessions.
 

@@ -127,7 +127,11 @@ def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
         return _miss(N, design, j) <= design.fn_budget
 
     rate = design.base_rate + design.attack_rate
-    N = max(1, math.ceil(gammainccinv(j, design.fn_budget) / rate))
+    seed = float(gammainccinv(j, design.fn_budget)) / rate
+    # beyond 2**53 a float cannot tell N from N - 1, so the walk would not end
+    if not seed <= 2**53:
+        raise Infeasible(f"spoil rate {rate:g} per voter: more than 2**53 voters needed")
+    N = max(1, math.ceil(seed))
     while N > 1 and ok(N - 1):
         N -= 1
     while not ok(N):

@@ -15,20 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .minimax import table_lower_bounds
-from .parallel import (
-    BudgetedTestQuery,
-    OracleBoundQuery,
-    detection_prob_iid,
-    margin_leverage,
-    min_electorate_for_budget,
-    min_tests_iid,
-    oracle_min_samples,
-    session_minutes,
-)
-from .passive import table_passive
-from .transactions import optimistic_preset, realistic_preset
-
 #: Minimum contest sizes published for 5% false-positive/false-negative
 #: budgets: (margin, detect_rate) -> sizes at base rates 0.5%, 1%, 1.5%.
 PUBLISHED_CONTEST_SIZES_5PCT = {
@@ -140,6 +126,21 @@ def _diff(artifact: str, actual, published, note: str) -> ManifestRow:
 
 
 def build_manifest() -> list[ManifestRow]:
+    # imported here, so that reading the published tables loads no solver
+    from .minimax import table_lower_bounds
+    from .parallel import (
+        BudgetedTestQuery,
+        OracleBoundQuery,
+        detection_prob_iid,
+        margin_leverage,
+        min_electorate_for_budget,
+        min_tests_iid,
+        oracle_min_samples,
+        session_minutes,
+    )
+    from .passive import table_passive
+    from .transactions import optimistic_preset, realistic_preset
+
     rows: list[ManifestRow] = []
 
     # transaction-space cardinalities

@@ -289,10 +289,6 @@ class TransactionDistribution:
         """
         return cls(space, support=support, weights=weights)
 
-    @classmethod
-    def point_mass(cls, space: TransactionSpace, tx: Transaction) -> "TransactionDistribution":
-        return cls.sparse(space, [tx.coordinates], [1.0])
-
     # -- queries -----------------------------------------------------------
 
     def marginal(self, i: int) -> np.ndarray:
@@ -495,7 +491,12 @@ def distribution_from_config(
         return TransactionDistribution.factored(space, weights)
     if form == "sparse":
         weights = list_of(require(cfg, "weights", where), as_number, f"{where} 'weights'")
-        return TransactionDistribution.sparse(space, require(cfg, "support", where), weights)
+        support = list_of(
+            require(cfg, "support", where),
+            lambda row, what: list_of(row, as_int, what),
+            f"{where} 'support'",
+        )
+        return TransactionDistribution.sparse(space, support, weights)
     raise ParseError(f"unknown distribution form {form!r}")
 
 

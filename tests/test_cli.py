@@ -76,6 +76,22 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
 
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            # the size estimate overflows to inf; once an OverflowError traceback
+            ["--margin", "1e-300", "--detect-rate", "1e-10", "--base-rate", "1e-310"],
+            # ~3e200 voters: beyond 2**53; once an endless certificate walk
+            ["--margin", "1e-200", "--detect-rate", "1e-5", "--base-rate", "1e-200"],
+        ],
+        ids=["overflow", "beyond-2**53"],
+    )
+    def test_vanishing_spoil_rate_is_one(self, capsys, rates):
+        code, out = invoke(["passive", *rates])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
+
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["no-such-command"])
@@ -155,6 +171,21 @@ class TestMalformedConfig:
                 "'weights'",
                 "'x'",
             ),
+            (
+                lambda c: c.update(voter_distribution={"form": "sparse", "support": [[0, "x"]], "weights": [1]}),
+                "'support'",
+                "'x'",
+            ),
+            (
+                lambda c: c.update(voter_distribution={"form": "sparse", "support": [[0, True], [1, 1]], "weights": [0.5, 0.5]}),
+                "'support'",
+                "True",
+            ),
+            (
+                lambda c: c.update(voter_distribution={"form": "sparse", "support": [[0, 0.5]], "weights": [1]}),
+                "'support'",
+                "0.5",
+            ),
         ],
         ids=[
             "trigger-list",
@@ -164,6 +195,9 @@ class TestMalformedConfig:
             "script-coordinate-fraction",
             "factored-weight-string",
             "sparse-weight-string",
+            "sparse-coordinate-string",
+            "sparse-coordinate-boolean",
+            "sparse-coordinate-fraction",
         ],
     )
     def test_scenario_value_malformed(self, scenario_dir, tmp_path, capsys, edit, key, bad):

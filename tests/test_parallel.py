@@ -17,7 +17,6 @@ from bmdlimits.parallel import (
     margin_leverage,
     min_electorate_for_budget,
     min_tests_iid,
-    min_tests_with_estimation_error,
     oracle_min_samples,
     session_minutes,
 )
@@ -199,43 +198,9 @@ class TestMarginLeverage:
 
 
 class TestEstimationErrorBudget:
-    def test_worked_example(self):
-        # r=5%, epsilon=4%: base 0.97, alpha-beta=0.04 -> 106 tests
-        t = min_tests_with_estimation_error(0.05, 0.04, 0.05, 0.01)
-        assert t == math.ceil(math.log(0.04) / math.log(0.97)) == 106
-
-    def test_epsilon_budget_inverse(self):
-        eps = epsilon_budget(0.05, 0.01, 0.05, 106)
-        assert eps >= 0.04 - 1e-9
-        assert min_tests_with_estimation_error(0.05, eps, 0.05, 0.01) <= 106
-
-    def test_hiding_attack_infeasible(self):
-        with pytest.raises(Infeasible):
-            min_tests_with_estimation_error(0.05, 0.10, 0.05, 0.01)
-
-    def test_base_rounding_to_one_rejected(self):
-        # 1 - 1e-17 rounds to 1.0, whose log is 0
-        with pytest.raises(DomainError, match="2\\*\\*53"):
-            min_tests_with_estimation_error(1e-17, 0.0, 0.05, 0.0)
-
     def test_beta_order(self):
         with pytest.raises(Infeasible):
             epsilon_budget(0.05, 0.05, 0.05, 10)
-
-    @given(
-        r=st.floats(min_value=0.01, max_value=0.5),
-        alpha=st.floats(min_value=0.02, max_value=0.2),
-        T=st.integers(min_value=1, max_value=5000),
-    )
-    @settings(max_examples=100)
-    def test_budget_round_trip(self, r, alpha, T):
-        beta = alpha / 2
-        # back off slightly from the exact budget so the knife-edge equality
-        # (1 + eps/2 - r)^T = alpha - beta cannot flip on float rounding
-        eps = epsilon_budget(alpha, beta, r, T) - 1e-9
-        if eps < 0 or eps >= 2 * r:
-            return
-        assert min_tests_with_estimation_error(r, eps, alpha, beta) <= T
 
 
 class TestSessionMinutes:

@@ -192,7 +192,7 @@ class TestPassiveSim:
 
 class TestEstimationStudy:
     def test_point_mass_has_zero_error(self):
-        d = TransactionDistribution.point_mass(SPACE, Transaction((2, 1)))
+        d = TransactionDistribution.sparse(SPACE, [[2, 1]], [1.0])
         report = run_estimation_study(SPACE, d, 100, 500, 3)
         assert report.mean_l1 == 0.0
         assert report.max_l1 == 0.0

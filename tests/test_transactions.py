@@ -160,8 +160,8 @@ class TestL1Distance:
 
     def test_disjoint_point_masses(self):
         space = small_space()
-        p = TransactionDistribution.point_mass(space, Transaction((0, 0)))
-        q = TransactionDistribution.point_mass(space, Transaction((1, 1)))
+        p = TransactionDistribution.sparse(space, [[0, 0]], [1.0])
+        q = TransactionDistribution.sparse(space, [[1, 1]], [1.0])
         assert l1_distance(p, q) == 2.0
 
     def test_direct_sum(self):
