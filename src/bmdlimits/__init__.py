@@ -71,7 +71,6 @@ _EXPORTS = {
         "Transaction",
         "TransactionDistribution",
         "TransactionSpace",
-        "cardinality",
         "estimate",
         "l1_distance",
         "optimistic_preset",

@@ -61,15 +61,17 @@ def poisson_sf(model: PoissonModel, k: int) -> float:
 def poisson_upper_quantile(model: PoissonModel, alpha: float) -> int:
     """Smallest integer k with ``poisson_sf(model, k) <= alpha``.
 
-    Satisfies ``poisson_sf(model, k - 1) > alpha`` whenever k > 0.
+    Satisfies ``poisson_sf(model, k - 1) > alpha`` whenever k > 0.  The search
+    starts at scipy's continuous inverse of P{X <= k - 1}, or at the mean where
+    that is nan (at some means of 1e12 and more).
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if model.mean == 0.0:
-        return 1  # sf(1) = 0 <= alpha, sf(0) = 1 > alpha
-    # start near the mean, bracket exponentially, then bisect to minimality
-    guess = max(1, int(model.mean))
-    return smallest_int_where(lambda k: poisson_sf(model, k) <= alpha, lo=0, guess=guess)
+    from scipy.special import pdtrik
+
+    seed = float(pdtrik(1.0 - alpha, model.mean))
+    guess = math.ceil(seed) + 1 if math.isfinite(seed) else int(model.mean)
+    return smallest_int_where(lambda k: poisson_sf(model, k) <= alpha, guess=guess)
 
 
 def no_replacement_miss_prob(population: int, flawed: int, draws: int) -> float:
@@ -103,28 +105,31 @@ def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> fl
 
 
 def smallest_int_where(
-    pred: Callable[[int], bool], lo: int = 0, guess: int | None = None, hi_limit: int | None = None
+    pred: Callable[[int], bool], guess: int = 1, hi_limit: int | None = None
 ) -> int:
-    """Smallest integer n > lo with ``pred(n)`` true, for predicates that are
-    eventually monotone (false below the answer, true at and above it).
+    """Smallest integer n >= 1 with ``pred(n)`` true, for predicates that are
+    monotone (false below the answer, true at and above it).
 
-    Brackets exponentially from ``guess`` (or lo + 1), then bisects.
+    Gallops from ``guess`` by doubling steps, down while ``pred`` holds and up
+    while it fails, then bisects the bracket: an exact guess costs 2
+    evaluations and a guess d off at most 2 * ceil(log2(d + 1)) + 2.
     """
-    hi = max(lo + 1, guess if guess is not None else lo + 1)
-    if hi_limit is not None:
-        hi = min(hi, hi_limit)
-    while not pred(hi):
-        if hi_limit is not None and hi >= hi_limit:
+    limit = math.inf if hi_limit is None else hi_limit
+    hi = max(1, min(guess, limit))
+    lo, step = hi, 1
+    if pred(hi):
+        # the answer is >= 1, so pred(0) counts as false
+        while (lo := max(0, hi - step)) > 0 and pred(lo):
+            hi, step = lo, step * 2
+    else:
+        while lo < limit and not pred(hi := min(lo + step, limit)):
+            lo, step = hi, step * 2
+        if lo >= limit:
             raise DomainError(f"no satisfying integer found below {hi_limit}")
-        hi = hi * 2 if hi > 0 else 1
-        if hi_limit is not None:
-            hi = min(hi, hi_limit)
-    # shrink lo upward while the predicate is already true there
-    floor = lo
-    while hi - floor > 1:
-        mid = (floor + hi) // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         if pred(mid):
             hi = mid
         else:
-            floor = mid
+            lo = mid
     return hi

@@ -89,19 +89,15 @@ def min_tests_iid(p: float, confidence: float) -> int:
         raise Infeasible("an attack that touches no transactions cannot be detected")
     if not p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p}")
-    t = _closed_form_count(math.log1p(-confidence), math.log1p(-p), f"p = {p}")
-    while detection_prob_iid(p, t) < confidence:  # float guard
-        t += 1
-    while t > 1 and detection_prob_iid(p, t - 1) >= confidence:
-        t -= 1
-    return t
+    guess = _closed_form_count(math.log1p(-confidence), math.log1p(-p), f"p = {p}")
+    return smallest_int_where(lambda t: detection_prob_iid(p, t) >= confidence, guess=guess)
 
 
 def _closed_form_count(target: float, log_step: float, what: str) -> int:
     """max(1, ceil(target / log_step)) for a negative per-test log factor.
 
-    Beyond 2**53 tests a float cannot tell t from t - 1, so the certificate
-    walks that follow would never end; such counts are rejected.
+    Beyond 2**53 tests a float cannot tell t from t - 1, so no count there
+    can be certified minimal; such counts are rejected.
     """
     if not log_step < 0.0 or target / log_step > 2**53:
         raise DomainError(f"{what}: more than 2**53 tests needed")
@@ -118,7 +114,7 @@ def oracle_min_samples(q: OracleBoundQuery) -> int:
     def ok(n: int) -> bool:
         return log_no_replacement_miss_prob(q.population, q.flawed, n) <= log_alpha
 
-    return smallest_int_where(ok, lo=0, guess=1, hi_limit=q.population + 1)
+    return smallest_int_where(ok, hi_limit=q.population + 1)
 
 
 def _round_altered(r: float, voters: int, rounding: Rounding) -> int:

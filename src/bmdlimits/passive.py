@@ -24,7 +24,7 @@ from typing import Literal, Sequence
 from scipy.special import gammainccinv
 
 from .errors import DomainError, Infeasible
-from .kernels import PoissonModel, poisson_sf, poisson_upper_quantile
+from .kernels import PoissonModel, poisson_sf, poisson_upper_quantile, smallest_int_where
 
 Convention = Literal["published", "strict"]
 
@@ -119,8 +119,8 @@ def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
     """Smallest N whose miss probability below j spoils meets the fn budget.
 
     P{Pois(m) < j} is the regularized upper incomplete gamma function
-    Q(j, m), so inverting it in m gives the answer up to rounding; a walk
-    of unit steps then certifies it (the miss probability falls with N).
+    Q(j, m), so inverting it in m gives the answer up to rounding; a search
+    seeded there certifies it (the miss probability falls with N).
     """
 
     def ok(N: int) -> bool:
@@ -128,15 +128,10 @@ def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
 
     rate = design.base_rate + design.attack_rate
     seed = float(gammainccinv(j, design.fn_budget)) / rate
-    # beyond 2**53 a float cannot tell N from N - 1, so the walk would not end
+    # beyond 2**53 a float cannot tell N from N - 1, so no size there is certified
     if not seed <= 2**53:
         raise Infeasible(f"spoil rate {rate:g} per voter: more than 2**53 voters needed")
-    N = max(1, math.ceil(seed))
-    while N > 1 and ok(N - 1):
-        N -= 1
-    while not ok(N):
-        N += 1
-    return N
+    return smallest_int_where(ok, guess=math.ceil(seed))
 
 
 def min_contest_size(

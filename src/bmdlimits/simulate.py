@@ -151,8 +151,12 @@ class SimScenario:
     def __post_init__(self) -> None:
         if self.n_voters < 1:
             raise DomainError("n_voters must be >= 1")
+        if self.n_voters >= 2**63:
+            raise DomainError("n_voters must be below 2**63")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         self.mallory.validate_against(self.space)
         if self.voter_dist.space.attributes != self.space.attributes:
             raise DomainError("voter distribution is over a different space")
@@ -308,7 +312,8 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
 
 
 def _map_chunks(fn, jobs: Sequence[tuple], workers: int) -> list:
-    """``[fn(*job) for job in jobs]``, spread over ``workers`` processes."""
+    """``[fn(*job) for job in jobs]``, spread over at most one process per job."""
+    workers = min(workers, len(jobs))  # fork starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*jobs)))
@@ -499,6 +504,8 @@ def run_estimation_study(
         support_size = len(weights)
     if n_train < 1 or trials < 1:
         raise DomainError("n_train and trials must be >= 1")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
 
     chunks = _chunk_bounds(trials)
     jobs = [(weights, n_train, seed, c, hi - lo) for c, (lo, hi) in enumerate(chunks)]

@@ -129,11 +129,6 @@ def realistic_preset() -> TransactionSpace:
 PRESETS = {"optimistic": optimistic_preset, "realistic": realistic_preset}
 
 
-def cardinality(space: TransactionSpace) -> int:
-    """Exact product of attribute cardinalities (arbitrary-precision integer)."""
-    return space.cardinality
-
-
 def _as_points(space: TransactionSpace, points) -> np.ndarray:
     """Validated ``(n, d)`` int64 array of coordinate rows.
 

@@ -92,6 +92,14 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
 
+    def test_negative_seed_flag_is_one(self, scenario_dir, capsys):
+        # once numpy's "expected non-negative integer" traceback
+        path = scenario_dir / "whole_space_flip.json"
+        code, out = invoke(["simulate", "--scenario", str(path), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "seed" in err
+
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["no-such-command"])
@@ -219,6 +227,21 @@ class TestMalformedConfig:
         self.fails_cleanly(
             ["simulate", "--scenario", str(path)], capsys, str(path), repr(key), repr(value)
         )
+
+    @pytest.mark.parametrize(
+        "key,value,needle",
+        [("seed", -1, "seed must be >= 0"), ("n_voters", 10**20, "n_voters must be below 2**63")],
+        ids=["negative-seed", "huge-n_voters"],
+    )
+    def test_scenario_value_out_of_range(
+        self, scenario_dir, tmp_path, capsys, key, value, needle
+    ):
+        # once numpy's ValueError and OverflowError tracebacks
+        cfg = json.loads((scenario_dir / "passive_poisson_gap.json").read_text())
+        cfg[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, needle)
 
     def test_scenario_integral_float_accepted(self, scenario_dir, tmp_path):
         cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmdlimits.errors import DomainError
@@ -107,10 +107,14 @@ class TestPoissonQuantile:
         )
         assert poisson_upper_quantile(model, 0.05) == expected
 
+    # scipy's pdtrik returns nan at alpha = 1e-6 and 0.5 for means of 1e12 to
+    # 1e15, so the search starts from the mean there
     @given(
-        mean=st.floats(min_value=0.0, max_value=3000.0),
+        mean=st.floats(min_value=0.0, max_value=3e7) | st.floats(min_value=1e12, max_value=1e15),
         alpha=st.floats(min_value=1e-6, max_value=0.5),
     )
+    @example(mean=1e12, alpha=1e-6)
+    @example(mean=1e15, alpha=0.5)
     @settings(max_examples=200)
     def test_round_trip_certificate(self, mean, alpha):
         model = PoissonModel(mean)
@@ -203,7 +207,36 @@ class TestSmallestIntWhere:
         with pytest.raises(DomainError):
             smallest_int_where(lambda n: False, hi_limit=1000)
 
-    @given(answer=st.integers(min_value=1, max_value=10**9), guess=st.integers(min_value=1, max_value=10**9))
+    @given(
+        answer=st.integers(min_value=1, max_value=10**9),
+        guess=st.integers(min_value=1, max_value=10**9),
+        above=st.integers(min_value=0, max_value=10**9),
+        below=st.integers(min_value=1, max_value=10**9),
+    )
     @settings(max_examples=100)
-    def test_exact_inverse(self, answer, guess):
-        assert smallest_int_where(lambda n: n >= answer, guess=guess) == answer
+    def test_exact_inverse(self, answer, guess, above, below):
+        pred = lambda n: n >= answer  # noqa: E731
+        assert smallest_int_where(pred, guess=guess) == answer
+        assert smallest_int_where(pred, guess=guess, hi_limit=answer + above) == answer
+        if answer > 1:
+            with pytest.raises(DomainError):
+                smallest_int_where(pred, guess=guess, hi_limit=max(1, answer - below))
+
+    @pytest.mark.parametrize("answer", [1, 2, 3, 100, 777, 4097, 65_536, 10**6])
+    def test_evaluations_grow_with_log_distance(self, answer):
+        # every guess up to 3x a small answer; near powers of two off a large one
+        if answer <= 1000:
+            guesses = range(1, 3 * answer + 1)
+        else:
+            offsets = {s * (2**i + e) for i in range(22) for e in (-1, 0, 1) for s in (-1, 1)}
+            guesses = sorted(g for g in (answer + o for o in offsets) if 1 <= g <= 3 * answer)
+        for guess in guesses:
+            calls = []
+
+            def pred(n):
+                calls.append(n)
+                return n >= answer
+
+            assert smallest_int_where(pred, guess=guess) == answer
+            # ceil(log2(d + 1)) == d.bit_length(): 2 calls for an exact guess
+            assert len(calls) <= 2 * abs(guess - answer).bit_length() + 2, guess

@@ -115,6 +115,31 @@ class TestWorkerInvariance:
         b = run_estimation_study(SPACE, d, 1000, CHUNK_TRIALS + 100, 7, workers=3)
         assert a == b
 
+    def test_pool_never_outnumbers_chunks(self, monkeypatch):
+        # a stand-in executor records the pool size, so no process starts
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        assert simulate._map_chunks(abs, [(-i,) for i in range(3)], 64) == [0, 1, 2]
+        assert pools == [3]
+        assert simulate._map_chunks(abs, [(-5,)], 64) == [5]
+        assert pools == [3]  # one chunk runs in this process
+        s = scenario(trials=100)
+        assert run_parallel_sim(s, workers=1000).to_json() == run_parallel_sim(s).to_json()
+        assert pools == [3]
+
     def test_seed_changes_results(self):
         a = run_parallel_sim(scenario(seed=1))
         b = run_parallel_sim(scenario(seed=2))
@@ -225,6 +250,8 @@ class TestEstimationStudy:
         d = TransactionDistribution.sparse(SPACE, [(0, 0)], [1.0])
         with pytest.raises(DomainError):
             run_estimation_study(SPACE, d, 0, 100, 1)
+        with pytest.raises(DomainError, match="seed"):
+            run_estimation_study(SPACE, d, 100, 100, -1)
 
 
 # -- sparse paths: reference loop and pinned reports -------------------------
@@ -556,6 +583,16 @@ class TestScenarioFiles:
             kind, s = load_scenario(str(path))
             assert kind in ("parallel", "passive")
             assert s.trials >= 1
+
+    @pytest.mark.parametrize(
+        "overrides,needle",
+        [({"seed": -1}, "seed"), ({"n_voters": 2**63}, "n_voters")],
+    )
+    def test_scenario_domain(self, overrides, needle):
+        # numpy would raise its own ValueError or OverflowError for these
+        with pytest.raises(DomainError, match=needle):
+            scenario(**overrides)
+        scenario(n_voters=2**63 - 1, seed=0)
 
     def test_unknown_kind(self, tmp_path):
         p = tmp_path / "bad.json"

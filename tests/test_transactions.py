@@ -14,7 +14,6 @@ from bmdlimits.transactions import (
     Transaction,
     TransactionDistribution,
     TransactionSpace,
-    cardinality,
     distribution_from_config,
     estimate,
     l1_distance,
@@ -31,10 +30,10 @@ def small_space() -> TransactionSpace:
 
 class TestCardinality:
     def test_optimistic_exact(self):
-        assert cardinality(optimistic_preset()) == 6_144_000
+        assert optimistic_preset().cardinality == 6_144_000
 
     def test_realistic_magnitude(self):
-        c = cardinality(realistic_preset())
+        c = realistic_preset().cardinality
         # exact big-integer product; 47-digit order of magnitude
         assert c == (
             20 * 4 * 13 * 20 * 10 * 2**20 * 2**20 * 2 * 5**20
@@ -44,7 +43,7 @@ class TestCardinality:
         assert abs(c / 1.2e47 - 1.0) < 0.05
 
     def test_single_unit_attribute(self):
-        assert cardinality(TransactionSpace((AttributeSpec("x", 1),))) == 1
+        assert TransactionSpace((AttributeSpec("x", 1),)).cardinality == 1
 
     def test_invalid_attribute(self):
         with pytest.raises(DomainError):
@@ -405,7 +404,7 @@ class TestConfig:
         space = space_from_config(
             {"attributes": [{"name": "x", "cardinality": 3}, {"name": "y", "cardinality": 2}]}
         )
-        assert cardinality(space) == 6
+        assert space.cardinality == 6
 
     def test_unknown_preset(self):
         with pytest.raises(ParseError):
