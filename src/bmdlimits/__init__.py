@@ -66,15 +66,17 @@ _EXPORTS = {
         "run_parallel_sim",
         "run_passive_sim",
     ),
-    "transactions": (
+    "space": (
         "AttributeSpec",
         "Transaction",
-        "TransactionDistribution",
         "TransactionSpace",
-        "estimate",
-        "l1_distance",
         "optimistic_preset",
         "realistic_preset",
+    ),
+    "transactions": (
+        "TransactionDistribution",
+        "estimate",
+        "l1_distance",
     ),
 }
 

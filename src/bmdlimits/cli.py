@@ -23,12 +23,11 @@ from typing import Sequence
 
 from .errors import DomainError
 from .minimax import DEFAULT_SUPPORT_SIZE
+from .space import PRESETS
 
 FORMATS = ("csv", "markdown", "json-lines")
 
-#: ``sorted(transactions.PRESETS)``, spelled out so that building the parser
-#: does not import numpy.
-PRESET_NAMES = ("optimistic", "realistic")
+PRESET_NAMES = tuple(sorted(PRESETS))
 
 
 def _format_value(v) -> str:
@@ -204,7 +203,7 @@ def _cmd_minimax(args) -> list[dict]:
 
 
 def _cmd_cardinality(args) -> list[dict]:
-    from .transactions import PRESETS, load_space
+    from .space import load_space
 
     if args.space:
         space = load_space(args.space)

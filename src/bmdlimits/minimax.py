@@ -26,6 +26,16 @@ if TYPE_CHECKING:
 
 DEFAULT_SUPPORT_SIZE = 6_140_000
 
+#: Largest training size the solver certifies: past it n and n - 1 can share
+#: a float, so ``bound(n) <= threshold < bound(n - 1)`` says nothing about n.
+_MAX_CERTIFIABLE_N = 2**53
+
+#: Relative width of the window below an array's maximum within which every
+#: point is rescored by the scalar formula.  numpy's ``exp`` and ``pow`` sit a
+#: few ulps from ``math``'s, far inside it, so the scalar argmax is always
+#: among the rescored points.
+_RESCORE_WINDOW = 1e-12
+
 
 @dataclass(frozen=True)
 class FixedZeta:
@@ -37,6 +47,11 @@ class FixedZeta:
     def __post_init__(self) -> None:
         if not 0.0 < self.value <= 1.0:
             raise DomainError(f"zeta must be in (0, 1], got {self.value}")
+
+    def values(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array([self.value], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -144,6 +159,23 @@ def cantelli_lambda(beta: float) -> float:
     return math.sqrt(beta / (1.0 - beta))
 
 
+def _first_scalar_max(values: np.ndarray, score) -> tuple[float, int]:
+    """(score, index) of the first index maximizing the scalar ``score(i)``.
+
+    ``values`` is ``score`` evaluated over all indices as one array
+    expression; only indices within ``_RESCORE_WINDOW`` of its maximum are
+    rescored, in index order, so ties go to the first index as with
+    ``np.argmax`` over the scalar scores.
+    """
+    top = float(values.max())
+    best, at = -math.inf, -1
+    for i in (values >= top - _RESCORE_WINDOW * max(1.0, abs(top))).nonzero()[0]:
+        v = score(int(i))
+        if v > best:
+            best, at = v, int(i)
+    return best, at
+
+
 def _optimal_beta(alpha: float, r: float, T: int) -> float:
     """Failure-budget split beta maximizing the detection threshold.
 
@@ -154,15 +186,14 @@ def _optimal_beta(alpha: float, r: float, T: int) -> float:
     import numpy as np
 
     gaps = np.exp(np.linspace(math.log(alpha * 1e-12), math.log(alpha * (1.0 - 1e-9)), 4001))
-    best_beta = alpha / 2.0
-    best = -math.inf
-    for u in gaps:
-        beta = alpha - float(u)
-        value = epsilon_budget(alpha, beta, r, T) + cantelli_lambda(beta)
-        if value > best:
-            best = value
-            best_beta = beta
-    return best_beta
+    betas = alpha - gaps
+    values = 2.0 * ((alpha - betas) ** (1.0 / T) + r - 1.0) + np.sqrt(betas / (1.0 - betas))
+
+    def score(i: int) -> float:
+        beta = float(betas[i])
+        return epsilon_budget(alpha, beta, r, T) + cantelli_lambda(beta)
+
+    return float(betas[_first_scalar_max(values, score)[1]])
 
 
 def detection_threshold(q: MinimaxQuery) -> tuple[float, str, float | None]:
@@ -183,21 +214,32 @@ def detection_threshold(q: MinimaxQuery) -> tuple[float, str, float | None]:
 
 
 def _resolved_bound(q: MinimaxQuery):
-    if isinstance(q.zeta, FixedZeta):
-        z = q.zeta.value
+    """``bound(n) -> (value, zeta)``: the largest ``hjw_lower_bound`` over the
+    slack strategy's values, first zeta on ties.
 
-        def bound(n: int) -> tuple[float, float]:
-            return hjw_lower_bound(n, q.S, z), z
+    The bound is evaluated over all slack values as arrays, with the scalar
+    formula's operation order; the near-maximal points are then rescored by
+    ``hjw_lower_bound`` itself, so the answer is the scalar one.
+    """
+    import numpy as np
 
-    else:
-        import numpy as np
+    S = q.S
+    zs = q.zeta.values()
+    neg_z2 = -zs * zs
+    one_plus = 1.0 + zs
+    log_s = math.log(S)  # > 0: a query has S >= 2
+    penalty = 12.0 * np.exp(neg_z2 * S / (32.0 * log_s * log_s))
 
-        zs = q.zeta.values()
-
-        def bound(n: int) -> tuple[float, float]:
-            vals = [hjw_lower_bound(n, q.S, float(z)) for z in zs]
-            i = int(np.argmax(vals))
-            return vals[i], float(zs[i])
+    def bound(n: int) -> tuple[float, float]:
+        x = one_plus * n / S
+        first = np.where(
+            x > math.e / 16.0,
+            0.125 * np.sqrt(math.e * S / (one_plus * n)),
+            np.exp(-2.0 * x),
+        )
+        values = first - np.exp(neg_z2 * n / 24.0) - penalty
+        best, i = _first_scalar_max(values, lambda i: hjw_lower_bound(n, S, float(zs[i])))
+        return best, float(zs[i])
 
     return bound
 
@@ -208,7 +250,9 @@ def min_training_sample(q: MinimaxQuery) -> BoundReport:
 
     The bound rises from a vacuous small-n regime to a peak and then decays
     like n^(-1/2); the meaningful minimum sample size is the descending
-    crossing, certified by ``bound(n) <= threshold < bound(n - 1)``.
+    crossing, certified by ``bound(n) <= threshold < bound(n - 1)``.  No n
+    past 2**53 is certified: if the bound at 2**53 is still above the
+    threshold, ``DomainError``.
     """
     threshold, formula, beta_used = detection_threshold(q)
     if threshold <= 0.0:
@@ -219,9 +263,11 @@ def min_training_sample(q: MinimaxQuery) -> BoundReport:
 
     # initial guess from the dominant sqrt term at the weakest slack
     guess = max(16, int(math.e * q.S / (128.0 * threshold * threshold)))
-    hi = guess
+    hi = min(guess, _MAX_CERTIFIABLE_N)
     while bound(hi)[0] > threshold:
-        hi *= 2
+        if hi == _MAX_CERTIFIABLE_N:
+            raise DomainError("no training size past 2**53 can be certified")
+        hi = min(2 * hi, _MAX_CERTIFIABLE_N)
     lo = hi // 2
     while lo >= 1 and bound(lo)[0] <= threshold:
         lo //= 2

@@ -16,6 +16,29 @@ from bmdlimits.repro import build_manifest, manifest_passes
 from bmdlimits.simulate import load_scenario
 
 
+#: ``bmdlimits minimax --zeta-grid`` (csv): the slack and the failure-budget
+#: split chosen in every row, not only the minimum sizes
+ZETA_GRID_CSV = (
+    "confidence,test_limit,altered_fraction,min_training_n,bound_millions,threshold,zeta,beta,published_millions,ratio_to_published\n"
+    "0.99,2000,0.005,22777715,22.777715,0.1009849528,0.1172381803,0.009806357804,3.87,5.88571447\n"
+    "0.99,2000,0.01,18866663,18.866663,0.1109849528,0.1166989819,0.009806357804,3.58,5.270017598\n"
+    "0.99,2000,0.03,10209711,10.209711,0.1509849528,0.1150962201,0.009806357804,2.69,3.795431599\n"
+    "0.99,2000,0.05,6388430,6.38843,0.1909849528,0.1135154709,0.009806357804,2.09,3.056665072\n"
+    "0.95,2000,0.005,4384690,4.38469,0.2306397446,0.1124737178,0.04958887868,1.67,2.625562874\n"
+    "0.95,2000,0.01,4028705,4.028705,0.2406397446,0.1119564319,0.04958887868,1.59,2.53377673\n"
+    "0.95,2000,0.03,2964448,2.964448,0.2806397446,0.1114415251,0.04958887868,1.31,2.262937405\n"
+    "0.95,2000,0.05,2272524,2.272524,0.3206397446,0.1104188051,0.04958887868,1.1,2.065930909\n"
+    "0.99,,0.005,19030920,19.03092,0.1105037815,0.1166989819,,3.73,5.102123324\n"
+    "0.99,,0.01,16010202,16.010202,0.1205037815,0.1161622633,,3.46,4.627226012\n"
+    "0.99,,0.03,9037400,9.0374,0.1605037815,0.1145668729,,2.61,3.462605364\n"
+    "0.99,,0.05,5797649,5.797649,0.2005037815,0.1129933938,,2.04,2.841984804\n"
+    "0.95,,0.005,4069894,4.069894,0.2394157339,0.1119564319,,1.65,2.466602424\n"
+    "0.95,,0.01,3750880,3.75088,0.2494157339,0.1119564319,,1.57,2.389095541\n"
+    "0.95,,0.03,2787842,2.787842,0.2894157339,0.1109289865,,1.29,2.161117829\n"
+    "0.95,,0.05,2153349,2.153349,0.3294157339,0.1104188051,,1.08,1.993841667\n"
+)
+
+
 def invoke(argv):
     out = io.StringIO()
     code = run(argv, out)
@@ -99,6 +122,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "seed" in err
+
+    def test_training_size_past_2_53_is_one(self, capsys):
+        # once printed min_training_n 208243367595853463552, whose
+        # certificate was checked in float steps of 32,768
+        code, out = invoke(
+            [
+                "minimax",
+                "--confidence",
+                "0.99",
+                "--test-limit",
+                "2000",
+                "--altered-fraction",
+                "0.005",
+                "--support-size",
+                "100000000000000000000",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
 
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -412,6 +455,11 @@ class TestAgreementWithLibrary:
         rows = [json.loads(line) for line in text.splitlines()]
         assert len(rows) == 16
         assert all("published_millions" in r and "ratio_to_published" in r for r in rows)
+
+    def test_minimax_zeta_grid_is_pinned(self):
+        code, text = invoke(["--format", "csv", "minimax", "--zeta-grid"])
+        assert code == 0
+        assert text == ZETA_GRID_CSV
 
     def test_simulate_scenario(self, scenario_dir):
         code, text = invoke(

@@ -25,7 +25,7 @@ LOADS = {
     "parallel": (False, False),
     "oracle": (False, False),
     "minimax": (True, False),
-    "cardinality": (True, False),
+    "cardinality": (False, False),
     "simulate": (True, False),
     "feasibility": (False, False),
     "feasibility --margin": (True, True),

@@ -1,13 +1,17 @@
 """Training-sample lower bounds: extended-precision oracle for the four-term
 bound, threshold arithmetic, solver certificates, and a frozen golden table."""
 
+import contextlib
 import math
+from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmdlimits import minimax
 from bmdlimits.errors import DomainError, Infeasible
 from bmdlimits.minimax import (
     DEFAULT_SUPPORT_SIZE,
@@ -21,6 +25,7 @@ from bmdlimits.minimax import (
     min_training_sample,
     table_lower_bounds,
 )
+from bmdlimits.parallel import epsilon_budget
 
 mpmath.mp.dps = 50
 
@@ -37,6 +42,64 @@ def hjw_oracle(n: int, S: int, zeta: float) -> float:
     log_s = mpmath.log(ss)
     penalty = 0 if log_s == 0 else 12 * mpmath.e ** (-z * z * ss / (32 * log_s**2))
     return float(first - mpmath.e ** (-z * z * nn / 24) - penalty)
+
+
+def ref_resolved_bound(q: MinimaxQuery):
+    """The scalar slack search: one ``hjw_lower_bound`` call per slack value,
+    first maximum by ``np.argmax``."""
+    if isinstance(q.zeta, FixedZeta):
+        z = q.zeta.value
+
+        def bound(n: int) -> tuple[float, float]:
+            return hjw_lower_bound(n, q.S, z), z
+
+    else:
+        zs = q.zeta.values()
+
+        def bound(n: int) -> tuple[float, float]:
+            vals = [hjw_lower_bound(n, q.S, float(z)) for z in zs]
+            i = int(np.argmax(vals))
+            return vals[i], float(zs[i])
+
+    return bound
+
+
+def ref_optimal_beta(alpha: float, r: float, T: int) -> float:
+    """The scalar beta scan: 4,001 log-spaced gaps, first maximum wins."""
+    gaps = np.exp(np.linspace(math.log(alpha * 1e-12), math.log(alpha * (1.0 - 1e-9)), 4001))
+    best_beta = alpha / 2.0
+    best = -math.inf
+    for u in gaps:
+        beta = alpha - float(u)
+        value = epsilon_budget(alpha, beta, r, T) + cantelli_lambda(beta)
+        if value > best:
+            best = value
+            best_beta = beta
+    return best_beta
+
+
+@contextlib.contextmanager
+def array_errors():
+    """Yields a list that gets the relative distance of every array evaluation
+    the solver rescores from its scalar scores, one per ``_first_scalar_max``."""
+    errors = []
+    first_max = minimax._first_scalar_max
+
+    def spy(values, score):
+        exact = np.array([score(i) for i in range(len(values))])
+        errors.append(float(np.abs(values - exact).max()) / max(1.0, abs(exact.max())))
+        return first_max(values, score)
+
+    with mock.patch.object(minimax, "_first_scalar_max", spy):
+        yield errors
+
+
+@st.composite
+def slack_grids(draw) -> GridZeta:
+    low = draw(st.floats(min_value=1e-4, max_value=1.0))
+    high = draw(st.one_of(st.just(low), st.just(1.0), st.floats(min_value=low, max_value=1.0)))
+    points = draw(st.one_of(st.just(1), st.just(1000), st.integers(min_value=1, max_value=1500)))
+    return GridZeta(points=points, low=low, high=high)
 
 
 # golden outputs of the default 16-row grid (FixedZeta(1), threshold-maximizing
@@ -177,6 +240,64 @@ class TestSolver:
         for row in rows:
             key = (row["test_limit"], row["confidence"], row["altered_fraction"])
             assert row["min_training_n"] == GOLDEN_TABLE[key], key
+
+
+class TestArrayEvaluation:
+    """The array paths give the scalar answers bit for bit, and numpy's
+    values sit well inside the window that decides what gets rescored."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=2**53),
+        S=st.integers(min_value=2, max_value=10**9),
+        zeta=st.one_of(slack_grids(), st.floats(min_value=1e-4, max_value=1.0).map(FixedZeta)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bound_matches_scalar(self, n, S, zeta):
+        q = MinimaxQuery(r=0.01, alpha=0.05, S=S, zeta=zeta)
+        with array_errors() as errors:
+            assert minimax._resolved_bound(q)(n) == ref_resolved_bound(q)(n)
+        assert errors and max(errors) <= minimax._RESCORE_WINDOW / 4
+
+    @given(
+        alpha=st.floats(min_value=1e-8, max_value=0.999),
+        r=st.floats(min_value=1e-4, max_value=0.999),
+        T=st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=10**12)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_beta_matches_scalar(self, alpha, r, T):
+        with array_errors() as errors:
+            assert minimax._optimal_beta(alpha, r, T) == ref_optimal_beta(alpha, r, T)
+        assert errors and max(errors) <= minimax._RESCORE_WINDOW / 4
+
+    def test_default_grid_table_rescores_one_point_per_evaluation(self, monkeypatch):
+        calls = []
+        scalar = minimax.hjw_lower_bound
+        monkeypatch.setattr(
+            minimax, "hjw_lower_bound", lambda *a: calls.append(a) or scalar(*a)
+        )
+        q = MinimaxQuery(r=0.03, alpha=0.05, zeta=GridZeta())
+        bound = minimax._resolved_bound(q)
+        for n in (10**5, 10**6, 3 * 10**6, 10**8):
+            calls.clear()
+            assert bound(n) == ref_resolved_bound(q)(n)
+            assert len(calls) == 1
+
+    def test_fixed_zeta_values_is_one_point(self):
+        assert FixedZeta(0.25).values().tolist() == [0.25]
+
+
+class TestCertifiableLimit:
+    def test_just_below_2_53_certifies(self):
+        # the doubled bracket would pass 2**53; clamped to it, bisection certifies
+        report = min_training_sample(MinimaxQuery(r=0.05, alpha=0.01, S=17 * 10**15))
+        assert report.min_training_n == 8_980_247_327_803_739
+        assert 2**52 < report.min_training_n < 2**53
+        assert report.bound_at_n <= report.threshold < report.bound_below
+
+    @pytest.mark.parametrize("S", [18 * 10**15, 10**20])
+    def test_past_2_53_is_domain_error(self, S):
+        with pytest.raises(DomainError, match=r"2\*\*53"):
+            min_training_sample(MinimaxQuery(r=0.005, alpha=0.01, T=2000, S=S))
 
 
 class TestOrderings:
