@@ -282,9 +282,6 @@ class TestArrayEvaluation:
             assert bound(n) == ref_resolved_bound(q)(n)
             assert len(calls) == 1
 
-    def test_fixed_zeta_values_is_one_point(self):
-        assert FixedZeta(0.25).values().tolist() == [0.25]
-
 
 class TestCertifiableLimit:
     def test_just_below_2_53_certifies(self):
