@@ -269,7 +269,7 @@ class TestArrayEvaluation:
             assert minimax._optimal_beta(alpha, r, T) == ref_optimal_beta(alpha, r, T)
         assert errors and max(errors) <= minimax._RESCORE_WINDOW / 4
 
-    def test_default_grid_table_rescores_one_point_per_evaluation(self, monkeypatch):
+    def test_default_grid_rescores_one_point_per_evaluation(self, monkeypatch):
         calls = []
         scalar = minimax.hjw_lower_bound
         monkeypatch.setattr(
@@ -285,9 +285,11 @@ class TestArrayEvaluation:
 
 class TestCertifiableLimit:
     def test_just_below_2_53_certifies(self):
-        # the doubled bracket would pass 2**53; clamped to it, bisection certifies
-        report = min_training_sample(MinimaxQuery(r=0.05, alpha=0.01, S=17 * 10**15))
-        assert report.min_training_n == 8_980_247_327_803_739
+        # the guess (0.59 * 2**53) is too small and its double passes 2**53;
+        # capped there, the bisection certifies the same n as an uncapped one
+        q = MinimaxQuery(r=0.05, alpha=0.01, S=10**16, zeta=GridZeta(points=50, low=0.5))
+        report = min_training_sample(q)
+        assert report.min_training_n == 7_043_331_237_493_129
         assert 2**52 < report.min_training_n < 2**53
         assert report.bound_at_n <= report.threshold < report.bound_below
 
