@@ -13,7 +13,8 @@ import argparse
 import numpy as np
 
 from bmdlimits.simulate import run_estimation_study
-from bmdlimits.transactions import AttributeSpec, TransactionDistribution, TransactionSpace
+from bmdlimits.space import AttributeSpec, TransactionSpace
+from bmdlimits.transactions import TransactionDistribution
 
 
 def main() -> None:

@@ -165,7 +165,7 @@ def _zeta_strategy(args):
 
 
 def _cmd_minimax(args) -> list[dict]:
-    from .minimax import MinimaxQuery, min_training_sample, table_lower_bounds
+    from .minimax import MinimaxQuery, bound_row, table_lower_bounds
     from .repro import PUBLISHED_TRAINING_BOUNDS_MILLIONS
 
     if args.altered_fraction is not None:
@@ -178,19 +178,7 @@ def _cmd_minimax(args) -> list[dict]:
             beta=args.beta,
             zeta=_zeta_strategy(args),
         )
-        report = min_training_sample(q)
-        return [
-            {
-                "confidence": args.confidence,
-                "test_limit": T,
-                "altered_fraction": args.altered_fraction,
-                "min_training_n": report.min_training_n,
-                "bound_millions": report.min_training_n / 1e6,
-                "threshold": report.threshold,
-                "zeta": report.zeta_used,
-                "beta": report.beta_used,
-            }
-        ]
+        return [bound_row(args.confidence, q)]
     rows = table_lower_bounds(S=args.support_size, zeta=_zeta_strategy(args))
     for row in rows:
         key = (row["test_limit"], row["confidence"], row["altered_fraction"])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DomainError, ParseError
 
@@ -118,6 +118,17 @@ def lower_median(values: Sequence[int]) -> int:
     return ordered[(len(ordered) - 1) // 2]
 
 
+def _state_fractions(flags: Iterable[tuple[str, bool]]) -> tuple[dict[str, float], int]:
+    """Per state, in state order, the fraction of its ``(state, flag)`` pairs
+    whose flag is set; and the number of states where that is a strict
+    majority."""
+    by_state: dict[str, list[bool]] = {}
+    for state, flag in flags:
+        by_state.setdefault(state, []).append(flag)
+    per_state = {s: sum(fs) / len(fs) for s, fs in sorted(by_state.items())}
+    return per_state, sum(frac > 0.5 for frac in per_state.values())
+
+
 def summarize(
     records: Sequence[JurisdictionRecord], thresholds: Sequence[int]
 ) -> FeasibilitySummary:
@@ -133,14 +144,7 @@ def summarize(
     fraction_below = {
         t: sum(v < t for v in turnouts) / len(turnouts) for t in thresholds
     }
-    lead = thresholds[0]
-    by_state: dict[str, list[int]] = {}
-    for r in records:
-        by_state.setdefault(r.state, []).append(r.turnout)
-    per_state = {
-        s: sum(v < lead for v in vs) / len(vs) for s, vs in sorted(by_state.items())
-    }
-    majority = sum(frac > 0.5 for frac in per_state.values())
+    per_state, majority = _state_fractions((r.state, r.turnout < thresholds[0]) for r in records)
     return FeasibilitySummary(
         count=len(records),
         median_turnout=lower_median(turnouts),
@@ -183,13 +187,7 @@ def passive_feasibility_join(
         for r in records
     )
     infeasible = sum(not row.feasible for row in rows)
-    by_state: dict[str, list[bool]] = {}
-    for row in rows:
-        by_state.setdefault(row.state, []).append(row.feasible)
-    per_state = {
-        s: sum(not f for f in fs) / len(fs) for s, fs in sorted(by_state.items())
-    }
-    majority = sum(frac > 0.5 for frac in per_state.values())
+    per_state, majority = _state_fractions((row.state, not row.feasible) for row in rows)
     return JoinResult(
         required_contest_size=required,
         rows=rows,

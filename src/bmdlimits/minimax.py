@@ -304,17 +304,21 @@ def table_lower_bounds(
                 q = MinimaxQuery(
                     r=r, alpha=1.0 - conf, T=T, S=S, zeta=zeta or FixedZeta()
                 )
-                report = min_training_sample(q)
-                rows.append(
-                    {
-                        "confidence": conf,
-                        "test_limit": T,
-                        "altered_fraction": r,
-                        "min_training_n": report.min_training_n,
-                        "bound_millions": report.min_training_n / 1e6,
-                        "threshold": report.threshold,
-                        "zeta": report.zeta_used,
-                        "beta": report.beta_used,
-                    }
-                )
+                rows.append(bound_row(conf, q))
     return rows
+
+
+def bound_row(confidence: float, q: MinimaxQuery) -> dict:
+    """One table row: the cell of ``q`` (whose ``alpha`` is ``1 - confidence``)
+    and its solved minimum training-sample size."""
+    report = min_training_sample(q)
+    return {
+        "confidence": confidence,
+        "test_limit": q.T,
+        "altered_fraction": q.r,
+        "min_training_n": report.min_training_n,
+        "bound_millions": report.min_training_n / 1e6,
+        "threshold": report.threshold,
+        "zeta": report.zeta_used,
+        "beta": report.beta_used,
+    }

@@ -139,7 +139,7 @@ def build_manifest() -> list[ManifestRow]:
         session_minutes,
     )
     from .passive import table_passive
-    from .transactions import optimistic_preset, realistic_preset
+    from .space import optimistic_preset, realistic_preset
 
     rows: list[ManifestRow] = []
 

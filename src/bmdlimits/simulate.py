@@ -19,6 +19,7 @@ attacker's trigger and whose independent flip event fires is a catch.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -31,12 +32,10 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .kernels import PoissonModel, poisson_sf
 from .parallel import detection_prob_iid
-from .transactions import (
+from .space import (
     Transaction,
-    TransactionDistribution,
     TransactionSpace,
     as_int,
-    distribution_from_config,
     get_int,
     get_number,
     list_of,
@@ -45,6 +44,7 @@ from .transactions import (
     require,
     space_from_config,
 )
+from .transactions import TransactionDistribution, _as_points, distribution_from_config
 
 CHUNK_TRIALS = 4096  # fixed; never dependent on the worker count
 
@@ -92,12 +92,6 @@ class MalloryStrategy:
             for v in vals:
                 if not 0 <= v < card:
                     raise DomainError(f"trigger value {v} out of range for {name!r}")
-
-    def matches(self, tx: Transaction, space: TransactionSpace) -> bool:
-        for name, vals in self.trigger:
-            if tx.coordinates[space.index_of(name)] not in vals:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -158,8 +152,11 @@ class SimScenario:
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         self.mallory.validate_against(self.space)
-        if self.voter_dist.space.attributes != self.space.attributes:
-            raise DomainError("voter distribution is over a different space")
+        for who, dist in (("voter", self.voter_dist), ("tester", self.pat.distribution)):
+            if dist is not None and dist.space.attributes != self.space.attributes:
+                raise DomainError(f"{who} distribution is over a different space")
+        if self.pat.scripts is not None:
+            _as_points(self.space, [tx.coordinates for tx in self.pat.scripts])
 
 
 @dataclass(frozen=True)
@@ -183,21 +180,7 @@ class SimReport:
     analytic: Mapping[str, float] | None = None
 
     def to_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, Estimate):
-                return {"value": v.value, "std_error": v.std_error, "trials": v.trials}
-            return v
-
-        return {
-            "label": self.label,
-            "trials": self.trials,
-            "seed": self.seed,
-            "empirical_detection": enc(self.empirical_detection),
-            "empirical_altered_fraction": enc(self.empirical_altered_fraction),
-            "empirical_fp": enc(self.empirical_fp),
-            "empirical_fn": enc(self.empirical_fn),
-            "analytic": dict(self.analytic) if self.analytic is not None else None,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -206,14 +189,14 @@ class SimReport:
 # -- trigger probabilities --------------------------------------------------
 
 
-def _support_matches(
-    mallory: MalloryStrategy, dist: TransactionDistribution
+def _rows_match(
+    mallory: MalloryStrategy, space: TransactionSpace, rows: np.ndarray
 ) -> np.ndarray:
-    """Boolean mask over the sparse support of ``dist``: the point matches
-    the trigger."""
-    hit = np.ones(len(dist.support), dtype=bool)
+    """Boolean mask over ``(n, d)`` coordinate rows of ``space``: the row
+    matches the trigger."""
+    hit = np.ones(len(rows), dtype=bool)
     for name, vals in mallory.trigger:
-        hit &= np.isin(dist.support[:, dist.space.index_of(name)], vals)
+        hit &= np.isin(rows[:, space.index_of(name)], vals)
     return hit
 
 
@@ -228,42 +211,68 @@ def trigger_mass(
             i = space.index_of(name)
             mass *= float(dist.marginal(i)[list(vals)].sum())
         return mass
-    hits = dist.weights[_support_matches(mallory, dist)]
+    hits = dist.weights[_rows_match(mallory, space, dist.support)]
     # a running sum adds the matching weights left to right, in support order
     return float(np.cumsum(hits)[-1]) if len(hits) else 0.0
 
 
-def _pat_sampling_dist(s: SimScenario) -> TransactionDistribution | None:
-    if s.pat.mode == "uniform":
-        return TransactionDistribution.uniform(s.space)
+@dataclass(frozen=True)
+class _TestDraw:
+    """How a chunk draws which of its ``count`` tests match the trigger,
+    resolved once per scenario: a script's ``hit`` row; a sparse tester's
+    support ``cdf`` and ``hit`` table; or, for uniform and factored testers,
+    the allowed ``[lo, hi)`` ``runs`` of each triggered attribute."""
+
+    count: int
+    hit: np.ndarray | None = None
+    cdf: np.ndarray | None = None
+    runs: tuple[list[tuple[float, float]], ...] = ()
+
+
+def _resolve_tests(s: SimScenario) -> tuple[_TestDraw, dict[str, float]]:
+    """The tests' trigger draw, and the analytic detection rate it implies."""
+    n = s.pat.test_count
+    q = s.mallory.flip_prob
+    if s.pat.mode == "script":
+        rows = _as_points(s.space, [tx.coordinates for tx in s.pat.scripts])
+        hit = _rows_match(s.mallory, s.space, rows)
+        matches = int(hit.sum())
+        detection = detection_prob_iid(q, matches) if matches else 0.0
+        return _TestDraw(n, hit=hit), {"triggered_scripts": float(matches), "detection": detection}
     if s.pat.mode == "distribution":
-        return s.pat.distribution
-    return None
+        dist = s.pat.distribution
+    else:
+        dist = TransactionDistribution.uniform(s.space)
+    if dist.form == "sparse":
+        cdf = np.cumsum(dist.weights)
+        cdf[-1] = 1.0
+        draw = _TestDraw(n, hit=_rows_match(s.mallory, s.space, dist.support), cdf=cdf)
+    else:
+        draw = _TestDraw(n, runs=tuple(
+            _allowed_runs(dist.marginal(s.space.index_of(name)), vals)
+            for name, vals in s.mallory.trigger
+        ))
+    p_test = trigger_mass(s.mallory, dist)
+    detection = detection_prob_iid(p_test * q, n)
+    return draw, {"trigger_mass_under_tests": p_test, "detection": detection}
 
 
 def _triggered_tests(
-    s: SimScenario, rng: np.random.Generator, n_rep: int
+    tests: _TestDraw, rng: np.random.Generator, n_rep: int
 ) -> np.ndarray:
-    """Boolean (n_rep, test_count) matrix: test matches the trigger."""
-    n = s.pat.test_count
-    if s.pat.mode == "script":
-        assert s.pat.scripts is not None
-        row = np.array(
-            [s.mallory.matches(tx, s.space) for tx in s.pat.scripts], dtype=bool
-        )
-        return np.broadcast_to(row, (n_rep, n)).copy()
-    dist = _pat_sampling_dist(s)
-    assert dist is not None
-    if dist.form == "sparse":
-        trig_table = _support_matches(s.mallory, dist)
-        idx = dist.sample_support_indices(rng, (n_rep, n))
-        return trig_table[idx]
+    """Boolean (n_rep, test count) matrix: test matches the trigger."""
+    shape = (n_rep, tests.count)
+    if tests.cdf is not None:
+        # inverse-cdf draw of support indices, in support order
+        return tests.hit[np.searchsorted(tests.cdf, rng.random(shape), side="right")]
+    if tests.hit is not None:
+        return np.broadcast_to(tests.hit, shape).copy()
     # uniform / factored: draw only the attributes the trigger constrains
-    out = np.ones((n_rep, n), dtype=bool)
-    u = np.empty((n_rep, n))
-    for name, vals in s.mallory.trigger:
+    out = np.ones(shape, dtype=bool)
+    u = np.empty(shape)
+    for runs in tests.runs:
         rng.random(out=u)
-        out &= _in_runs(u, _allowed_runs(dist.marginal(dist.space.index_of(name)), vals))
+        out &= _in_runs(u, runs)
     return out
 
 
@@ -320,72 +329,75 @@ def _map_chunks(fn, jobs: Sequence[tuple], workers: int) -> list:
     return [fn(*job) for job in jobs]
 
 
+def _run_chunks(chunk_fn, s: SimScenario, workers: int, *resolved) -> list[int]:
+    """Sums over the scenario's chunks of the integer tuples
+    ``chunk_fn(s, *resolved, chunk, lo, hi)``."""
+    jobs = [(s, *resolved, c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(s.trials))]
+    return [sum(col) for col in zip(*_map_chunks(chunk_fn, jobs, workers))]
+
+
+def _report(
+    s: SimScenario, p_voter: float, altered: int, analytic: dict[str, float], **rates: float
+) -> SimReport:
+    """The report of a run: each empirical rate in ``rates`` with its
+    standard error, the altered fraction and the analytic values."""
+    voters = s.trials * s.n_voters
+    alt = altered / voters
+    return SimReport(
+        label=s.label,
+        trials=s.trials,
+        seed=s.seed,
+        empirical_altered_fraction=Estimate(
+            alt, math.sqrt(max(alt * (1 - alt), 0.0) / voters), s.trials
+        ),
+        analytic={**analytic, "altered_fraction": p_voter * s.mallory.flip_prob},
+        **{f"empirical_{name}": _estimate(p, s.trials) for name, p in rates.items()},
+    )
+
+
+def _estimate(p: float, trials: int) -> Estimate:
+    return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / trials), trials)
+
+
 # -- parallel-testing simulation --------------------------------------------
 
 
-def _parallel_chunk(s: SimScenario, chunk: int, lo: int, hi: int) -> tuple[int, int]:
+def _parallel_chunk(
+    s: SimScenario, p_voter: float, tests: _TestDraw, chunk: int, lo: int, hi: int
+) -> tuple[int, int]:
     """(detections, altered-voter total) for one chunk of replications."""
     n_rep = hi - lo
     rng = _chunk_rng(s.seed, _STREAM_TESTS, chunk)
     q = s.mallory.flip_prob
-    n = s.pat.test_count
-    if n > 0:
-        triggered = _triggered_tests(s, rng, n_rep)
-        flips = rng.random((n_rep, n)) < q
+    detected = 0
+    if tests.count > 0:
+        triggered = _triggered_tests(tests, rng, n_rep)
+        flips = rng.random((n_rep, tests.count)) < q
         detected = int((triggered & flips).any(axis=1).sum())
-    else:
-        detected = 0
-    p_voter = trigger_mass(s.mallory, s.voter_dist)
     altered = int(rng.binomial(s.n_voters, p_voter * q, size=n_rep).sum())
     return detected, altered
 
 
 def run_parallel_sim(s: SimScenario, workers: int = 1) -> SimReport:
     """Empirical detection rate of the tester against the configured attack."""
-    jobs = [(s, c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(s.trials))]
-    results = _map_chunks(_parallel_chunk, jobs, workers)
-    detected = sum(r[0] for r in results)
-    altered = sum(r[1] for r in results)
-
-    det = detected / s.trials
-    alt = altered / (s.trials * s.n_voters)
-    analytic: dict[str, float] = {}
-    pat_dist = _pat_sampling_dist(s)
-    q = s.mallory.flip_prob
-    if pat_dist is not None:
-        p_test = trigger_mass(s.mallory, pat_dist)
-        analytic["trigger_mass_under_tests"] = p_test
-        analytic["detection"] = detection_prob_iid(p_test * q, s.pat.test_count)
-    elif s.pat.scripts is not None:
-        matches = sum(s.mallory.matches(tx, s.space) for tx in s.pat.scripts)
-        analytic["triggered_scripts"] = float(matches)
-        analytic["detection"] = detection_prob_iid(q, matches) if matches else 0.0
     p_voter = trigger_mass(s.mallory, s.voter_dist)
-    analytic["altered_fraction"] = p_voter * q
-    return SimReport(
-        label=s.label,
-        trials=s.trials,
-        seed=s.seed,
-        empirical_detection=_estimate(det, s.trials),
-        empirical_altered_fraction=Estimate(
-            alt, math.sqrt(max(alt * (1 - alt), 0.0) / (s.trials * s.n_voters)), s.trials
-        ),
-        analytic=analytic,
-    )
+    tests, analytic = _resolve_tests(s)
+    detected, altered = _run_chunks(_parallel_chunk, s, workers, p_voter, tests)
+    return _report(s, p_voter, altered, analytic, detection=detected / s.trials)
 
 
 # -- passive-testing simulation ---------------------------------------------
 
 
-def _passive_chunk(s: SimScenario, chunk: int, lo: int, hi: int) -> tuple[int, int, int]:
+def _passive_chunk(
+    s: SimScenario, p_voter: float, chunk: int, lo: int, hi: int
+) -> tuple[int, int, int]:
     """(null alarms, attacked alarms, altered total) for one chunk."""
-    assert s.passive is not None
     n_rep = hi - lo
     b = s.passive.base_rate
     d = s.passive.detect_rate
     k = s.passive.alarm_threshold
     q = s.mallory.flip_prob
-    p_voter = trigger_mass(s.mallory, s.voter_dist)
 
     rng0 = _chunk_rng(s.seed, _STREAM_PASSIVE_NULL, chunk)
     spoils0 = rng0.binomial(s.n_voters, b, size=n_rep)
@@ -405,40 +417,18 @@ def run_passive_sim(s: SimScenario, workers: int = 1) -> SimReport:
     next to the Poisson-model predictions."""
     if s.passive is None:
         raise DomainError("scenario has no passive parameters")
-    jobs = [(s, c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(s.trials))]
-    results = _map_chunks(_passive_chunk, jobs, workers)
-    alarms0 = sum(r[0] for r in results)
-    alarms1 = sum(r[1] for r in results)
-    altered = sum(r[2] for r in results)
-
-    fp = alarms0 / s.trials
-    fn = 1.0 - alarms1 / s.trials
-    alt = altered / (s.trials * s.n_voters)
-    b = s.passive.base_rate
-    d = s.passive.detect_rate
-    k = s.passive.alarm_threshold
     p_voter = trigger_mass(s.mallory, s.voter_dist)
-    attack_rate = p_voter * s.mallory.flip_prob * d
+    alarms0, alarms1, altered = _run_chunks(_passive_chunk, s, workers, p_voter)
+    b = s.passive.base_rate
+    k = s.passive.alarm_threshold
+    attack_rate = p_voter * s.mallory.flip_prob * s.passive.detect_rate
     analytic = {
         "fp": poisson_sf(PoissonModel(s.n_voters * b), k),
         "fn": 1.0 - poisson_sf(PoissonModel(s.n_voters * (b + attack_rate)), k),
-        "altered_fraction": p_voter * s.mallory.flip_prob,
     }
-    return SimReport(
-        label=s.label,
-        trials=s.trials,
-        seed=s.seed,
-        empirical_fp=_estimate(fp, s.trials),
-        empirical_fn=_estimate(fn, s.trials),
-        empirical_altered_fraction=Estimate(
-            alt, math.sqrt(max(alt * (1 - alt), 0.0) / (s.trials * s.n_voters)), s.trials
-        ),
-        analytic=analytic,
+    return _report(
+        s, p_voter, altered, analytic, fp=alarms0 / s.trials, fn=1.0 - alarms1 / s.trials
     )
-
-
-def _estimate(p: float, trials: int) -> Estimate:
-    return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / trials), trials)
 
 
 # -- plug-in estimation study ------------------------------------------------
@@ -554,8 +544,6 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
                 "pat 'scripts'",
             )
         )
-        for tx in scripts:
-            space.validate_coordinates(tx.coordinates)
     pat = PatStrategy(
         mode=mode,
         test_count=get_int(pat_cfg, "test_count", "pat", len(scripts) if scripts else 0),

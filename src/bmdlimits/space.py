@@ -209,7 +209,7 @@ def space_from_config(cfg: Mapping) -> TransactionSpace:
         return PRESETS[name]()
     if "attributes" in cfg:
         specs = []
-        for i, a in enumerate(cfg["attributes"]):
+        for i, a in enumerate(list_of(cfg["attributes"], lambda a, _: a, "space 'attributes'")):
             where = f"space attribute {i}"
             specs.append(
                 AttributeSpec(require(a, "name", where), get_int(a, "cardinality", where))

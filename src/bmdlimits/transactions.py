@@ -1,7 +1,7 @@
 """Distributions over the factored space of voting transactions.
 
 The space itself, its presets and the JSON config readers live in the
-numpy-free ``space`` module; they are re-exported here.
+numpy-free ``space`` module.
 """
 
 from __future__ import annotations
@@ -12,23 +12,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .space import (  # noqa: F401  (re-exported)
-    PRESETS,
-    AttributeSpec,
+from .space import (
     Transaction,
     TransactionSpace,
     as_int,
     as_number,
-    get_int,
-    get_number,
     list_of,
     lists_by_name,
-    load_config,
-    load_space,
-    optimistic_preset,
-    realistic_preset,
     require,
-    space_from_config,
 )
 
 #: Dense enumeration (e.g. for L1 distances between factored distributions)
@@ -43,11 +34,13 @@ _INT64_MAX = 2**63 - 1
 def _as_points(space: TransactionSpace, points) -> np.ndarray:
     """Validated ``(n, d)`` int64 array of coordinate rows.
 
-    An int64 array comes back without a copy; anything else array-like is
-    converted, and non-integral or out-of-range coordinates raise
-    ``DomainError``.
+    An int64 array comes back without a copy, and no points as a ``(0, d)``
+    array; anything else array-like is converted, and non-integral or
+    out-of-range coordinates raise ``DomainError``.
     """
     d = len(space.attributes)
+    if len(points) == 0:
+        return np.empty((0, d), dtype=np.int64)
     try:
         arr = np.asarray(points)
     except ValueError:  # ragged rows
@@ -198,13 +191,19 @@ class TransactionDistribution:
     # -- queries -----------------------------------------------------------
 
     def marginal(self, i: int) -> np.ndarray:
-        """Marginal weight vector of attribute i (factored form only)."""
+        """Marginal weight vector of attribute i (factored form only); a
+        uniform one is refused above ``DENSE_LIMIT`` values."""
         if self.form != "factored":
             raise DomainError("marginal() requires the factored form")
         w = self._marginals[i]
         if w is None:
-            card = self.space.attributes[i].cardinality
-            return np.full(card, 1.0 / card)
+            attr = self.space.attributes[i]
+            if attr.cardinality > DENSE_LIMIT:
+                raise DomainError(
+                    f"uniform marginal of {attr.name!r} refused above {DENSE_LIMIT} values"
+                    f" (have {attr.cardinality})"
+                )
+            return np.full(attr.cardinality, 1.0 / attr.cardinality)
         return w
 
     def _masses_at(self, points: np.ndarray) -> np.ndarray:
@@ -237,19 +236,6 @@ class TransactionDistribution:
         dims = [a.cardinality for a in self.space.attributes]
         dense[np.ravel_multi_index(self.support.T, dims)] = self.weights
         return dense
-
-    # -- sampling ----------------------------------------------------------
-
-    def sample_support_indices(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        """Indices into the sparse support (sparse form only), drawn by
-        inverting the cdf of ``weights`` in support order."""
-        if self.form != "sparse":
-            raise DomainError("support indices require the sparse form")
-        cdf = np.cumsum(self.weights)
-        cdf[-1] = 1.0
-        return np.searchsorted(cdf, rng.random(shape), side="right")
 
 
 def estimate(

@@ -46,13 +46,13 @@ from bmdlimits.simulate import (
     run_parallel_sim,
     run_passive_sim,
 )
-from bmdlimits.transactions import (
+from bmdlimits.space import (
     AttributeSpec,
-    TransactionDistribution,
     TransactionSpace,
     optimistic_preset,
     realistic_preset,
 )
+from bmdlimits.transactions import TransactionDistribution
 
 mpmath.mp.dps = 50
 

@@ -123,6 +123,22 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "seed" in err
 
+    def test_trigger_on_huge_uniform_attribute_is_one(self, scenario_dir, tmp_path, capsys):
+        # 5**20 values: once numpy's _ArrayMemoryError traceback (694 TiB)
+        cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())
+        cfg.update(space={"preset": "realistic"}, trials=10)
+        cfg["mallory"]["trigger"] = {"time_per_selection": [0]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        code, out = invoke(["simulate", "--scenario", str(path)])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'time_per_selection'" in err
+        # a trigger on one of the preset's small attributes still runs
+        cfg["mallory"]["trigger"] = {"languages": [0]}
+        path.write_text(json.dumps(cfg))
+        assert invoke(["simulate", "--scenario", str(path)])[0] == 0
+
     def test_training_size_past_2_53_is_one(self, capsys):
         # once printed min_training_n 208243367595853463552, whose
         # certificate was checked in float steps of 32,768
@@ -170,6 +186,19 @@ class TestMalformedConfig:
         path = tmp_path / "space.json"
         path.write_text(json.dumps({"attributes": [{"name": "x", "cardinality": 3}, {"name": "y"}]}))
         self.fails_cleanly(["cardinality", "--space", str(path)], capsys, str(path), "'cardinality'")
+
+    @pytest.mark.parametrize("attributes", [5, None])
+    def test_space_attributes_not_a_list(self, scenario_dir, tmp_path, capsys, attributes):
+        # once "TypeError: 'int' object is not iterable"
+        space = {"attributes": attributes}
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space))
+        self.fails_cleanly(["cardinality", "--space", str(path)], capsys, str(path), "'attributes'")
+        cfg = json.loads((scenario_dir / "subpopulation_attack.json").read_text())
+        cfg["space"] = space
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, str(path), "'attributes'")
 
     def test_scenario_without_mallory(self, scenario_dir, tmp_path, capsys):
         cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())

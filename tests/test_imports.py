@@ -14,7 +14,7 @@ import pytest
 
 import bmdlimits
 from bmdlimits import cli
-from bmdlimits.transactions import PRESETS
+from bmdlimits.space import PRESETS
 
 ROOT = pathlib.Path(__file__).parent.parent
 

@@ -1,8 +1,10 @@
 """Monte Carlo engine tests: worker-count invariance, agreement with the
 closed-form predictions, and degenerate scenarios with known outcomes."""
 
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,17 +27,31 @@ from bmdlimits.simulate import (
     scenario_from_config,
     trigger_mass,
 )
-from bmdlimits.transactions import (
+from bmdlimits.space import (
     AttributeSpec,
     Transaction,
-    TransactionDistribution,
     TransactionSpace,
     realistic_preset,
 )
+from bmdlimits.transactions import TransactionDistribution
 
 SPACE = TransactionSpace(
     (AttributeSpec("profile", 10), AttributeSpec("review", 2))
 )
+
+
+def ref_matches(m: MalloryStrategy, tx: Transaction, space: TransactionSpace) -> bool:
+    """Point-at-a-time trigger match: every triggered attribute of ``tx``
+    takes one of its allowed values."""
+    for name, vals in m.trigger:
+        if tx.coordinates[space.index_of(name)] not in vals:
+            return False
+    return True
+
+
+def drawn_tests(s: SimScenario, rng: np.random.Generator, n_rep: int) -> np.ndarray:
+    """The simulator's trigger matrix of ``n_rep`` replications of the tests."""
+    return simulate._triggered_tests(simulate._resolve_tests(s)[0], rng, n_rep)
 
 
 def scenario(**overrides) -> SimScenario:
@@ -65,13 +81,14 @@ class TestMalloryStrategy:
 
     def test_matches(self):
         m = MalloryStrategy.from_mapping({"profile": [3, 5]}, 1.0)
-        assert m.matches(Transaction((3, 0)), SPACE)
-        assert m.matches(Transaction((5, 1)), SPACE)
-        assert not m.matches(Transaction((4, 0)), SPACE)
+        rows = [(3, 0), (5, 1), (4, 0)]
+        assert simulate._rows_match(m, SPACE, np.array(rows)).tolist() == [True, True, False]
+        assert [ref_matches(m, Transaction(r), SPACE) for r in rows] == [True, True, False]
 
     def test_empty_trigger_matches_everything(self):
         m = MalloryStrategy.from_mapping({}, 0.5)
-        assert m.matches(Transaction((9, 1)), SPACE)
+        assert simulate._rows_match(m, SPACE, np.array([(9, 1), (0, 0)])).all()
+        assert ref_matches(m, Transaction((9, 1)), SPACE)
 
 
 class TestTriggerMass:
@@ -94,6 +111,16 @@ class TestTriggerMass:
     def test_empty_trigger_has_full_mass(self):
         m = MalloryStrategy.from_mapping({}, 1.0)
         assert trigger_mass(m, TransactionDistribution.uniform(SPACE)) == 1.0
+
+    def test_huge_uniform_attribute_is_domain_error(self):
+        # 5**20 values: the uniform marginal once asked numpy for 694 TiB
+        space = realistic_preset()
+        uniform = TransactionDistribution.uniform(space)
+        m = MalloryStrategy.from_mapping({"time_per_selection": [0]}, 1.0)
+        with pytest.raises(DomainError, match="time_per_selection"):
+            trigger_mass(m, uniform)
+        small = MalloryStrategy.from_mapping({"languages": [0, 1]}, 1.0)
+        assert trigger_mass(small, uniform) == pytest.approx(2 / 13, abs=1e-15)
 
 
 class TestWorkerInvariance:
@@ -292,7 +319,7 @@ def ref_trigger_mass(m: MalloryStrategy, d: TransactionDistribution) -> float:
     """Point-at-a-time trigger mass of a sparse distribution."""
     total = 0.0
     for pt, w in zip(d.support.tolist(), d.weights):
-        if m.matches(Transaction(tuple(pt)), d.space):
+        if ref_matches(m, Transaction(tuple(pt)), d.space):
             total += float(w)
     return total
 
@@ -328,8 +355,30 @@ class TestSparseTriggerAgainstReference:
     def test_trigger_table_matches_loop(self):
         d = random_sparse(17, 150)
         m = pin_scenario("tester").mallory
-        want = [m.matches(Transaction(tuple(pt)), PIN_SPACE) for pt in d.support.tolist()]
-        assert simulate._support_matches(m, d).tolist() == want
+        want = [ref_matches(m, Transaction(tuple(pt)), PIN_SPACE) for pt in d.support.tolist()]
+        assert simulate._rows_match(m, PIN_SPACE, d.support).tolist() == want
+
+    def test_sparse_frequencies(self):
+        # one draw of 100,000 support indices: the trigger on value v counts
+        # the draws of index v
+        space = TransactionSpace((AttributeSpec("a", 3),))
+        tester = TransactionDistribution.sparse(space, [(0,), (1,), (2,)], [0.5, 0.3, 0.2])
+        counts = []
+        for v in range(3):
+            s = SimScenario(
+                space=space,
+                voter_dist=tester,
+                n_voters=1,
+                mallory=MalloryStrategy.from_mapping({"a": [v]}, 1.0),
+                pat=PatStrategy("distribution", 100_000, tester),
+                trials=1,
+                seed=0,
+            )
+            counts.append(int(drawn_tests(s, np.random.default_rng(7), 1).sum()))
+        assert sum(counts) == 100_000
+        for c, w in zip(counts, (0.5, 0.3, 0.2)):
+            sd = math.sqrt(100_000 * w * (1 - w))
+            assert abs(c - 100_000 * w) < 3 * sd
 
 
 #: Reports of the point-at-a-time implementation, byte for byte.
@@ -413,7 +462,7 @@ def ref_triggered_tests(s: SimScenario, rng: np.random.Generator, n_rep: int) ->
     """Trigger matrix of a uniform or factored tester by inverse-CDF value
     draws: the value index of every test attribute, then a table lookup."""
     n = s.pat.test_count
-    dist = simulate._pat_sampling_dist(s)
+    dist = s.pat.distribution if s.pat.mode == "distribution" else TransactionDistribution.uniform(s.space)
     out = np.ones((n_rep, n), dtype=bool)
     for name, vals in s.mallory.trigger:
         w = dist.marginal(dist.space.index_of(name))
@@ -482,7 +531,7 @@ class TestFactoredTriggerAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_same_matrix_from_the_same_seed(self, s, n_rep, seed):
         want = ref_triggered_tests(s, np.random.default_rng(seed), n_rep)
-        got = simulate._triggered_tests(s, np.random.default_rng(seed), n_rep)
+        got = drawn_tests(s, np.random.default_rng(seed), n_rep)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -502,7 +551,7 @@ class TestFactoredTriggerAgainstReference:
             seed=0,
         )
         want = ref_triggered_tests(s, np.random.default_rng(1), 200)
-        assert np.array_equal(simulate._triggered_tests(s, np.random.default_rng(1), 200), want)
+        assert np.array_equal(drawn_tests(s, np.random.default_rng(1), 200), want)
 
 
 FACTORED_SPACE = TransactionSpace(
@@ -577,6 +626,63 @@ class TestFactoredPins:
         assert json.loads(report.to_json()) == report.to_dict()
 
 
+def script_pin_scenario() -> SimScenario:
+    """Two scripts against a two-attribute trigger: (3, 1) matches it and
+    (3, 0) does not."""
+    return scenario(
+        mallory=MalloryStrategy.from_mapping({"profile": [3], "review": [1]}, 0.4),
+        pat=PatStrategy("script", 2, scripts=(Transaction((3, 1)), Transaction((3, 0)))),
+        trials=2 * CHUNK_TRIALS + 11,
+        seed=777,
+    )
+
+
+#: The report of the per-script ``MalloryStrategy.matches`` loop, byte for byte.
+SCRIPT_PINNED = (
+    '{"label": "", "trials": 8203, "seed": 777, '
+    '"empirical_detection": {"value": 0.3966841399487992, '
+    '"std_error": 0.005401426040837833, "trials": 8203}, '
+    '"empirical_altered_fraction": {"value": 0.01999536754845788, '
+    '"std_error": 6.912058452752893e-05, "trials": 8203}, '
+    '"empirical_fp": null, "empirical_fn": null, '
+    '"analytic": {"triggered_scripts": 1.0, "detection": 0.4, '
+    '"altered_fraction": 0.020000000000000004}}'
+)
+
+
+class TestScriptPins:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parallel(self, workers):
+        assert run_parallel_sim(script_pin_scenario(), workers=workers).to_json() == SCRIPT_PINNED
+
+
+class TestResolvedOnce:
+    @pytest.mark.parametrize("run", [run_parallel_sim, run_passive_sim])
+    def test_scenario_resolution_does_not_grow_with_chunks(self, monkeypatch, run):
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(simulate, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        for name in ("trigger_mass", "_rows_match"):
+            monkeypatch.setattr(simulate, name, counted(name))
+        # a sparse voter law and a sparse tester: both read the predicate
+        base = dataclasses.replace(pin_scenario("tester"), voter_dist=random_sparse(18, 150))
+        seen = []
+        for chunks in (1, 5):
+            calls.clear()
+            run(dataclasses.replace(base, trials=chunks * CHUNK_TRIALS))
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+        assert set(seen[0]) == {"trigger_mass", "_rows_match"}
+
+
 class TestScenarioFiles:
     def test_load_all_repository_scenarios(self, scenario_dir):
         for path in sorted(scenario_dir.glob("*.json")):
@@ -593,6 +699,32 @@ class TestScenarioFiles:
         with pytest.raises(DomainError, match=needle):
             scenario(**overrides)
         scenario(n_voters=2**63 - 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "overrides,needle",
+        [
+            (
+                {
+                    "pat": PatStrategy("script", 1, scripts=(Transaction((3,)),)),
+                    "mallory": MalloryStrategy.from_mapping({"review": [0]}, 1.0),
+                },
+                "coordinates",
+            ),
+            (
+                {"pat": PatStrategy("script", 2, scripts=(Transaction((3, 0)), Transaction((10, 0))))},
+                "out of range",
+            ),
+            (
+                {"pat": PatStrategy("distribution", 5, TransactionDistribution.uniform(PIN_SPACE))},
+                "tester distribution",
+            ),
+        ],
+        ids=["short-script-row", "script-coordinate-out-of-range", "tester-over-another-space"],
+    )
+    def test_tester_domain(self, overrides, needle):
+        # once an IndexError, a silent simulation and a mismatched run
+        with pytest.raises(DomainError, match=needle):
+            scenario(**overrides)
 
     def test_unknown_kind(self, tmp_path):
         p = tmp_path / "bad.json"

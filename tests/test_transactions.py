@@ -8,19 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmdlimits.errors import DomainError, ParseError
-from bmdlimits.transactions import (
-    DENSE_LIMIT,
+from bmdlimits.space import (
     AttributeSpec,
     Transaction,
-    TransactionDistribution,
     TransactionSpace,
-    distribution_from_config,
-    estimate,
-    l1_distance,
     load_space,
     optimistic_preset,
     realistic_preset,
     space_from_config,
+)
+from bmdlimits.transactions import (
+    DENSE_LIMIT,
+    TransactionDistribution,
+    distribution_from_config,
+    estimate,
+    l1_distance,
 )
 
 
@@ -92,18 +94,6 @@ class TestDistributionConstruction:
         assert dense.shape == (4,)
         assert dense.sum() == pytest.approx(1.0, abs=1e-12)
         assert dense[0] == pytest.approx(0.3)
-
-
-class TestSampling:
-    def test_sparse_frequencies(self):
-        space = TransactionSpace((AttributeSpec("a", 3),))
-        d = TransactionDistribution.sparse(space, [(0,), (1,), (2,)], [0.5, 0.3, 0.2])
-        rng = np.random.default_rng(7)
-        idx = d.sample_support_indices(rng, (100_000,))
-        counts = np.bincount(idx, minlength=3)
-        for c, w in zip(counts, (0.5, 0.3, 0.2)):
-            sd = math.sqrt(100_000 * w * (1 - w))
-            assert abs(c - 100_000 * w) < 3 * sd
 
 
 class TestEstimate:
