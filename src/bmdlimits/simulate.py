@@ -5,13 +5,27 @@ draws from ``SeedSequence(seed, spawn_key=(s, c))``.  Chunk boundaries and the
 in-chunk draw order are fixed, so results are bit-identical for a given seed
 regardless of how many workers the chunks are spread over.
 
-Within a chunk the draw order is:
+A parallel-testing chunk of ``n_rep`` replications of ``n`` tests reads its
+stream in this order, each uniform array holding ``n_rep * n`` doubles, row
+by row:
 
-1. test transactions (attribute by attribute for uniform/factored testers,
-   one support draw for sparse testers; triggered attributes only),
-2. flip uniforms for the triggered tests,
-3. the altered-voter count (binomial per replication),
-4. passive runs only: benign spoils, then extra spoils among altered voters.
+1. the test transactions: one array per triggered attribute for uniform and
+   factored testers, or one support draw for a sparse tester (a script
+   tester draws none),
+2. the flip uniforms of the tests,
+3. the altered-voter count (binomial per replication).
+
+Uniform array j starts ``j * n_rep * n`` doubles into the stream, so each
+array reads its own ``PCG64`` on the chunk's ``SeedSequence``, advanced to
+that offset, and the chunk walks its rows in blocks of at most
+``BLOCK_CELLS`` tests.  Every double lands where one draw of the whole chunk
+puts it, so the block size never changes a report, and a chunk holds a few
+arrays of one block at a time (8 bytes per cell), whatever the test count.
+A block holds at least one row, so a row of more than ``BLOCK_CELLS`` tests
+still costs one row per array.  The binomial continues from the flips'
+generator, which the last flip block leaves where the one-shot draw did.
+Passive runs draw benign spoils, then extra spoils among altered voters, on
+streams of their own.
 
 Detection is per-replication Boolean: any test transaction that matches the
 attacker's trigger and whose independent flip event fires is a catch.
@@ -48,9 +62,10 @@ from .transactions import TransactionDistribution, _as_points, distribution_from
 
 CHUNK_TRIALS = 4096  # fixed; never dependent on the worker count
 
-#: Most multinomial cells the estimation study holds at once (8 bytes each),
-#: so that its memory stays bounded at any support size.
-ESTIMATION_BLOCK_CELLS = 2**22
+#: Most cells a chunk holds at once (8 bytes each): tests of a parallel-testing
+#: block, multinomial counts of the estimation study.  Memory stays bounded at
+#: any test count or support size; fixed, so it never changes a report.
+BLOCK_CELLS = 2**20
 
 _STREAM_TESTS = 0
 _STREAM_PASSIVE_NULL = 1
@@ -211,7 +226,12 @@ def trigger_mass(
             i = space.index_of(name)
             mass *= float(dist.marginal(i)[list(vals)].sum())
         return mass
-    hits = dist.weights[_rows_match(mallory, space, dist.support)]
+    return _hit_mass(dist.weights, _rows_match(mallory, space, dist.support))
+
+
+def _hit_mass(weights: np.ndarray, hit: np.ndarray) -> float:
+    """Total of the support ``weights`` where ``hit`` is set."""
+    hits = weights[hit]
     # a running sum adds the matching weights left to right, in support order
     return float(np.cumsum(hits)[-1]) if len(hits) else 0.0
 
@@ -227,6 +247,13 @@ class _TestDraw:
     hit: np.ndarray | None = None
     cdf: np.ndarray | None = None
     runs: tuple[list[tuple[float, float]], ...] = ()
+
+    @property
+    def arrays(self) -> int:
+        """Uniform arrays the draw reads, one per generator."""
+        if self.cdf is not None:
+            return 1
+        return 0 if self.hit is not None else len(self.runs)
 
 
 def _resolve_tests(s: SimScenario) -> tuple[_TestDraw, dict[str, float]]:
@@ -246,33 +273,37 @@ def _resolve_tests(s: SimScenario) -> tuple[_TestDraw, dict[str, float]]:
     if dist.form == "sparse":
         cdf = np.cumsum(dist.weights)
         cdf[-1] = 1.0
-        draw = _TestDraw(n, hit=_rows_match(s.mallory, s.space, dist.support), cdf=cdf)
+        hit = _rows_match(s.mallory, s.space, dist.support)
+        draw = _TestDraw(n, hit=hit, cdf=cdf)
+        p_test = _hit_mass(dist.weights, hit)
     else:
         draw = _TestDraw(n, runs=tuple(
             _allowed_runs(dist.marginal(s.space.index_of(name)), vals)
             for name, vals in s.mallory.trigger
         ))
-    p_test = trigger_mass(s.mallory, dist)
+        p_test = trigger_mass(s.mallory, dist)
     detection = detection_prob_iid(p_test * q, n)
     return draw, {"trigger_mass_under_tests": p_test, "detection": detection}
 
 
 def _triggered_tests(
-    tests: _TestDraw, rng: np.random.Generator, n_rep: int
+    tests: _TestDraw, rngs: Sequence[np.random.Generator], rows: int
 ) -> np.ndarray:
-    """Boolean (n_rep, test count) matrix: test matches the trigger."""
-    shape = (n_rep, tests.count)
+    """Boolean (rows, test count) matrix: test matches the trigger.  Uniform
+    array j is read from ``rngs[j]``, ``rows`` rows on from where it stands."""
+    shape = (rows, tests.count)
     if tests.cdf is not None:
         # inverse-cdf draw of support indices, in support order
-        return tests.hit[np.searchsorted(tests.cdf, rng.random(shape), side="right")]
+        return tests.hit[np.searchsorted(tests.cdf, rngs[0].random(shape), side="right")]
     if tests.hit is not None:
-        return np.broadcast_to(tests.hit, shape).copy()
+        return np.broadcast_to(tests.hit, shape)
     # uniform / factored: draw only the attributes the trigger constrains
     out = np.ones(shape, dtype=bool)
-    u = np.empty(shape)
-    for runs in tests.runs:
-        rng.random(out=u)
-        out &= _in_runs(u, runs)
+    if tests.runs:
+        u = np.empty(shape)
+        for rng, runs in zip(rngs, tests.runs):
+            rng.random(out=u)
+            out &= _in_runs(u, runs)
     return out
 
 
@@ -316,8 +347,24 @@ def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
 
 
+def _chunk_seq(seed: int, stream: int, chunk: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(seed, spawn_key=(stream, chunk))
+
+
 def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, chunk)))
+    return np.random.default_rng(_chunk_seq(seed, stream, chunk))
+
+
+def _array_rngs(
+    seq: np.random.SeedSequence, arrays: int, cells: int
+) -> list[np.random.Generator]:
+    """One generator per uniform array of ``cells`` doubles that the stream of
+    ``seq`` holds back to back: generator j starts ``j * cells`` doubles in.
+
+    ``PCG64`` yields one 64-bit step per double, so ``advance`` skips exactly
+    the arrays before, and generator j reads what a single generator would
+    after drawing them."""
+    return [np.random.Generator(np.random.PCG64(seq).advance(j * cells)) for j in range(arrays)]
 
 
 def _map_chunks(fn, jobs: Sequence[tuple], workers: int) -> list:
@@ -329,10 +376,10 @@ def _map_chunks(fn, jobs: Sequence[tuple], workers: int) -> list:
     return [fn(*job) for job in jobs]
 
 
-def _run_chunks(chunk_fn, s: SimScenario, workers: int, *resolved) -> list[int]:
-    """Sums over the scenario's chunks of the integer tuples
-    ``chunk_fn(s, *resolved, chunk, lo, hi)``."""
-    jobs = [(s, *resolved, c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(s.trials))]
+def _run_chunks(chunk_fn, trials: int, workers: int, *args) -> list[int]:
+    """Sums over the chunks of ``trials`` replications of the integer tuples
+    ``chunk_fn(*args, chunk, lo, hi)``."""
+    jobs = [(*args, c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(trials))]
     return [sum(col) for col in zip(*_map_chunks(chunk_fn, jobs, workers))]
 
 
@@ -363,18 +410,23 @@ def _estimate(p: float, trials: int) -> Estimate:
 
 
 def _parallel_chunk(
-    s: SimScenario, p_voter: float, tests: _TestDraw, chunk: int, lo: int, hi: int
+    seed: int, n_voters: int, q: float, p_voter: float, tests: _TestDraw,
+    chunk: int, lo: int, hi: int,
 ) -> tuple[int, int]:
     """(detections, altered-voter total) for one chunk of replications."""
     n_rep = hi - lo
-    rng = _chunk_rng(s.seed, _STREAM_TESTS, chunk)
-    q = s.mallory.flip_prob
+    *trigger_rngs, flip_rng = _array_rngs(
+        _chunk_seq(seed, _STREAM_TESTS, chunk), tests.arrays + 1, n_rep * tests.count
+    )
     detected = 0
     if tests.count > 0:
-        triggered = _triggered_tests(tests, rng, n_rep)
-        flips = rng.random((n_rep, tests.count)) < q
-        detected = int((triggered & flips).any(axis=1).sum())
-    altered = int(rng.binomial(s.n_voters, p_voter * q, size=n_rep).sum())
+        block = max(1, BLOCK_CELLS // tests.count)
+        for r in range(0, n_rep, block):
+            rows = min(block, n_rep - r)
+            triggered = _triggered_tests(tests, trigger_rngs, rows)
+            flips = flip_rng.random((rows, tests.count)) < q
+            detected += int((triggered & flips).any(axis=1).sum())
+    altered = int(flip_rng.binomial(n_voters, p_voter * q, size=n_rep).sum())
     return detected, altered
 
 
@@ -382,7 +434,9 @@ def run_parallel_sim(s: SimScenario, workers: int = 1) -> SimReport:
     """Empirical detection rate of the tester against the configured attack."""
     p_voter = trigger_mass(s.mallory, s.voter_dist)
     tests, analytic = _resolve_tests(s)
-    detected, altered = _run_chunks(_parallel_chunk, s, workers, p_voter, tests)
+    detected, altered = _run_chunks(
+        _parallel_chunk, s.trials, workers, s.seed, s.n_voters, s.mallory.flip_prob, p_voter, tests
+    )
     return _report(s, p_voter, altered, analytic, detection=detected / s.trials)
 
 
@@ -390,22 +444,22 @@ def run_parallel_sim(s: SimScenario, workers: int = 1) -> SimReport:
 
 
 def _passive_chunk(
-    s: SimScenario, p_voter: float, chunk: int, lo: int, hi: int
+    seed: int, n_voters: int, q: float, p_voter: float, passive: PassiveParams,
+    chunk: int, lo: int, hi: int,
 ) -> tuple[int, int, int]:
     """(null alarms, attacked alarms, altered total) for one chunk."""
     n_rep = hi - lo
-    b = s.passive.base_rate
-    d = s.passive.detect_rate
-    k = s.passive.alarm_threshold
-    q = s.mallory.flip_prob
+    b = passive.base_rate
+    d = passive.detect_rate
+    k = passive.alarm_threshold
 
-    rng0 = _chunk_rng(s.seed, _STREAM_PASSIVE_NULL, chunk)
-    spoils0 = rng0.binomial(s.n_voters, b, size=n_rep)
+    rng0 = _chunk_rng(seed, _STREAM_PASSIVE_NULL, chunk)
+    spoils0 = rng0.binomial(n_voters, b, size=n_rep)
     alarms0 = int((spoils0 >= k).sum())
 
-    rng1 = _chunk_rng(s.seed, _STREAM_PASSIVE_ATTACKED, chunk)
-    altered = rng1.binomial(s.n_voters, p_voter * q, size=n_rep)
-    benign = rng1.binomial(s.n_voters - altered, b)
+    rng1 = _chunk_rng(seed, _STREAM_PASSIVE_ATTACKED, chunk)
+    altered = rng1.binomial(n_voters, p_voter * q, size=n_rep)
+    benign = rng1.binomial(n_voters - altered, b)
     # an altered voter spoils if either the benign or the noticing event fires
     extra = rng1.binomial(altered, b + d - b * d)
     alarms1 = int(((benign + extra) >= k).sum())
@@ -418,7 +472,9 @@ def run_passive_sim(s: SimScenario, workers: int = 1) -> SimReport:
     if s.passive is None:
         raise DomainError("scenario has no passive parameters")
     p_voter = trigger_mass(s.mallory, s.voter_dist)
-    alarms0, alarms1, altered = _run_chunks(_passive_chunk, s, workers, p_voter)
+    alarms0, alarms1, altered = _run_chunks(
+        _passive_chunk, s.trials, workers, s.seed, s.n_voters, s.mallory.flip_prob, p_voter, s.passive
+    )
     b = s.passive.base_rate
     k = s.passive.alarm_threshold
     attack_rate = p_voter * s.mallory.flip_prob * s.passive.detect_rate
@@ -455,7 +511,7 @@ def _estimation_chunk(
 ) -> np.ndarray:
     rng = _chunk_rng(seed, _STREAM_ESTIMATION, chunk)
     l1 = np.empty(n_rep)
-    block = max(1, ESTIMATION_BLOCK_CELLS // len(weights))
+    block = max(1, BLOCK_CELLS // len(weights))
     # successive multinomial calls continue one stream: blocking keeps the draws
     for lo in range(0, n_rep, block):
         err = rng.multinomial(n_train, weights, size=min(block, n_rep - lo)) / n_train

@@ -2,8 +2,13 @@
 closed-form predictions, and degenerate scenarios with known outcomes."""
 
 import dataclasses
+import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -50,8 +55,11 @@ def ref_matches(m: MalloryStrategy, tx: Transaction, space: TransactionSpace) ->
 
 
 def drawn_tests(s: SimScenario, rng: np.random.Generator, n_rep: int) -> np.ndarray:
-    """The simulator's trigger matrix of ``n_rep`` replications of the tests."""
-    return simulate._triggered_tests(simulate._resolve_tests(s)[0], rng, n_rep)
+    """The simulator's trigger matrix of ``n_rep`` replications of the tests,
+    each uniform array read from its own generator on the stream of ``rng``."""
+    tests = simulate._resolve_tests(s)[0]
+    rngs = simulate._array_rngs(rng.bit_generator.seed_seq, tests.arrays, n_rep * tests.count)
+    return simulate._triggered_tests(tests, rngs, n_rep)
 
 
 def scenario(**overrides) -> SimScenario:
@@ -451,7 +459,7 @@ class TestSparsePins:
         d = random_sparse(19, 150)
         whole = run_estimation_study(PIN_SPACE, d, 500, 300, 5)
         # 7 rows per multinomial call instead of all 300 at once
-        monkeypatch.setattr(simulate, "ESTIMATION_BLOCK_CELLS", 7 * 150 + 10)
+        monkeypatch.setattr(simulate, "BLOCK_CELLS", 7 * 150 + 10)
         assert run_estimation_study(PIN_SPACE, d, 500, 300, 5) == whole
 
 
@@ -660,27 +668,176 @@ class TestResolvedOnce:
     @pytest.mark.parametrize("run", [run_parallel_sim, run_passive_sim])
     def test_scenario_resolution_does_not_grow_with_chunks(self, monkeypatch, run):
         calls = Counter()
+        # a sparse voter law and a sparse tester: both read the predicate
+        base = dataclasses.replace(pin_scenario("tester"), voter_dist=random_sparse(18, 150))
 
         def counted(name):
             fn = getattr(simulate, name)
 
             def wrapped(*args):
                 calls[name] += 1
+                if name == "_rows_match" and args[2] is base.pat.distribution.support:
+                    calls["tester support"] += 1
                 return fn(*args)
 
             return wrapped
 
         for name in ("trigger_mass", "_rows_match"):
             monkeypatch.setattr(simulate, name, counted(name))
-        # a sparse voter law and a sparse tester: both read the predicate
-        base = dataclasses.replace(pin_scenario("tester"), voter_dist=random_sparse(18, 150))
         seen = []
         for chunks in (1, 5):
             calls.clear()
             run(dataclasses.replace(base, trials=chunks * CHUNK_TRIALS))
             seen.append(dict(calls))
         assert seen[0] == seen[1]
-        assert set(seen[0]) == {"trigger_mass", "_rows_match"}
+        assert {"trigger_mass", "_rows_match"} <= set(seen[0])
+        # one hit table serves the tests' draw and their analytic trigger mass
+        assert seen[0].get("tester support", 0) == (run is run_parallel_sim)
+
+
+class TestChunkJobs:
+    @pytest.mark.parametrize("run", [run_parallel_sim, run_passive_sim])
+    def test_jobs_hold_no_scenario(self, monkeypatch, run):
+        jobs = []
+        map_chunks = simulate._map_chunks
+
+        def recording(fn, chunk_jobs, workers):
+            jobs.extend(chunk_jobs)
+            return map_chunks(fn, chunk_jobs, workers)
+
+        monkeypatch.setattr(simulate, "_map_chunks", recording)
+        s = dataclasses.replace(pin_scenario("tester"), voter_dist=random_sparse(18, 150))
+        run(s)
+        assert len(jobs) == 3
+        # a job is pickled for a worker: the sparse laws stay in this process
+        for arg in itertools.chain.from_iterable(jobs):
+            assert not isinstance(arg, (SimScenario, TransactionDistribution))
+
+
+class TestArrayStreams:
+    """Uniform array j of a chunk read by its own ``PCG64``, advanced by
+    ``j * n_rep * n``, gives the doubles of the one-shot draw of all arrays."""
+
+    ARRAYS, N_REP, N = 4, 50, 7  # three trigger arrays, then the flips
+
+    def streams(self):
+        seq = simulate._chunk_seq(2024, simulate._STREAM_TESTS, 3)
+        one_shot = np.random.default_rng(seq)
+        cells = self.N_REP * self.N
+        return one_shot, simulate._array_rngs(seq, self.ARRAYS, cells), cells
+
+    @pytest.mark.parametrize("j", range(ARRAYS))
+    def test_row_block_of_each_array(self, j):
+        one_shot, rngs, cells = self.streams()
+        whole = one_shot.random(self.ARRAYS * cells)
+        rngs[j].random((11, self.N))  # rows 0-10
+        block = rngs[j].random((13, self.N))  # rows 11-23
+        start = j * cells + 11 * self.N
+        assert np.array_equal(block.ravel(), whole[start : start + 13 * self.N])
+
+    def test_binomial_after_the_last_flip_block(self):
+        one_shot, rngs, cells = self.streams()
+        one_shot.random(self.ARRAYS * cells)
+        want = one_shot.binomial(900, 0.01, size=self.N_REP)
+        flips = rngs[-1]
+        for r in range(0, self.N_REP, 16):
+            flips.random((min(16, self.N_REP - r), self.N))
+        assert np.array_equal(flips.binomial(900, 0.01, size=self.N_REP), want)
+
+
+def multi_block_scenario(tester: str) -> SimScenario:
+    """1,000 tests against a two-attribute trigger: a chunk of 4,096 rows
+    spans four row blocks of ``BLOCK_CELLS`` tests."""
+    pat = (
+        PatStrategy("distribution", 1000, random_sparse(17, 150))
+        if tester == "sparse"
+        else PatStrategy("uniform", 1000)
+    )
+    return SimScenario(
+        space=PIN_SPACE,
+        voter_dist=TransactionDistribution.uniform(PIN_SPACE),
+        n_voters=900,
+        mallory=MalloryStrategy.from_mapping({"profile": [3, 7, 11, 20], "language": [1, 2]}, 0.015),
+        pat=pat,
+        trials=CHUNK_TRIALS + 300,
+        seed=909,
+    )
+
+
+#: Reports of the one-shot chunk draw, byte for byte.
+MULTI_BLOCK_PINNED = {
+    "uniform": (
+        '{"label": "", "trials": 4396, "seed": 909, '
+        '"empirical_detection": {"value": 0.4640582347588717, '
+        '"std_error": 0.007521703349103713, "trials": 4396}, '
+        '"empirical_altered_fraction": {"value": 0.000583864118895966, '
+        '"std_error": 1.214448143297044e-05, "trials": 4396}, '
+        '"empirical_fp": null, "empirical_fn": null, '
+        '"analytic": {"trigger_mass_under_tests": 0.04000000000000001, '
+        '"detection": 0.4512871806353667, "altered_fraction": 0.0006000000000000001}}'
+    ),
+    "sparse": (
+        '{"label": "", "trials": 4396, "seed": 909, '
+        '"empirical_detection": {"value": 0.5065969062784349, '
+        '"std_error": 0.007540555814387249, "trials": 4396}, '
+        '"empirical_altered_fraction": {"value": 0.0005957436052977454, '
+        '"std_error": 1.2267334157243403e-05, "trials": 4396}, '
+        '"empirical_fp": null, "empirical_fn": null, '
+        '"analytic": {"trigger_mass_under_tests": 0.0473858691676196, '
+        '"detection": 0.5088672234618058, "altered_fraction": 0.0006000000000000001}}'
+    ),
+}
+
+
+class TestMultiBlockPins:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tester", ["uniform", "sparse"])
+    def test_parallel(self, tester, workers):
+        assert CHUNK_TRIALS > 3 * (simulate.BLOCK_CELLS // 1000)
+        report = run_parallel_sim(multi_block_scenario(tester), workers=workers)
+        assert report.to_json() == MULTI_BLOCK_PINNED[tester]
+
+    @pytest.mark.parametrize("tester", ["uniform", "sparse"])
+    def test_one_row_blocks_keep_the_draws(self, monkeypatch, tester):
+        monkeypatch.setattr(simulate, "BLOCK_CELLS", 1)
+        report = run_parallel_sim(multi_block_scenario(tester))
+        assert report.to_json() == MULTI_BLOCK_PINNED[tester]
+
+
+#: A 10**5-test, 512-trial chunk on two triggered attributes; prints the peak
+#: resident set of its process in MB.
+PEAK_RSS_RUN = """
+import resource, sys
+from bmdlimits.simulate import MalloryStrategy, PatStrategy, SimScenario, run_parallel_sim
+from bmdlimits.space import AttributeSpec, TransactionSpace
+from bmdlimits.transactions import TransactionDistribution
+
+space = TransactionSpace((AttributeSpec("profile", 40), AttributeSpec("language", 5)))
+run_parallel_sim(SimScenario(
+    space=space,
+    voter_dist=TransactionDistribution.uniform(space),
+    n_voters=1000,
+    mallory=MalloryStrategy.from_mapping({"profile": [3], "language": [1]}, 1e-4),
+    pat=PatStrategy("uniform", 100_000),
+    trials=512,
+    seed=1,
+), workers=1)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak / (2**20 if sys.platform == "darwin" else 2**10))
+"""
+
+
+class TestBoundedMemory:
+    def test_peak_rss_at_1e5_tests(self):
+        # a process of its own, so that the test process's memory does not count
+        src = pathlib.Path(simulate.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_RUN], capture_output=True, text=True, env=env,
+            timeout=300, check=True,
+        )
+        # one 512 x 10**5 float64 array alone is 410 MB
+        assert float(proc.stdout) < 200
 
 
 class TestScenarioFiles:
