@@ -22,8 +22,7 @@ import sys
 from typing import Sequence
 
 from .errors import DomainError
-from .minimax import DEFAULT_SUPPORT_SIZE
-from .space import PRESETS
+from .space import DEFAULT_SUPPORT_SIZE, PRESETS
 
 FORMATS = ("csv", "markdown", "json-lines")
 

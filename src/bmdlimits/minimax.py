@@ -20,11 +20,10 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import DomainError, Infeasible
 from .parallel import epsilon_budget
+from .space import DEFAULT_SUPPORT_SIZE
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_SUPPORT_SIZE = 6_140_000
 
 #: Largest training size the solver certifies: past it n and n - 1 can share
 #: a float, so ``bound(n) <= threshold < bound(n - 1)`` says nothing about n.

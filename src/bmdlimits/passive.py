@@ -13,6 +13,21 @@ Two accounting conventions for the miss probability are provided:
   contest-size tables entry for entry, so it is kept as the reference
   behavior.
 * ``"strict"`` counts a miss whenever the alarm does not fire: ``P{X < k}``.
+
+The solver climbs N <- need(N) (see ``min_contest_size``).  Under ``strict``
+it starts at a certified size N0 rather than at 1:
+
+1. fn_rand(N), the miss of the randomized most powerful level-fp_budget test
+   (Neyman-Pearson; Lehmann & Romano, *Testing Statistical Hypotheses*,
+   ch. 3), bounds from below the miss of "alarm iff X >= k(N)", itself a
+   level-fp_budget test.
+2. fn_rand does not increase with N: the size-M experiment is a binomial
+   thinning of the size-N one for M < N (Blackwell 1953).
+3. So fn_rand(N0 - 1) > fn_budget makes N0 - 1 and every smaller size
+   infeasible, and the climb from N0 ends where the climb from 1 does.
+
+``published`` still climbs from 1: its miss event X <= k - 2 belongs to a
+test whose false-alarm rate can exceed fp_budget, so step 1 does not hold.
 """
 
 from __future__ import annotations
@@ -24,7 +39,13 @@ from typing import Literal, Sequence
 from scipy.special import gammainccinv
 
 from .errors import DomainError, Infeasible
-from .kernels import PoissonModel, poisson_sf, poisson_upper_quantile, smallest_int_where
+from .kernels import (
+    TAIL_ABS_TOL,
+    PoissonModel,
+    poisson_sf,
+    poisson_upper_quantile,
+    smallest_int_where,
+)
 
 Convention = Literal["published", "strict"]
 
@@ -115,6 +136,68 @@ def _achieved(N: int, design: PassiveDesign, convention: Convention) -> tuple[in
     return k, poisson_sf(PoissonModel(N * design.base_rate), k), _miss(N, design, j)
 
 
+def _np_miss(N: int, design: PassiveDesign) -> tuple[float, float]:
+    """Miss probability of the most powerful level-fp_budget test at size N,
+    and a bound on the error of its evaluation.
+
+    With k = k(N), c = k - 1, means m0 = N*b and m1 = N*(b + a), and the
+    likelihood ratio lam = P1{X = c} / P0{X = c}, the randomized
+    Neyman-Pearson test misses with probability
+
+        fn_rand(N) = P1{X < k} - lam * (alpha - P0{X >= k}),
+
+    i.e. P1{X < k} - gamma * P1{X = c} with gamma = (alpha - P0{X >= k}) /
+    P0{X = c}.  By weak duality the right-hand side bounds the miss of every
+    level-alpha test from below at any k, as long as lam is the ratio at
+    k - 1; a computed k off by one therefore errs low, never high.
+    """
+    alpha = design.fp_budget
+    m0 = N * design.base_rate
+    m1 = N * (design.base_rate + design.attack_rate)
+    k = alarm_threshold(N, design)
+    gap = m1 - m0
+    # log lam = c log(m1/m0) - (m1 - m0): the factorials cancel
+    log_ratio = (k - 1) * math.log1p(gap / m0) if k > 1 else 0.0
+    lam = math.exp(min(log_ratio - gap, 700.0))
+    fp = poisson_sf(PoissonModel(m0), k)
+    fn = 1.0 - poisson_sf(PoissonModel(m1), k) - lam * (alpha - fp)
+    # Each tail is off by at most TAIL_ABS_TOL: that is (1 + lam) of it here,
+    # once more for the strict miss at any smaller size, and the rest covers
+    # rounding.  A log lam off by e raises the bound by at most e, and the
+    # computed log lam is off by less than 8 * 2**-53 * (log_ratio + gap).
+    # Past e**700 the slack exceeds 1, so the clipped ratio certifies nothing.
+    slack = 3.0 * TAIL_ABS_TOL * (1.0 + lam) + 8.0 * 2.0**-53 * (log_ratio + gap)
+    return fn, slack
+
+
+def _certified_start(design: PassiveDesign) -> int:
+    """Smallest size N0 whose Neyman-Pearson miss could meet the fn budget.
+
+    ``smallest_int_where`` returns an N0 whose predicate at N0 - 1 was
+    computed false, so fn_rand(N0 - 1) exceeds the budget by more than the
+    tail error: the strict miss there, and at every smaller size, fails it.
+    The predicate need not be monotone for this to hold.  The search starts
+    at the normal approximation ((z_a sqrt(b) + z_b sqrt(b + a)) / a)**2.
+    """
+    from statistics import NormalDist
+
+    b, a = design.base_rate, design.attack_rate
+    z_fp = -NormalDist().inv_cdf(design.fp_budget)
+    z_fn = -NormalDist().inv_cdf(design.fn_budget)
+    root = (z_fp * math.sqrt(b) + z_fn * math.sqrt(b + a)) / a
+    guess = root * root
+    guess = math.ceil(guess) if guess <= 2**53 else 2**53  # also catches inf and nan
+
+    def ok(N: int) -> bool:
+        fn, slack = _np_miss(N, design)
+        return fn <= design.fn_budget + slack
+
+    try:
+        return smallest_int_where(ok, guess=guess, hi_limit=2**53)
+    except DomainError:  # no size up to 2**53 passes
+        raise Infeasible(f"spoil rate {b + a:g} per voter: more than 2**53 voters needed") from None
+
+
 def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
     """Smallest N whose miss probability below j spoils meets the fn budget.
 
@@ -152,12 +235,18 @@ def min_contest_size(
     3. Hence if N < need(N), every M in [N, need(N)) has M < need(N) <=
        need(M) and is infeasible: climbing N <- need(N) from N = 1 stops at
        the smallest feasible size.
+
+    The argument holds from any start below which no size is feasible.
+    Under ``strict`` the climb starts at ``_certified_start``, where the
+    randomized Neyman-Pearson miss one size lower exceeds the fn budget (see
+    the module docstring), a few steps short of the answer; under
+    ``published`` no such bound is known, so it starts at N = 1.
     """
     if convention not in _THRESHOLD_FLOOR:
         raise DomainError(f"unknown convention {convention!r}")
     if design.attack_rate <= 0.0:
         raise Infeasible("attack is statistically invisible (margin * detect_rate = 0)")
-    N = 1
+    N = _certified_start(design) if convention == "strict" else 1
     while True:
         k, j = _threshold(N, design, convention)
         if k > 10**7:

@@ -100,17 +100,21 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
 
     @pytest.mark.parametrize(
-        "rates",
+        "convention,rates",
         [
-            # the size estimate overflows to inf; once an OverflowError traceback
-            ["--margin", "1e-300", "--detect-rate", "1e-10", "--base-rate", "1e-310"],
-            # ~3e200 voters: beyond 2**53; once an endless certificate walk
-            ["--margin", "1e-200", "--detect-rate", "1e-5", "--base-rate", "1e-200"],
+            (convention, rates)
+            for convention in ("published", "strict")
+            for rates in (
+                # the size estimate overflows to inf; once an OverflowError traceback
+                ["--margin", "1e-300", "--detect-rate", "1e-10", "--base-rate", "1e-310"],
+                # ~3e200 voters: beyond 2**53; once an endless certificate walk
+                ["--margin", "1e-200", "--detect-rate", "1e-5", "--base-rate", "1e-200"],
+            )
         ],
-        ids=["overflow", "beyond-2**53"],
+        ids=["overflow", "beyond-2**53", "strict-overflow", "strict-beyond-2**53"],
     )
-    def test_vanishing_spoil_rate_is_one(self, capsys, rates):
-        code, out = invoke(["passive", *rates])
+    def test_vanishing_spoil_rate_is_one(self, capsys, convention, rates):
+        code, out = invoke(["passive", "--convention", convention, *rates])
         err = capsys.readouterr().err
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err

@@ -76,6 +76,25 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     assert not [m for m in loaded if not m.startswith("bmdlimits")]
 
 
+def test_cli_import_loads_no_solver():
+    loaded = json.loads(run_python("import bmdlimits.cli; " + LOADED).stdout)
+    assert "bmdlimits.minimax" not in loaded
+
+
+@pytest.mark.parametrize("convention", ["published", "strict"])
+def test_only_the_strict_start_loads_statistics(convention):
+    code = (
+        "import contextlib, io, sys\n"
+        "from bmdlimits.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    run(sys.argv[1:])\n"
+        "print('statistics' in sys.modules)\n"
+    )
+    argv = ["passive", "--margin", "0.03", "--detect-rate", "0.07", "--base-rate", "0.005"]
+    out = run_python(code, *argv, "--convention", convention).stdout
+    assert out.strip() == str(convention == "strict")
+
+
 @pytest.mark.parametrize("argv", EXAMPLES, ids=[" ".join(a) for a in EXAMPLES])
 def test_subcommand_loads(argv, tmp_path):
     argv = list(argv)

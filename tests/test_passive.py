@@ -1,14 +1,19 @@
 """Contest-size solver tests: golden table values, solver certificates, and
 an extended-precision oracle for the power calculation."""
 
+from collections import Counter
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmdlimits import kernels, passive
 from bmdlimits.errors import DomainError, Infeasible
 from bmdlimits.passive import (
     PassiveDesign,
+    _certified_start,
+    _np_miss,
     alarm_threshold,
     min_contest_size,
     passive_power,
@@ -28,6 +33,28 @@ mpmath.mp.dps = 50
 def poisson_sf_oracle(mean, k):
     m = mpmath.mpf(mean)
     return float(1 - mpmath.fsum(mpmath.e ** (-m) * m**i / mpmath.factorial(i) for i in range(k)))
+
+
+def np_miss_oracle(N, design):
+    """Miss probability of the randomized most powerful level-fp_budget test
+    at size N, at 50 digits from its exact threshold."""
+    alpha = mpmath.mpf(design.fp_budget)
+    m0 = mpmath.mpf(N * design.base_rate)
+    m1 = mpmath.mpf(N * (design.base_rate + design.attack_rate))
+
+    def sf(m, k):  # P{Pois(m) >= k}; mpmath's lower-integral series stalls at means ~1e6
+        return 1 - mpmath.gammainc(k, m, regularized=True)
+
+    def pmf(m, x):
+        return mpmath.exp(x * mpmath.log(m) - m - mpmath.loggamma(x + 1))
+
+    k = alarm_threshold(N, design)  # a float search: moved to the exact one below
+    while k > 1 and sf(m0, k - 1) <= alpha:
+        k -= 1
+    while sf(m0, k) > alpha:
+        k += 1
+    gamma = (alpha - sf(m0, k)) / pmf(m0, k - 1)
+    return 1 - sf(m1, k) - gamma * pmf(m1, k - 1)
 
 
 def ref_threshold(N, design, convention):
@@ -247,3 +274,70 @@ class TestExactness:
         sol = min_contest_size(design, convention)
         assert ref_feasible(sol.contest_size, design, convention)
         assert not any(ref_feasible(N, design, convention) for N in range(1, sol.contest_size))
+
+
+class TestCertifiedStart:
+    """The strict climb's start: no smaller size can be feasible."""
+
+    @given(
+        margin=st.floats(0.005, 0.3),
+        d=st.floats(0.25, 0.9),
+        b=st.floats(-4, -1).map(lambda e: 10**e),
+        fp=st.sampled_from([1e-6, 1e-4, 0.01, 0.05, 0.3]),
+        fn=st.sampled_from([1e-6, 1e-4, 0.01, 0.05, 0.3]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_start_is_below_answer_and_certified(self, margin, d, b, fp, fn):
+        design = PassiveDesign(margin, d, b, fp, fn)
+        start = _certified_start(design)
+        assert start <= min_contest_size(design, "strict").contest_size
+        if start > 1:
+            assert np_miss_oracle(start - 1, design) > fn
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.03, 0.07, 0.005, 0.05, 0.05),
+            (0.01, 0.25, 0.015, 0.01, 0.01),
+            (0.2, 0.5, 1e-4, 1e-6, 0.3),
+            (0.3, 0.9, 0.1, 0.3, 1e-6),
+        ],
+    )
+    def test_np_miss_bounds_strict_miss_and_falls(self, args):
+        design = PassiveDesign(*args)
+        start = _certified_start(design)
+        sizes = range(max(1, start - 100), start + 100)
+        assert len({alarm_threshold(N, design) for N in sizes}) > 1  # k steps up in the run
+        misses = [_np_miss(N, design)[0] for N in sizes]
+        for N, miss in zip(sizes, misses):
+            assert miss <= passive_power(N, design, alarm_threshold(N, design))[1]
+        assert all(after <= before for before, after in zip(misses, misses[1:]))
+
+    def test_start_saves_the_strict_climb(self, monkeypatch):
+        """On the 60 published-grid cells under ``strict`` the climb from
+        N = 1 made 25,634 Poisson tails and 6,301 steps."""
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        counted(passive, "poisson_sf")
+        counted(kernels, "poisson_sf")  # the quantile search's own binding
+        counted(passive, "_smallest_fn_ok")
+        cells = list(published_cases())
+        for budget, margin, d, b, expected in cells:
+            design = PassiveDesign(margin, d, b, budget, budget)
+            assert min_contest_size(design, "published").contest_size == expected
+        calls.clear()
+        for budget, margin, d, b, _ in cells:
+            design = PassiveDesign(margin, d, b, budget, budget)
+            min_contest_size(design, "strict")
+        assert len(cells) == 60
+        assert calls["poisson_sf"] <= 4_000
+        assert calls["_smallest_fn_ok"] <= 200
