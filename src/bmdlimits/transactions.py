@@ -121,7 +121,7 @@ class TransactionDistribution:
                 if (w < 0).any():
                     raise DomainError(f"negative weight for {attr.name!r}")
                 total = w.sum()
-                if abs(total - 1.0) > _MASS_TOL:
+                if not abs(total - 1.0) <= _MASS_TOL:  # NaN-safe
                     raise DomainError(f"weights for {attr.name!r} sum to {total}, not 1")
                 self._marginals.append(w / total)
             self.support = None
@@ -140,7 +140,7 @@ class TransactionDistribution:
             if (weights < 0).any():
                 raise DomainError("negative weight in sparse support")
             total = weights.sum()
-            if abs(total - 1.0) > _MASS_TOL:
+            if not abs(total - 1.0) <= _MASS_TOL:  # NaN-safe
                 raise DomainError(f"sparse weights sum to {total}, not 1")
             # a read-only view: the caller's array is neither copied nor frozen
             self.support = _as_points(space, support).view()

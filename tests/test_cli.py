@@ -291,6 +291,22 @@ class TestMalformedConfig:
         path.write_text(json.dumps(cfg))
         self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, str(path), key, bad)
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            {"form": "factored", "weights": {"profile": [float("nan")] + [0.01] * 99}},
+            {"form": "sparse", "support": [[7, 0], [7, 1]], "weights": [float("nan"), 1.0]},
+        ],
+        ids=["factored", "sparse"],
+    )
+    def test_scenario_nan_weight(self, scenario_dir, tmp_path, capsys, dist):
+        # once numpy's "p < 0, p > 1 or p is NaN" traceback
+        cfg = json.loads((scenario_dir / "subpopulation_attack.json").read_text())
+        cfg["voter_distribution"] = dist
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, "sum to nan")
+
     @pytest.mark.parametrize("value", [5.7, True, "5"])
     @pytest.mark.parametrize("section,key", [(None, "trials"), ("pat", "test_count")])
     def test_scenario_integer_not_integral(

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -58,8 +59,19 @@ def drawn_tests(s: SimScenario, rng: np.random.Generator, n_rep: int) -> np.ndar
     """The simulator's trigger matrix of ``n_rep`` replications of the tests,
     each uniform array read from its own generator on the stream of ``rng``."""
     tests = simulate._resolve_tests(s)[0]
-    rngs = simulate._array_rngs(rng.bit_generator.seed_seq, tests.arrays, n_rep * tests.count)
-    return simulate._triggered_tests(tests, rngs, n_rep)
+    rngs = simulate._array_rngs(rng.bit_generator.seed_seq, len(tests.runs), n_rep * tests.count)
+    return simulate._triggered_tests(tests, rngs, n_rep, slice(0, tests.count))
+
+
+def drawn_each_way(s: SimScenario, seed: int, n_rep: int) -> list[np.ndarray]:
+    """``drawn_tests`` with ``_in_runs`` comparing every run end, then
+    binary-searching them."""
+    out = []
+    for most in (2**62, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_COMPARE_ENDS", most)
+            out.append(drawn_tests(s, np.random.default_rng(seed), n_rep))
+    return out
 
 
 def scenario(**overrides) -> SimScenario:
@@ -347,6 +359,40 @@ def sparse_and_trigger(draw, space):
     return MalloryStrategy.from_mapping(trigger, 1.0), dist
 
 
+def ref_sparse_triggered_tests(s: SimScenario, rng: np.random.Generator, n_rep: int) -> np.ndarray:
+    """Trigger matrix of a sparse tester by inverse-CDF draws of support
+    indices, then a lookup in the support's hit table."""
+    dist = s.pat.distribution
+    cdf = np.cumsum(dist.weights)
+    cdf[-1] = 1.0
+    hit = simulate._rows_match(s.mallory, s.space, dist.support)
+    return hit[np.searchsorted(cdf, rng.random((n_rep, s.pat.test_count)), side="right")]
+
+
+@st.composite
+def sparse_tester_scenario(draw):
+    points = st.tuples(*(st.integers(0, a.cardinality - 1) for a in PIN_SPACE.attributes))
+    support = draw(st.lists(points, min_size=1, max_size=40, unique=True))
+    # integer weights give zero-weight points; floats give sums a few ulps off 1
+    raw = np.array(draw(st.one_of(
+        st.lists(st.integers(0, 3), min_size=len(support), max_size=len(support)),
+        st.lists(st.floats(0.0, 1.0), min_size=len(support), max_size=len(support)),
+    )), dtype=float)
+    if raw.sum() == 0:
+        raw[0] = 1.0
+    tester = TransactionDistribution.sparse(PIN_SPACE, support, raw / raw.sum())
+    trigger = {}
+    for a in PIN_SPACE.attributes:
+        if draw(st.booleans()):
+            trigger[a.name] = draw(st.lists(st.integers(0, a.cardinality - 1), min_size=1, max_size=4))
+    return scenario(
+        space=PIN_SPACE,
+        voter_dist=tester,
+        mallory=MalloryStrategy.from_mapping(trigger, 0.5),
+        pat=PatStrategy("distribution", draw(st.integers(1, 40)), tester),
+    )
+
+
 class TestSparseTriggerAgainstReference:
     @given(sparse_and_trigger(SPACE))
     @settings(max_examples=100)
@@ -365,6 +411,33 @@ class TestSparseTriggerAgainstReference:
         m = pin_scenario("tester").mallory
         want = [ref_matches(m, Transaction(tuple(pt)), PIN_SPACE) for pt in d.support.tolist()]
         assert simulate._rows_match(m, PIN_SPACE, d.support).tolist() == want
+
+    @given(sparse_tester_scenario(), st.integers(1, 50), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_same_matrix_as_support_draws(self, s, n_rep, seed):
+        want = ref_sparse_triggered_tests(s, np.random.default_rng(seed), n_rep)
+        for got in drawn_each_way(s, seed, n_rep):
+            assert np.array_equal(got, want)
+
+    def test_thousands_of_hit_runs(self):
+        space = TransactionSpace((AttributeSpec("a", 1000), AttributeSpec("b", 100)))
+        rng = np.random.default_rng(11)
+        flat = rng.choice(space.cardinality, size=20_000, replace=False)
+        weights = rng.gamma(2.0, size=20_000)
+        tester = TransactionDistribution.sparse(
+            space, np.stack(np.unravel_index(flat, (1000, 100)), axis=1), weights / weights.sum()
+        )
+        s = scenario(
+            space=space,
+            voter_dist=tester,
+            mallory=MalloryStrategy.from_mapping({"a": range(0, 1000, 2)}, 1.0),
+            pat=PatStrategy("distribution", 300, tester),
+        )
+        (ends,) = simulate._resolve_tests(s)[0].runs
+        assert len(ends) > 2 * 4000  # thousands of hit runs
+        want = ref_sparse_triggered_tests(s, np.random.default_rng(5), 200)
+        for got in drawn_each_way(s, 5, 200):
+            assert np.array_equal(got, want)
 
     def test_sparse_frequencies(self):
         # one draw of 100,000 support indices: the trigger on value v counts
@@ -539,8 +612,8 @@ class TestFactoredTriggerAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_same_matrix_from_the_same_seed(self, s, n_rep, seed):
         want = ref_triggered_tests(s, np.random.default_rng(seed), n_rep)
-        got = drawn_tests(s, np.random.default_rng(seed), n_rep)
-        assert np.array_equal(got, want)
+        for got in drawn_each_way(s, seed, n_rep):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "vals", [[0], [7], [8], [9], [8, 9], [0, 2, 4, 6, 8], list(range(10))]
@@ -559,7 +632,41 @@ class TestFactoredTriggerAgainstReference:
             seed=0,
         )
         want = ref_triggered_tests(s, np.random.default_rng(1), 200)
-        assert np.array_equal(drawn_tests(s, np.random.default_rng(1), 200), want)
+        for got in drawn_each_way(s, 1, 200):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("most", [2**62, 0], ids=["compare", "search"])
+    def test_run_ends_and_their_neighbours(self, monkeypatch, most):
+        # uniforms almost never land on a run end: put them there
+        monkeypatch.setattr(simulate, "_COMPARE_ENDS", most)
+        rng = np.random.default_rng(4)
+        w = rng.gamma(2.0, size=1000)
+        w[::7] = 0.0
+        w /= w.sum()
+        allowed = rng.random(1000) < 0.5
+        ends = simulate._allowed_runs(w, np.flatnonzero(allowed))
+        u = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
+        u = u[u < 1.0]
+        cdf = np.cumsum(w)
+        cdf[-1] = 1.0
+        want = allowed[np.searchsorted(cdf, u, side="right")]
+        assert np.array_equal(simulate._in_runs(u, ends), want)
+
+    def test_scattered_runs(self):
+        # every other value of 1,000 bins: 500 runs, 1,000 ends
+        space = TransactionSpace((AttributeSpec("a", 1000),))
+        w = np.random.default_rng(3).gamma(2.0, size=1000)
+        tester = TransactionDistribution.factored(space, {"a": w / w.sum()})
+        s = scenario(
+            space=space,
+            voter_dist=tester,
+            mallory=MalloryStrategy.from_mapping({"a": range(0, 1000, 2)}, 1.0),
+            pat=PatStrategy("distribution", 300, tester),
+        )
+        assert [len(ends) for ends in simulate._resolve_tests(s)[0].runs] == [1000]
+        want = ref_triggered_tests(s, np.random.default_rng(2), 400)
+        for got in drawn_each_way(s, 2, 400):
+            assert np.array_equal(got, want)
 
 
 FACTORED_SPACE = TransactionSpace(
@@ -698,8 +805,9 @@ class TestResolvedOnce:
 
 
 class TestChunkJobs:
-    @pytest.mark.parametrize("run", [run_parallel_sim, run_passive_sim])
-    def test_jobs_hold_no_scenario(self, monkeypatch, run):
+    @staticmethod
+    def recorded_jobs(monkeypatch) -> list[tuple]:
+        """The chunk jobs of the runs that follow, as they are sent to workers."""
         jobs = []
         map_chunks = simulate._map_chunks
 
@@ -708,12 +816,35 @@ class TestChunkJobs:
             return map_chunks(fn, chunk_jobs, workers)
 
         monkeypatch.setattr(simulate, "_map_chunks", recording)
+        return jobs
+
+    @pytest.mark.parametrize("run", [run_parallel_sim, run_passive_sim])
+    def test_jobs_hold_no_scenario(self, monkeypatch, run):
+        jobs = self.recorded_jobs(monkeypatch)
         s = dataclasses.replace(pin_scenario("tester"), voter_dist=random_sparse(18, 150))
         run(s)
         assert len(jobs) == 3
         # a job is pickled for a worker: the sparse laws stay in this process
         for arg in itertools.chain.from_iterable(jobs):
             assert not isinstance(arg, (SimScenario, TransactionDistribution))
+
+    @pytest.mark.parametrize("size", [2_000, 200_000])
+    def test_sparse_tester_job_grows_with_runs_not_support(self, monkeypatch, size):
+        jobs = self.recorded_jobs(monkeypatch)
+        space = TransactionSpace((AttributeSpec("a", size),))
+        tester = TransactionDistribution.sparse(space, np.arange(size)[:, None], np.full(size, 1 / size))
+        s = scenario(
+            space=space,
+            voter_dist=tester,
+            # the hits form one run of support points
+            mallory=MalloryStrategy.from_mapping({"a": range(1000, 1500)}, 0.5),
+            pat=PatStrategy("distribution", 10, tester),
+            trials=2 * CHUNK_TRIALS,
+        )
+        run_parallel_sim(s)
+        assert len(jobs) == 2
+        # two run ends, not a hit flag and a cdf entry per support point
+        assert all(len(pickle.dumps(job)) < 1000 for job in jobs)
 
 
 class TestArrayStreams:
@@ -801,13 +932,14 @@ class TestMultiBlockPins:
 
     @pytest.mark.parametrize("tester", ["uniform", "sparse"])
     def test_one_row_blocks_keep_the_draws(self, monkeypatch, tester):
-        monkeypatch.setattr(simulate, "BLOCK_CELLS", 1)
+        # one-row blocks, each row of 1,000 tests in column blocks of 300
+        monkeypatch.setattr(simulate, "BLOCK_CELLS", 300)
         report = run_parallel_sim(multi_block_scenario(tester))
         assert report.to_json() == MULTI_BLOCK_PINNED[tester]
 
 
-#: A 10**5-test, 512-trial chunk on two triggered attributes; prints the peak
-#: resident set of its process in MB.
+#: A chunk of ``{tests}`` tests and ``{trials}`` trials on two triggered
+#: attributes; prints the peak resident set of its process in MB.
 PEAK_RSS_RUN = """
 import resource, sys
 from bmdlimits.simulate import MalloryStrategy, PatStrategy, SimScenario, run_parallel_sim
@@ -819,9 +951,9 @@ run_parallel_sim(SimScenario(
     space=space,
     voter_dist=TransactionDistribution.uniform(space),
     n_voters=1000,
-    mallory=MalloryStrategy.from_mapping({"profile": [3], "language": [1]}, 1e-4),
-    pat=PatStrategy("uniform", 100_000),
-    trials=512,
+    mallory=MalloryStrategy.from_mapping({{"profile": [3], "language": [1]}}, 1e-4),
+    pat=PatStrategy("uniform", {tests}),
+    trials={trials},
     seed=1,
 ), workers=1)
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -830,16 +962,25 @@ print(peak / (2**20 if sys.platform == "darwin" else 2**10))
 
 
 class TestBoundedMemory:
-    def test_peak_rss_at_1e5_tests(self):
+    @staticmethod
+    def peak_rss_mb(tests: int, trials: int) -> float:
         # a process of its own, so that the test process's memory does not count
         src = pathlib.Path(simulate.__file__).parent.parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_RUN], capture_output=True, text=True, env=env,
-            timeout=300, check=True,
+            [sys.executable, "-c", PEAK_RSS_RUN.format(tests=tests, trials=trials)],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
         )
+        return float(proc.stdout)
+
+    def test_peak_rss_at_1e5_tests(self):
         # one 512 x 10**5 float64 array alone is 410 MB
-        assert float(proc.stdout) < 200
+        assert self.peak_rss_mb(100_000, 512) < 200
+
+    def test_peak_rss_at_2_24_tests(self):
+        # one row of 2**24 tests is 134 MB per float64 array: the row is
+        # walked in column blocks
+        assert self.peak_rss_mb(2**24, 2) < 200
 
 
 class TestScenarioFiles:

@@ -66,6 +66,11 @@ class TestDistributionConstruction:
         with pytest.raises(DomainError):
             TransactionDistribution.factored(space, {"zz": [0.5, 0.5]})
 
+    def test_factored_nan_weight(self):
+        # a NaN total once passed the tolerance check: every weight became NaN
+        with pytest.raises(DomainError, match="sum to nan"):
+            TransactionDistribution.factored(small_space(), {"a": [float("nan"), 0.5]})
+
     def test_sparse_validation(self):
         space = small_space()
         with pytest.raises(DomainError):
@@ -74,6 +79,10 @@ class TestDistributionConstruction:
             TransactionDistribution.sparse(space, [(0, 2)], [1.0])
         with pytest.raises(DomainError):
             TransactionDistribution.sparse(space, [(0, 0)], [0.9])
+
+    def test_sparse_nan_weight(self):
+        with pytest.raises(DomainError, match="sum to nan"):
+            TransactionDistribution.sparse(small_space(), [(0, 0), (1, 0)], [float("nan"), 1.0])
 
     def test_mass_of(self):
         space = small_space()
