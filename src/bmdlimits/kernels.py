@@ -1,8 +1,9 @@
 """Exact log-space probability primitives shared by all solvers.
 
-Poisson tails are regularized incomplete gamma functions, evaluated through
-the log-gamma machinery inside scipy's ``gammainc``; they stay within 1e-12
-absolute error at means in the thousands, where naive products underflow.
+Poisson tails are regularized incomplete gamma functions, evaluated by scipy's
+``gammainc`` (the package's only scipy call) within 1e-12 absolute error at
+means in the thousands, where naive products underflow.  Searches start from
+closed-form normal guesses on ``statistics.NormalDist``.
 """
 
 from __future__ import annotations
@@ -62,15 +63,15 @@ def poisson_upper_quantile(model: PoissonModel, alpha: float) -> int:
     """Smallest integer k with ``poisson_sf(model, k) <= alpha``.
 
     Satisfies ``poisson_sf(model, k - 1) > alpha`` whenever k > 0.  The search
-    starts at scipy's continuous inverse of P{X <= k - 1}, or at the mean where
-    that is nan (at some means of 1e12 and more).
+    starts at the continuity-corrected Cornish-Fisher guess m + z sqrt(m) +
+    (z**2 + 2) / 6, with m the mean and z the normal upper alpha point.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    from scipy.special import pdtrik
+    from statistics import NormalDist
 
-    seed = float(pdtrik(1.0 - alpha, model.mean))
-    guess = math.ceil(seed) + 1 if math.isfinite(seed) else int(model.mean)
+    m, z = model.mean, -NormalDist().inv_cdf(alpha)
+    guess = math.ceil(m + z * math.sqrt(m) + (z * z + 2.0) / 6.0)
     return smallest_int_where(lambda k: poisson_sf(model, k) <= alpha, guess=guess)
 
 

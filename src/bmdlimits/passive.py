@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
-
-from scipy.special import gammainccinv
+from statistics import NormalDist
+from typing import Callable, Literal, Sequence
 
 from .errors import DomainError, Infeasible
 from .kernels import (
@@ -170,6 +169,16 @@ def _np_miss(N: int, design: PassiveDesign) -> tuple[float, float]:
     return fn, slack
 
 
+def _smallest_size(ok: Callable[[int], bool], guess: float, rate: float) -> int:
+    """Smallest N with ``ok(N)``, searched from ``guess``.  Beyond 2**53 a float
+    cannot tell N from N - 1, so the search stops there and raises past it."""
+    guess = math.ceil(max(guess, 1.0)) if guess <= 2**53 else 2**53  # also catches +-inf, nan
+    try:
+        return smallest_int_where(ok, guess=guess, hi_limit=2**53)
+    except DomainError:  # no size up to 2**53 passes
+        raise Infeasible(f"spoil rate {rate:g} per voter: more than 2**53 voters needed") from None
+
+
 def _certified_start(design: PassiveDesign) -> int:
     """Smallest size N0 whose Neyman-Pearson miss could meet the fn budget.
 
@@ -179,42 +188,29 @@ def _certified_start(design: PassiveDesign) -> int:
     The predicate need not be monotone for this to hold.  The search starts
     at the normal approximation ((z_a sqrt(b) + z_b sqrt(b + a)) / a)**2.
     """
-    from statistics import NormalDist
-
     b, a = design.base_rate, design.attack_rate
     z_fp = -NormalDist().inv_cdf(design.fp_budget)
     z_fn = -NormalDist().inv_cdf(design.fn_budget)
     root = (z_fp * math.sqrt(b) + z_fn * math.sqrt(b + a)) / a
-    guess = root * root
-    guess = math.ceil(guess) if guess <= 2**53 else 2**53  # also catches inf and nan
 
     def ok(N: int) -> bool:
         fn, slack = _np_miss(N, design)
         return fn <= design.fn_budget + slack
 
-    try:
-        return smallest_int_where(ok, guess=guess, hi_limit=2**53)
-    except DomainError:  # no size up to 2**53 passes
-        raise Infeasible(f"spoil rate {b + a:g} per voter: more than 2**53 voters needed") from None
+    return _smallest_size(ok, root * root, b + a)
 
 
 def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
     """Smallest N whose miss probability below j spoils meets the fn budget.
 
-    P{Pois(m) < j} is the regularized upper incomplete gamma function
-    Q(j, m), so inverting it in m gives the answer up to rounding; a search
-    seeded there certifies it (the miss probability falls with N).
+    P{Pois(m) < j} = P{Gamma(j) > m} falls with N.  The search starts at the
+    Wilson-Hilferty quantile j (1 - 1/(9j) + z/(3 sqrt(j)))**3 / rate, with z
+    the normal upper fn_budget point, and certifies the answer by exact tails.
     """
-
-    def ok(N: int) -> bool:
-        return _miss(N, design, j) <= design.fn_budget
-
     rate = design.base_rate + design.attack_rate
-    seed = float(gammainccinv(j, design.fn_budget)) / rate
-    # beyond 2**53 a float cannot tell N from N - 1, so no size there is certified
-    if not seed <= 2**53:
-        raise Infeasible(f"spoil rate {rate:g} per voter: more than 2**53 voters needed")
-    return smallest_int_where(ok, guess=math.ceil(seed))
+    z = -NormalDist().inv_cdf(design.fn_budget)
+    guess = j * (1.0 - 1.0 / (9 * j) + z / (3.0 * math.sqrt(j))) ** 3 / rate
+    return _smallest_size(lambda N: _miss(N, design, j) <= design.fn_budget, guess, rate)
 
 
 def min_contest_size(

@@ -2,6 +2,7 @@
 neither numpy nor scipy, each subcommand loads only what its answer needs,
 and every exported name still resolves."""
 
+import ast
 import json
 import os
 import pathlib
@@ -81,18 +82,29 @@ def test_cli_import_loads_no_solver():
     assert "bmdlimits.minimax" not in loaded
 
 
-@pytest.mark.parametrize("convention", ["published", "strict"])
-def test_only_the_strict_start_loads_statistics(convention):
-    code = (
-        "import contextlib, io, sys\n"
-        "from bmdlimits.cli import run\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    run(sys.argv[1:])\n"
-        "print('statistics' in sys.modules)\n"
-    )
-    argv = ["passive", "--margin", "0.03", "--detect-rate", "0.07", "--base-rate", "0.005"]
-    out = run_python(code, *argv, "--convention", convention).stdout
-    assert out.strip() == str(convention == "strict")
+def test_passive_import_loads_no_scipy():
+    loaded = json.loads(run_python("import bmdlimits.passive; " + LOADED).stdout)
+    assert "bmdlimits.passive" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def test_scipy_is_imported_only_by_the_poisson_tail():
+    """An ``ast`` walk of the package finds one scipy import, inside
+    ``kernels.gammainc``."""
+    found = []
+    for path in sorted((ROOT / "src" / "bmdlimits").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    found.append((path.name, getattr(scope, "name", None)))
+    assert found == [("kernels.py", "gammainc")]
 
 
 @pytest.mark.parametrize("argv", EXAMPLES, ids=[" ".join(a) for a in EXAMPLES])

@@ -96,6 +96,16 @@ class TestPoissonSf:
         assert hi >= lo - TAIL_ABS_TOL
 
 
+QUANTILE_MEANS = (
+    st.floats(min_value=0.0, max_value=3e7)
+    | st.floats(min_value=3e7, max_value=1e16)
+    | st.integers(0, 16).map(lambda e: 10.0**e)
+)
+QUANTILE_ALPHAS = st.floats(min_value=1e-12, max_value=0.9) | st.integers(-12, -1).map(
+    lambda e: 10.0**e
+)
+
+
 class TestPoissonQuantile:
     def test_degenerate_model(self):
         assert poisson_upper_quantile(PoissonModel(0.0), 0.05) == 1
@@ -107,14 +117,11 @@ class TestPoissonQuantile:
         )
         assert poisson_upper_quantile(model, 0.05) == expected
 
-    # scipy's pdtrik returns nan at alpha = 1e-6 and 0.5 for means of 1e12 to
-    # 1e15, so the search starts from the mean there
-    @given(
-        mean=st.floats(min_value=0.0, max_value=3e7) | st.floats(min_value=1e12, max_value=1e15),
-        alpha=st.floats(min_value=1e-6, max_value=0.5),
-    )
+    @given(mean=QUANTILE_MEANS, alpha=QUANTILE_ALPHAS)
+    @example(mean=1e10, alpha=1e-6)
     @example(mean=1e12, alpha=1e-6)
     @example(mean=1e15, alpha=0.5)
+    @example(mean=1e16, alpha=1e-12)
     @settings(max_examples=200)
     def test_round_trip_certificate(self, mean, alpha):
         model = PoissonModel(mean)
@@ -122,6 +129,16 @@ class TestPoissonQuantile:
         assert poisson_sf(model, k) <= alpha
         if k > 0:
             assert poisson_sf(model, k - 1) > alpha
+
+    @given(mean=QUANTILE_MEANS, alpha=QUANTILE_ALPHAS)
+    @example(mean=1e10, alpha=1e-6)
+    @example(mean=0.0, alpha=0.9)
+    @example(mean=1e16, alpha=0.9)
+    @settings(max_examples=200)
+    def test_seed_does_not_change_answer(self, mean, alpha):
+        model = PoissonModel(mean)
+        unseeded = smallest_int_where(lambda k: poisson_sf(model, k) <= alpha)
+        assert poisson_upper_quantile(model, alpha) == unseeded
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):

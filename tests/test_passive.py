@@ -1,19 +1,24 @@
 """Contest-size solver tests: golden table values, solver certificates, and
 an extended-precision oracle for the power calculation."""
 
+import math
 from collections import Counter
+from statistics import NormalDist
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmdlimits import kernels, passive
 from bmdlimits.errors import DomainError, Infeasible
+from bmdlimits.kernels import smallest_int_where
 from bmdlimits.passive import (
     PassiveDesign,
     _certified_start,
+    _miss,
     _np_miss,
+    _smallest_fn_ok,
     alarm_threshold,
     min_contest_size,
     passive_power,
@@ -341,3 +346,78 @@ class TestCertifiedStart:
         assert len(cells) == 60
         assert calls["poisson_sf"] <= 4_000
         assert calls["_smallest_fn_ok"] <= 200
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+class TestSizeSearch:
+    """The passive size searches: closed-form seeds change only where the
+    search starts, and no size past 2**53 is ever returned."""
+
+    @staticmethod
+    def at_rate(rate, fp, fn):
+        """A design whose base and attack spoil rates are each rate / 2."""
+        return PassiveDesign(2 * rate, 0.5, rate / 2, fp, fn)
+
+    @given(
+        margin=log_uniform(1e-6, 0.5),
+        d=log_uniform(1e-3, 0.9),
+        b=log_uniform(1e-9, 0.4),
+        fn=log_uniform(1e-6, 0.9),
+        j=st.integers(1, 10**7),
+    )
+    @example(margin=0.03, d=0.07, b=0.005, fn=0.05, j=1)
+    @example(margin=1e-6, d=1e-3, b=1e-9, fn=1e-6, j=10**7)
+    @settings(max_examples=200, deadline=None)
+    def test_fn_search_matches_unseeded_search(self, margin, d, b, fn, j):
+        design = PassiveDesign(margin, d, b, 0.05, fn)
+        unseeded = smallest_int_where(lambda N: _miss(N, design, j) <= fn)
+        if unseeded <= 2**53:
+            assert _smallest_fn_ok(design, j) == unseeded
+        else:
+            with pytest.raises(Infeasible, match=r"more than 2\*\*53 voters needed"):
+                _smallest_fn_ok(design, j)
+
+    @given(scale=st.floats(0.3, 1.5), j=st.integers(1, 50), fn=log_uniform(1e-6, 0.9))
+    @example(scale=0.335, j=1, fn=0.05)  # the seed lands below 2**53, the answer above
+    @settings(max_examples=100, deadline=None)
+    def test_fn_search_never_passes_2_53(self, scale, j, fn):
+        # the answer lies near scale * 2**53 times the answer's mean over j.
+        # At rates this small the computed miss wobbles by an ulp between
+        # neighbouring sizes, so check the certificate, not one crossing.
+        design = self.at_rate(j / (scale * 2**53), 0.05, fn)
+        try:
+            N = _smallest_fn_ok(design, j)
+        except Infeasible as exc:
+            assert "more than 2**53 voters needed" in str(exc)
+            return
+        assert N <= 2**53
+        assert _miss(N, design, j) <= fn
+        assert N == 1 or _miss(N - 1, design, j) > fn
+
+    @given(scale=st.floats(0.3, 3.0), fp=log_uniform(1e-6, 0.3), fn=log_uniform(1e-6, 0.3))
+    @settings(max_examples=50, deadline=None)
+    def test_certified_start_never_passes_2_53(self, scale, fp, fn):
+        # the normal guess (z_fp + z_fn sqrt(2))**2 / a, a = rate / 2, is scale * 2**53
+        z_fp, z_fn = -NormalDist().inv_cdf(fp), -NormalDist().inv_cdf(fn)
+        design = self.at_rate(2 * (z_fp + z_fn * math.sqrt(2)) ** 2 / (scale * 2**53), fp, fn)
+        try:
+            assert _certified_start(design) <= 2**53
+        except Infeasible as exc:
+            assert "more than 2**53 voters needed" in str(exc)
+
+    @pytest.mark.parametrize(
+        "rate,fn,j",
+        [(1e-310, 0.05, 2), (1e-20, 0.05, 2), (1e-315, 0.999, 1)],
+        ids=["infinite-guess", "finite-guess", "negative-infinite-guess"],
+    )
+    def test_fn_search_past_2_53_is_infeasible(self, rate, fn, j):
+        with pytest.raises(Infeasible, match=r"more than 2\*\*53 voters needed"):
+            _smallest_fn_ok(self.at_rate(rate, 0.05, fn), j)
+
+    @pytest.mark.parametrize("rate", [1e-310, 1e-20], ids=["infinite-guess", "finite-guess"])
+    def test_certified_start_past_2_53_is_infeasible(self, rate):
+        with pytest.raises(Infeasible, match=r"more than 2\*\*53 voters needed"):
+            _certified_start(self.at_rate(rate, 0.05, 0.05))
