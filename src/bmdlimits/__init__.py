@@ -3,7 +3,7 @@ ballot-marking devices: exact solvers, minimax lower bounds, and a seeded
 Monte Carlo adversary simulator.
 
 Every name in ``__all__`` is imported from its module on first use (PEP 562),
-so ``import bmdlimits`` loads neither numpy nor scipy.
+so ``import bmdlimits`` loads no numpy.
 """
 
 from importlib import import_module as _import_module

@@ -9,8 +9,7 @@ Exit codes: 0 success; 1 domain or infeasibility errors (and a failing
 reproduction manifest); 2 usage errors.
 
 Each handler imports the library modules it calls, so a call loads only
-what its answer needs: an answer that needs only ``math`` loads neither
-numpy nor scipy.
+what its answer needs: an answer that needs only ``math`` loads no numpy.
 """
 
 from __future__ import annotations

@@ -34,16 +34,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, Literal, Sequence
 
 from .errors import DomainError, Infeasible
 from .kernels import (
     TAIL_ABS_TOL,
     PoissonModel,
-    poisson_sf,
+    poisson_tail,
     poisson_upper_quantile,
     smallest_int_where,
+    upper_normal_point,
 )
 
 Convention = Literal["published", "strict"]
@@ -107,9 +107,8 @@ def passive_power(N: int, design: PassiveDesign, k: int) -> tuple[float, float]:
         raise DomainError(f"alarm threshold must be >= 1, got {k}")
     if N < 1:
         raise DomainError(f"contest size must be >= 1, got {N}")
-    benign = PoissonModel(N * design.base_rate)
-    attacked = PoissonModel(N * (design.base_rate + design.attack_rate))
-    return poisson_sf(benign, k), 1.0 - poisson_sf(attacked, k)
+    attacked = N * (design.base_rate + design.attack_rate)
+    return poisson_tail(N * design.base_rate, k), 1.0 - poisson_tail(attacked, k)
 
 
 def alarm_threshold(N: int, design: PassiveDesign) -> int:
@@ -127,12 +126,12 @@ def _threshold(N: int, design: PassiveDesign, convention: Convention) -> tuple[i
 
 def _miss(N: int, design: PassiveDesign, j: int) -> float:
     """P{X < j} for the spoil count X of an attacked contest of size N."""
-    return 1.0 - poisson_sf(PoissonModel(N * (design.base_rate + design.attack_rate)), j)
+    return 1.0 - poisson_tail(N * (design.base_rate + design.attack_rate), j)
 
 
 def _achieved(N: int, design: PassiveDesign, convention: Convention) -> tuple[int, float, float]:
     k, j = _threshold(N, design, convention)
-    return k, poisson_sf(PoissonModel(N * design.base_rate), k), _miss(N, design, j)
+    return k, poisson_tail(N * design.base_rate, k), _miss(N, design, j)
 
 
 def _np_miss(N: int, design: PassiveDesign) -> tuple[float, float]:
@@ -158,8 +157,8 @@ def _np_miss(N: int, design: PassiveDesign) -> tuple[float, float]:
     # log lam = c log(m1/m0) - (m1 - m0): the factorials cancel
     log_ratio = (k - 1) * math.log1p(gap / m0) if k > 1 else 0.0
     lam = math.exp(min(log_ratio - gap, 700.0))
-    fp = poisson_sf(PoissonModel(m0), k)
-    fn = 1.0 - poisson_sf(PoissonModel(m1), k) - lam * (alpha - fp)
+    fp = poisson_tail(m0, k)
+    fn = 1.0 - poisson_tail(m1, k) - lam * (alpha - fp)
     # Each tail is off by at most TAIL_ABS_TOL: that is (1 + lam) of it here,
     # once more for the strict miss at any smaller size, and the rest covers
     # rounding.  A log lam off by e raises the bound by at most e, and the
@@ -189,8 +188,8 @@ def _certified_start(design: PassiveDesign) -> int:
     at the normal approximation ((z_a sqrt(b) + z_b sqrt(b + a)) / a)**2.
     """
     b, a = design.base_rate, design.attack_rate
-    z_fp = -NormalDist().inv_cdf(design.fp_budget)
-    z_fn = -NormalDist().inv_cdf(design.fn_budget)
+    z_fp = upper_normal_point(design.fp_budget)
+    z_fn = upper_normal_point(design.fn_budget)
     root = (z_fp * math.sqrt(b) + z_fn * math.sqrt(b + a)) / a
 
     def ok(N: int) -> bool:
@@ -208,7 +207,7 @@ def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
     the normal upper fn_budget point, and certifies the answer by exact tails.
     """
     rate = design.base_rate + design.attack_rate
-    z = -NormalDist().inv_cdf(design.fn_budget)
+    z = upper_normal_point(design.fn_budget)
     guess = j * (1.0 - 1.0 / (9 * j) + z / (3.0 * math.sqrt(j))) ** 3 / rate
     return _smallest_size(lambda N: _miss(N, design, j) <= design.fn_budget, guess, rate)
 

@@ -1,6 +1,6 @@
-"""Import footprint: ``import bmdlimits`` and ``import bmdlimits.cli`` load
-neither numpy nor scipy, each subcommand loads only what its answer needs,
-and every exported name still resolves."""
+"""Import footprint: no module of the package imports scipy, ``import
+bmdlimits`` and ``import bmdlimits.cli`` load no numpy, each subcommand loads
+only what its answer needs, and every exported name still resolves."""
 
 import ast
 import json
@@ -19,18 +19,18 @@ from bmdlimits.space import PRESETS
 
 ROOT = pathlib.Path(__file__).parent.parent
 
-#: (numpy, scipy) loaded by each subcommand; ``feasibility`` loads the
-#: passive solver, and with it both, only under ``--margin``.
+#: (numpy, scipy) loaded by each subcommand; the passive solver, which
+#: ``feasibility`` loads only under ``--margin``, runs on the standard library.
 LOADS = {
-    "passive": (True, True),
+    "passive": (False, False),
     "parallel": (False, False),
     "oracle": (False, False),
     "minimax": (True, False),
     "cardinality": (False, False),
     "simulate": (True, False),
     "feasibility": (False, False),
-    "feasibility --margin": (True, True),
-    "repro": (True, True),
+    "feasibility --margin": (False, False),
+    "repro": (True, False),
 }
 
 
@@ -83,14 +83,14 @@ def test_cli_import_loads_no_solver():
 
 
 def test_passive_import_loads_no_scipy():
+    """Nor numpy: the passive solver and its Poisson tail are standard library."""
     loaded = json.loads(run_python("import bmdlimits.passive; " + LOADED).stdout)
     assert "bmdlimits.passive" in loaded
-    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    assert not [m for m in loaded if not m.startswith("bmdlimits")]
 
 
-def test_scipy_is_imported_only_by_the_poisson_tail():
-    """An ``ast`` walk of the package finds one scipy import, inside
-    ``kernels.gammainc``."""
+def test_no_module_imports_scipy():
+    """An ``ast`` walk of the package finds no scipy import, at any depth."""
     found = []
     for path in sorted((ROOT / "src" / "bmdlimits").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -104,7 +104,7 @@ def test_scipy_is_imported_only_by_the_poisson_tail():
                     continue
                 if any(name.split(".")[0] == "scipy" for name in names):
                     found.append((path.name, getattr(scope, "name", None)))
-    assert found == [("kernels.py", "gammainc")]
+    assert found == []
 
 
 @pytest.mark.parametrize("argv", EXAMPLES, ids=[" ".join(a) for a in EXAMPLES])
@@ -147,15 +147,3 @@ def test_unknown_name_is_attribute_error():
 def test_preset_choices_match_presets():
     assert cli.PRESET_NAMES == tuple(sorted(PRESETS))
 
-
-def test_poisson_tail_binds_scipy_once():
-    import dis
-
-    from scipy.special import gammainc
-
-    from bmdlimits import kernels
-
-    kernels.poisson_sf(kernels.PoissonModel(3.0), 2)
-    assert kernels.gammainc is gammainc  # the stand-in has rebound itself
-    ops = {ins.opname for ins in dis.get_instructions(kernels.poisson_sf)}
-    assert "IMPORT_NAME" not in ops

@@ -482,7 +482,7 @@ PINNED = {
         '"std_error": 0.0034220032300174403, "trials": 8315}, '
         '"empirical_fn": {"value": 0.4895971136500301, '
         '"std_error": 0.005482073556760303, "trials": 8315}, '
-        '"analytic": {"fp": 0.11192400101851856, "fn": 0.4800126732377159, '
+        '"analytic": {"fp": 0.11192400101851856, "fn": 0.4800126732377167, '
         '"altered_fraction": 0.016000000000000004}}'
     ),
     "voter_parallel": (
