@@ -20,7 +20,6 @@ _EXPORTS = {
     ),
     "kernels": (
         "PoissonModel",
-        "no_replacement_miss_prob",
         "poisson_sf",
         "poisson_upper_quantile",
     ),

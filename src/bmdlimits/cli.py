@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support-size", type=int, default=DEFAULT_SUPPORT_SIZE)
     p.add_argument("--beta", type=float, help="estimation-failure budget split")
     p.add_argument("--zeta", type=float, help="fixed slack value in (0, 1]")
-    p.add_argument("--zeta-grid", action="store_true", help="maximize over a slack grid")
+    p.add_argument("--zeta-grid", action="store_true", help="maximize over 1,000 log-spaced slack values in [0.01, 1]")
 
     p = sub.add_parser("cardinality", help="transaction-space size")
     g = p.add_mutually_exclusive_group(required=True)

@@ -9,6 +9,7 @@ Searches start from closed-form normal guesses on ``statistics.NormalDist``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import copysign, erfc, exp, log1p, sqrt
@@ -20,6 +21,13 @@ from .errors import DomainError
 TAIL_ABS_TOL = 1e-12
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def check_float_range(**values: int | None) -> None:
+    """``DomainError`` naming the first integer past the float range; ``None`` passes."""
+    for name, value in values.items():
+        if value is not None and value > sys.float_info.max:
+            raise DomainError(f"{name} is too large to convert to a float (above 1.8e308)")
 
 
 @dataclass(frozen=True)
@@ -131,17 +139,13 @@ def poisson_upper_quantile(model: PoissonModel, alpha: float) -> int:
     return smallest_int_where(lambda k: poisson_tail(m, k) <= alpha, guess=guess)
 
 
-def no_replacement_miss_prob(population: int, flawed: int, draws: int) -> float:
-    """Probability a simple random sample of ``draws`` units misses every flawed one.
+def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> float:
+    """Natural log of the probability that a simple random sample of ``draws``
+    units misses every flawed one (``-inf`` when it is zero).
 
-    Equals prod_{i=0}^{draws-1} (population - flawed - i) / (population - i),
+    The probability is prod_{i=0}^{draws-1} (population - flawed - i) / (population - i),
     i.e. C(population - flawed, draws) / C(population, draws).
     """
-    return math.exp(log_no_replacement_miss_prob(population, flawed, draws))
-
-
-def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> float:
-    """Natural log of ``no_replacement_miss_prob`` (``-inf`` when it is zero)."""
     if population < 1:
         raise DomainError(f"population must be >= 1, got {population}")
     if flawed < 0 or flawed > population:

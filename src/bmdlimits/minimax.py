@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError, Infeasible
+from .kernels import check_float_range, smallest_int_where
 from .parallel import epsilon_budget
 from .space import DEFAULT_SUPPORT_SIZE
 
@@ -55,22 +56,13 @@ class FixedZeta:
 
 @dataclass(frozen=True)
 class GridZeta:
-    """Maximize the bound over a log-spaced slack grid (strongest bound)."""
-
-    points: int = 1000
-    low: float = 0.01
-    high: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.points < 1:
-            raise DomainError("grid needs at least one point")
-        if not 0.0 < self.low <= self.high <= 1.0:
-            raise DomainError("grid must lie within (0, 1]")
+    """Maximize the bound over 1,000 log-spaced slack values in [0.01, 1]
+    (strongest bound)."""
 
     def values(self) -> np.ndarray:
         import numpy as np
 
-        return np.exp(np.linspace(math.log(self.low), math.log(self.high), self.points))
+        return np.exp(np.linspace(math.log(0.01), math.log(1.0), 1000))
 
 
 ZetaStrategy = Union[FixedZeta, GridZeta]
@@ -105,6 +97,7 @@ class MinimaxQuery:
             raise DomainError(f"S must be >= 2, got {self.S}")
         if self.T is not None and self.T < 1:
             raise DomainError(f"T must be >= 1 or None, got {self.T}")
+        check_float_range(S=self.S, T=self.T)
         if self.beta is not None:
             if self.T is None:
                 raise DomainError("beta only applies to finite test budgets")
@@ -212,13 +205,18 @@ def detection_threshold(q: MinimaxQuery) -> tuple[float, str, float | None]:
     return value, "2((alpha-beta)^(1/T) + r - 1) + sqrt(beta/(1-beta))", beta
 
 
-def _resolved_bound(q: MinimaxQuery):
-    """``bound(n) -> (value, zeta)``: the largest ``hjw_lower_bound`` over the
-    slack strategy's values, first zeta on ties.
+def _resolved_bound(q: MinimaxQuery, threshold: float):
+    """``(bound, seed)``.  ``bound(n) -> (value, zeta)`` is the largest
+    ``hjw_lower_bound`` over the slack strategy's values, first zeta on ties.
 
     The bound is evaluated over all slack values as arrays, with the scalar
     formula's operation order; the near-maximal points are then rescored by
     ``hjw_lower_bound`` itself, so the answer is the scalar one.
+
+    ``seed``, clamped to [1, 2**53], is the smallest n at which the bound
+    without its ``-exp(-zeta^2 n / 24)`` term falls to ``threshold`` at every
+    slack value.  That term only lowers the bound, so the descending crossing
+    lies at or just below the seed.
     """
     import numpy as np
 
@@ -240,7 +238,18 @@ def _resolved_bound(q: MinimaxQuery):
         best, i = _first_scalar_max(values, lambda i: hjw_lower_bound(n, S, float(zs[i])))
         return best, float(zs[i])
 
-    return bound
+    # the smallest x = (1 + zeta) n / S at which the first term is at most t:
+    # on the sqrt branch for t < 1/2, at its jump x = e/16 for t below
+    # exp(-e/8), on the exp branch above (x = 0 once t >= 1)
+    t = threshold + penalty
+    with np.errstate(over="ignore", divide="ignore"):
+        x = np.select(
+            [t < 0.5, t < math.exp(-math.e / 8.0)],
+            [math.e / (64.0 * t * t), math.e / 16.0],
+            -0.5 * np.log(np.minimum(t, 1.0)),
+        )
+        n = float((x * S / one_plus).max())
+    return bound, max(1, math.ceil(min(n, _MAX_CERTIFIABLE_N)))
 
 
 def min_training_sample(q: MinimaxQuery) -> BoundReport:
@@ -249,62 +258,44 @@ def min_training_sample(q: MinimaxQuery) -> BoundReport:
 
     The bound rises from a vacuous small-n regime to a peak and then decays
     like n^(-1/2); the meaningful minimum sample size is the descending
-    crossing, certified by ``bound(n) <= threshold < bound(n - 1)``.  No n
-    past 2**53 is certified: if the bound at 2**53 is still above the
-    threshold, ``DomainError``.
+    crossing, certified by ``bound(n) <= threshold < bound(n - 1)``.  The
+    search gallops from the bound's closed-form inverse (``_resolved_bound``),
+    a few units from the crossing.  A bound that never exceeds the threshold
+    is vacuous: n = 1 with no bound below.  No n past 2**53 is certified: if
+    the bound at 2**53 is still above the threshold, ``DomainError``.
     """
     threshold, formula, beta_used = detection_threshold(q)
     if threshold <= 0.0:
         raise Infeasible(
             "detection threshold is nonpositive: no training-sample size helps"
         )
-    bound = _resolved_bound(q)
-
-    # initial guess from the dominant sqrt term at the weakest slack
-    guess = max(16, int(math.e * q.S / (128.0 * threshold * threshold)))
-    hi = min(guess, _MAX_CERTIFIABLE_N)
-    while bound(hi)[0] > threshold:
-        if hi == _MAX_CERTIFIABLE_N:
-            raise DomainError("no training size past 2**53 can be certified")
-        hi = min(2 * hi, _MAX_CERTIFIABLE_N)
-    lo = hi // 2
-    while lo >= 1 and bound(lo)[0] <= threshold:
-        lo //= 2
-    if lo < 1:
-        # the bound never exceeds the threshold: vacuous at every n
-        b, z = bound(1)
-        return BoundReport(1, z, threshold, b, None, formula, beta_used)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid)[0] <= threshold:
-            hi = mid
-        else:
-            lo = mid
-    b_at, z_at = bound(hi)
-    b_below, _ = bound(hi - 1)
+    bound, seed = _resolved_bound(q, threshold)
+    try:
+        n = smallest_int_where(
+            lambda n: bound(n)[0] <= threshold, guess=seed, hi_limit=_MAX_CERTIFIABLE_N
+        )
+    except DomainError:
+        raise DomainError("no training size past 2**53 can be certified") from None
+    b_at, z_at = bound(n)
+    if n == 1:
+        return BoundReport(1, z_at, threshold, b_at, None, formula, beta_used)
+    b_below, _ = bound(n - 1)
     if not b_at <= threshold < b_below:
         raise AssertionError("minimality certificate failed")
-    return BoundReport(hi, z_at, threshold, b_at, b_below, formula, beta_used)
+    return BoundReport(n, z_at, threshold, b_at, b_below, formula, beta_used)
 
 
 def table_lower_bounds(
-    confidences: Sequence[float] = (0.99, 0.95),
-    test_limits: Sequence[int | None] = (2000, None),
-    fractions: Sequence[float] = (0.005, 0.01, 0.03, 0.05),
-    S: int = DEFAULT_SUPPORT_SIZE,
-    zeta: ZetaStrategy | None = None,
+    S: int = DEFAULT_SUPPORT_SIZE, zeta: ZetaStrategy | None = None
 ) -> list[dict]:
     """Training-sample lower bounds over the published 16-row grid layout
     (finite budgets first, then unbounded; higher confidence first)."""
-    rows = []
-    for T in test_limits:
-        for conf in confidences:
-            for r in fractions:
-                q = MinimaxQuery(
-                    r=r, alpha=1.0 - conf, T=T, S=S, zeta=zeta or FixedZeta()
-                )
-                rows.append(bound_row(conf, q))
-    return rows
+    from .repro import PUBLISHED_TRAINING_BOUNDS_MILLIONS
+
+    return [
+        bound_row(conf, MinimaxQuery(r=r, alpha=1.0 - conf, T=T, S=S, zeta=zeta or FixedZeta()))
+        for T, conf, r in PUBLISHED_TRAINING_BOUNDS_MILLIONS
+    ]
 
 
 def bound_row(confidence: float, q: MinimaxQuery) -> dict:

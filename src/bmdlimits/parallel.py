@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import DomainError, Infeasible
-from .kernels import log_no_replacement_miss_prob, smallest_int_where
+from .kernels import check_float_range, log_no_replacement_miss_prob, smallest_int_where
 
 Sampling = Literal["with_replacement", "without_replacement"]
 Rounding = Literal["half_up", "floor", "ceil"]
@@ -25,6 +25,7 @@ class OracleBoundQuery:
     def __post_init__(self) -> None:
         if self.population < 1:
             raise DomainError("population must be >= 1")
+        check_float_range(population=self.population)
         if not 0 <= self.flawed <= self.population:
             raise DomainError("flawed must be in [0, population]")
         if not 0.0 < self.confidence < 1.0:
@@ -45,6 +46,7 @@ class BudgetedTestQuery:
             raise DomainError("test budget and capacity must be >= 1")
         if self.tests_per_bmd_per_day > self.bmd_daily_capacity:
             raise DomainError("tests per BMD cannot exceed daily capacity")
+        check_float_range(bmd_daily_capacity=self.bmd_daily_capacity)  # tests <= capacity
         if not 0.0 < self.altered_fraction <= 1.0:
             raise DomainError("altered_fraction must be in (0, 1]")
         if not 0.0 < self.confidence < 1.0:
@@ -70,6 +72,7 @@ def detection_prob_iid(p: float, n: int) -> float:
         raise DomainError(f"p must be in [0, 1], got {p}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+    check_float_range(n=n)
     if p == 0.0 or n == 0:
         return 0.0
     if p == 1.0:

@@ -39,6 +39,10 @@ ZETA_GRID_CSV = (
 )
 
 
+#: a 401-digit integer, past the largest float (~1.8e308)
+HUGE = "9" * 401
+
+
 def invoke(argv):
     out = io.StringIO()
     code = run(argv, out)
@@ -162,6 +166,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["oracle", "--population", HUGE, "--flawed", "15"], "population"),
+            (["parallel", "--tests-per-day", "13", "--capacity", HUGE, "--altered-fraction", "0.005"],
+             "bmd_daily_capacity"),
+            # tests per day cannot exceed the capacity, so the capacity bounds both
+            (["parallel", "--tests-per-day", HUGE, "--capacity", HUGE, "--altered-fraction", "0.005"],
+             "bmd_daily_capacity"),
+            (["parallel", "--p", "0.5", "--tests", HUGE], "n"),
+            (["minimax", "--altered-fraction", "0.01", "--test-limit", HUGE], "T"),
+            (["minimax", "--support-size", HUGE], "S"),
+        ],
+        ids=["oracle-population", "parallel-capacity", "parallel-tests-per-day", "parallel-tests",
+             "minimax-test-limit", "minimax-support-size"],
+    )
+    def test_integer_past_float_range_is_one(self, capsys, argv, field):
+        # once "OverflowError: int too large to convert to float" tracebacks
+        code, out = invoke(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith(f"error: {field} is too large")
 
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -21,7 +21,6 @@ from bmdlimits.kernels import (
     TAIL_ABS_TOL,
     PoissonModel,
     log_no_replacement_miss_prob,
-    no_replacement_miss_prob,
     poisson_sf,
     poisson_tail,
     poisson_upper_quantile,
@@ -295,24 +294,24 @@ def miss_prob_exact(population: int, flawed: int, draws: int) -> Fraction:
 
 class TestNoReplacementMiss:
     def test_nothing_to_find(self):
-        assert no_replacement_miss_prob(100, 0, 30) == 1.0
-        assert no_replacement_miss_prob(100, 5, 0) == 1.0
+        assert math.exp(log_no_replacement_miss_prob(100, 0, 30)) == 1.0
+        assert math.exp(log_no_replacement_miss_prob(100, 5, 0)) == 1.0
 
     def test_cannot_avoid(self):
-        assert no_replacement_miss_prob(10, 2, 9) == 0.0
+        assert math.exp(log_no_replacement_miss_prob(10, 2, 9)) == 0.0
         assert log_no_replacement_miss_prob(10, 2, 9) == -math.inf
 
     def test_hand_case(self):
         # (8*7*6)/(10*9*8)
-        assert no_replacement_miss_prob(10, 2, 3) == pytest.approx(56 / 120, abs=1e-15)
+        assert math.exp(log_no_replacement_miss_prob(10, 2, 3)) == pytest.approx(56 / 120, abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            no_replacement_miss_prob(0, 0, 0)
+            log_no_replacement_miss_prob(0, 0, 0)
         with pytest.raises(DomainError):
-            no_replacement_miss_prob(10, 11, 1)
+            log_no_replacement_miss_prob(10, 11, 1)
         with pytest.raises(DomainError):
-            no_replacement_miss_prob(10, 2, -1)
+            log_no_replacement_miss_prob(10, 2, -1)
 
     @given(
         population=st.integers(min_value=1, max_value=30),
@@ -323,7 +322,7 @@ class TestNoReplacementMiss:
     def test_matches_exact_rationals(self, population, flawed, draws):
         flawed = min(flawed, population)
         draws = min(draws, population)
-        got = no_replacement_miss_prob(population, flawed, draws)
+        got = math.exp(log_no_replacement_miss_prob(population, flawed, draws))
         if draws > population - flawed:
             assert got == 0.0
         else:
@@ -338,17 +337,17 @@ class TestNoReplacementMiss:
     def test_monotone_in_draws_and_flawed(self, population, flawed, draws):
         flawed = min(flawed, population - 1)
         draws = min(draws, population - flawed - 1)
-        base = no_replacement_miss_prob(population, flawed, draws)
-        assert no_replacement_miss_prob(population, flawed, draws + 1) <= base
-        assert no_replacement_miss_prob(population, flawed + 1, draws) <= base
-        assert no_replacement_miss_prob(population + 1, flawed, draws) >= base
+        base = math.exp(log_no_replacement_miss_prob(population, flawed, draws))
+        assert math.exp(log_no_replacement_miss_prob(population, flawed, draws + 1)) <= base
+        assert math.exp(log_no_replacement_miss_prob(population, flawed + 1, draws)) <= base
+        assert math.exp(log_no_replacement_miss_prob(population + 1, flawed, draws)) >= base
 
     def test_published_oracle_boundary(self):
         # exact rational arithmetic pins the 95% crossing between 538 and 539
         assert miss_prob_exact(2980, 15, 538) > Fraction(1, 20)
         assert miss_prob_exact(2980, 15, 539) <= Fraction(1, 20)
-        assert no_replacement_miss_prob(2980, 15, 538) > 0.05
-        assert no_replacement_miss_prob(2980, 15, 539) <= 0.05
+        assert math.exp(log_no_replacement_miss_prob(2980, 15, 538)) > 0.05
+        assert math.exp(log_no_replacement_miss_prob(2980, 15, 539)) <= 0.05
 
 
 class TestSmallestIntWhere:

@@ -8,7 +8,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmdlimits import minimax
@@ -94,12 +94,48 @@ def array_errors():
         yield errors
 
 
-@st.composite
-def slack_grids(draw) -> GridZeta:
-    low = draw(st.floats(min_value=1e-4, max_value=1.0))
-    high = draw(st.one_of(st.just(low), st.just(1.0), st.floats(min_value=low, max_value=1.0)))
-    points = draw(st.one_of(st.just(1), st.just(1000), st.integers(min_value=1, max_value=1500)))
-    return GridZeta(points=points, low=low, high=high)
+def ref_min_training_sample(q: MinimaxQuery) -> BoundReport:
+    """The doubling, halving and bisection search the seeded gallop replaced:
+    double from ``max(16, eS / (128 threshold^2))`` until the bound is at or
+    below the threshold, halve down until it is above, then bisect."""
+    threshold, formula, beta_used = detection_threshold(q)
+    if threshold <= 0.0:
+        raise Infeasible(
+            "detection threshold is nonpositive: no training-sample size helps"
+        )
+    bound = ref_resolved_bound(q)
+    hi = min(max(16, int(math.e * q.S / (128.0 * threshold * threshold))), 2**53)
+    while bound(hi)[0] > threshold:
+        if hi == 2**53:
+            raise DomainError("no training size past 2**53 can be certified")
+        hi = min(2 * hi, 2**53)
+    lo = hi // 2
+    while lo >= 1 and bound(lo)[0] <= threshold:
+        lo //= 2
+    if lo < 1:
+        b, z = bound(1)
+        return BoundReport(1, z, threshold, b, None, formula, beta_used)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid)[0] <= threshold:
+            hi = mid
+        else:
+            lo = mid
+    b_at, z_at = bound(hi)
+    return BoundReport(hi, z_at, threshold, b_at, bound(hi - 1)[0], formula, beta_used)
+
+
+def outcome(solve, q: MinimaxQuery):
+    """The report, or the type and message of the error the solver raises."""
+    try:
+        return solve(q)
+    except (DomainError, Infeasible) as e:
+        return type(e), str(e)
+
+
+slack_strategies = st.one_of(
+    st.just(GridZeta()), st.floats(min_value=1e-4, max_value=1.0).map(FixedZeta)
+)
 
 
 # golden outputs of the default 16-row grid (FixedZeta(1), threshold-maximizing
@@ -226,7 +262,7 @@ class TestSolver:
     def test_grid_zeta_never_weaker(self):
         fixed = min_training_sample(MinimaxQuery(r=0.03, alpha=0.05))
         grid = min_training_sample(
-            MinimaxQuery(r=0.03, alpha=0.05, zeta=GridZeta(points=60))
+            MinimaxQuery(r=0.03, alpha=0.05, zeta=GridZeta())
         )
         assert grid.min_training_n >= fixed.min_training_n
 
@@ -241,6 +277,73 @@ class TestSolver:
             key = (row["test_limit"], row["confidence"], row["altered_fraction"])
             assert row["min_training_n"] == GOLDEN_TABLE[key], key
 
+    @given(
+        S=st.integers(min_value=2, max_value=3 * 10**16),
+        r=st.floats(min_value=1e-4, max_value=0.999),
+        alpha=st.floats(min_value=1e-6, max_value=0.999),
+        T=st.one_of(st.none(), st.integers(min_value=1, max_value=10**6)),
+        zeta=slack_strategies,
+    )
+    @example(S=10**20 // 4, r=0.005, alpha=0.01, T=2000, zeta=FixedZeta())  # past 2**53
+    @example(S=10**20 // 4, r=0.005, alpha=0.01, T=None, zeta=GridZeta())  # past 2**53
+    @example(S=1000, r=0.5, alpha=0.5, T=None, zeta=FixedZeta())  # vacuous
+    @example(S=1000, r=0.3, alpha=0.2, T=10, zeta=GridZeta())  # vacuous
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_search(self, S, r, alpha, T, zeta):
+        q = MinimaxQuery(r=r, alpha=alpha, T=T, S=S, zeta=zeta)
+        got, want = outcome(min_training_sample, q), outcome(ref_min_training_sample, q)
+        if isinstance(want, BoundReport) and want.bound_below is None and got != want:
+            # the reference's halvings stepped over the bound's hump; the
+            # certificate at the gallop's n refutes "vacuous at every n"
+            bound = ref_resolved_bound(q)
+            n = got.min_training_n
+            assert bound(n)[0] <= got.threshold < bound(n - 1)[0]
+        else:
+            assert got == want
+
+    def test_vacuous_and_past_2_53_examples(self):
+        # the reference comparison's explicit examples reach both paths
+        assert min_training_sample(MinimaxQuery(r=0.5, alpha=0.5, S=1000)).bound_below is None
+        assert min_training_sample(
+            MinimaxQuery(r=0.3, alpha=0.2, T=10, S=1000, zeta=GridZeta())
+        ).bound_below is None
+        for T, zeta in ((2000, FixedZeta()), (None, GridZeta())):
+            with pytest.raises(DomainError, match=r"2\*\*53"):
+                min_training_sample(MinimaxQuery(r=0.005, alpha=0.01, T=T, S=10**20 // 4, zeta=zeta))
+
+    def test_hump_the_halvings_miss(self):
+        # the bound is above the threshold on [184, 302] only; the
+        # reference's halvings probe 346 and 173 and call it vacuous
+        S, z = 18_000, 0.7
+        q = MinimaxQuery(r=0.005, alpha=0.06, S=S, zeta=FixedZeta(z))
+        assert ref_min_training_sample(q).bound_below is None
+        report = min_training_sample(q)
+        assert report.min_training_n == 303
+        above = [n for n in range(1, 20_000) if hjw_lower_bound(n, S, z) > report.threshold]
+        assert (above[0], above[-1]) == (184, 302)
+        # without its rising -exp(-z^2 n / 24) term the bound only falls, and
+        # it is already below the threshold at the end of the scan
+        assert hjw_lower_bound(20_000, S, z) + math.exp(-z * z * 20_000 / 24) <= report.threshold
+
+    @pytest.mark.parametrize("zeta", [FixedZeta(), GridZeta()])
+    def test_few_bound_evaluations_per_row(self, zeta, monkeypatch):
+        counts = []
+        resolved = minimax._resolved_bound
+
+        def counting(q, threshold):
+            bound, seed = resolved(q, threshold)
+            counts.append(0)
+
+            def counted(n):
+                counts[-1] += 1
+                return bound(n)
+
+            return counted, seed
+
+        monkeypatch.setattr(minimax, "_resolved_bound", counting)
+        assert len(table_lower_bounds(zeta=zeta)) == len(counts) == 16
+        assert max(counts) <= 6
+
 
 class TestArrayEvaluation:
     """The array paths give the scalar answers bit for bit, and numpy's
@@ -249,13 +352,13 @@ class TestArrayEvaluation:
     @given(
         n=st.integers(min_value=1, max_value=2**53),
         S=st.integers(min_value=2, max_value=10**9),
-        zeta=st.one_of(slack_grids(), st.floats(min_value=1e-4, max_value=1.0).map(FixedZeta)),
+        zeta=slack_strategies,
     )
     @settings(max_examples=150, deadline=None)
     def test_bound_matches_scalar(self, n, S, zeta):
         q = MinimaxQuery(r=0.01, alpha=0.05, S=S, zeta=zeta)
         with array_errors() as errors:
-            assert minimax._resolved_bound(q)(n) == ref_resolved_bound(q)(n)
+            assert minimax._resolved_bound(q, 1.0)[0](n) == ref_resolved_bound(q)(n)
         assert errors and max(errors) <= minimax._RESCORE_WINDOW / 4
 
     @given(
@@ -276,7 +379,7 @@ class TestArrayEvaluation:
             minimax, "hjw_lower_bound", lambda *a: calls.append(a) or scalar(*a)
         )
         q = MinimaxQuery(r=0.03, alpha=0.05, zeta=GridZeta())
-        bound = minimax._resolved_bound(q)
+        bound, _ = minimax._resolved_bound(q, 1.0)
         for n in (10**5, 10**6, 3 * 10**6, 10**8):
             calls.clear()
             assert bound(n) == ref_resolved_bound(q)(n)
@@ -285,13 +388,13 @@ class TestArrayEvaluation:
 
 class TestCertifiableLimit:
     def test_just_below_2_53_certifies(self):
-        # the guess (0.59 * 2**53) is too small and its double passes 2**53;
-        # capped there, the bisection certifies the same n as an uncapped one
-        q = MinimaxQuery(r=0.05, alpha=0.01, S=10**16, zeta=GridZeta(points=50, low=0.5))
+        q = MinimaxQuery(r=0.05, alpha=0.01, S=10**16)
         report = min_training_sample(q)
-        assert report.min_training_n == 7_043_331_237_493_129
-        assert 2**52 < report.min_training_n < 2**53
+        n = report.min_training_n
+        assert n == 5_282_498_428_119_847
+        assert 2**52 < n < 2**53
         assert report.bound_at_n <= report.threshold < report.bound_below
+        assert hjw_oracle(n, q.S, 1.0) <= report.threshold < hjw_oracle(n - 1, q.S, 1.0)
 
     @pytest.mark.parametrize("S", [18 * 10**15, 10**20])
     def test_past_2_53_is_domain_error(self, S):

@@ -128,11 +128,11 @@ class TestOracleMinSamples:
         flawed = min(flawed, population)
         q = OracleBoundQuery(population, flawed, confidence)
         n = oracle_min_samples(q)
-        from bmdlimits.kernels import no_replacement_miss_prob
+        from bmdlimits.kernels import log_no_replacement_miss_prob
 
-        assert no_replacement_miss_prob(population, flawed, n) <= 1 - confidence + 1e-12
+        assert math.exp(log_no_replacement_miss_prob(population, flawed, n)) <= 1 - confidence + 1e-12
         if n > 0:
-            assert no_replacement_miss_prob(population, flawed, n - 1) > 1 - confidence - 1e-12
+            assert math.exp(log_no_replacement_miss_prob(population, flawed, n - 1)) > 1 - confidence - 1e-12
 
 
 class TestElectorateBudget:
