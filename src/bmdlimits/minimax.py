@@ -15,26 +15,41 @@ order-of-magnitude agreement plus exact monotonicity orderings, not equality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from heapq import heappop, heappush
+from typing import Callable, ClassVar, Union
 
 from .errors import DomainError, Infeasible
 from .kernels import check_float_range, smallest_int_where
 from .parallel import epsilon_budget
 from .space import DEFAULT_SUPPORT_SIZE
 
-if TYPE_CHECKING:
-    import numpy as np
-
 #: Largest training size the solver certifies: past it n and n - 1 can share
 #: a float, so ``bound(n) <= threshold < bound(n - 1)`` says nothing about n.
 _MAX_CERTIFIABLE_N = 2**53
 
-#: Relative width of the window below an array's maximum within which every
-#: point is rescored by the scalar formula.  numpy's ``exp`` and ``pow`` sit a
-#: few ulps from ``math``'s, far inside it, so the scalar argmax is always
-#: among the rescored points.
-_RESCORE_WINDOW = 1e-12
+#: Relative margin below the best score within which ``_first_argmax`` still
+#: splits an interval.  Its interval bounds hold up to a few ulps of rounding,
+#: and of ``exp`` or ``pow`` stepping against the grain; the margin covers
+#: both, far inside it.
+_PRUNE_MARGIN = 1e-12
+
+#: exp(-e/8): the bound's first term at x = e/16, the top of its jump
+_JUMP_TOP = math.exp(-math.e / 8.0)
+
+
+def _log_grid(start: float, stop: float, size: int) -> Callable[[int], float]:
+    """Point i of ``exp(np.linspace(start, stop, size))``, computed alone.
+
+    ``np.linspace`` forms ``start + i * step`` and sets its last point to
+    ``stop``, so this has its bits."""
+    step = (stop - start) / (size - 1)
+    last = size - 1
+    return lambda i: math.exp(stop if i == last else start + i * step)
+
+
+_ZETA_GRID = _log_grid(math.log(0.01), math.log(1.0), 1000)
 
 
 @dataclass(frozen=True)
@@ -43,15 +58,17 @@ class FixedZeta:
     hence the most optimistic minimum sample size)."""
 
     value: float = 1.0
+    size: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.value <= 1.0:
             raise DomainError(f"zeta must be in (0, 1], got {self.value}")
 
-    def values(self) -> np.ndarray:
-        import numpy as np
+    def at(self, i: int) -> float:
+        return self.value
 
-        return np.array([self.value], dtype=float)
+    def values(self) -> tuple[float, ...]:
+        return (self.value,)
 
 
 @dataclass(frozen=True)
@@ -59,10 +76,13 @@ class GridZeta:
     """Maximize the bound over 1,000 log-spaced slack values in [0.01, 1]
     (strongest bound)."""
 
-    def values(self) -> np.ndarray:
-        import numpy as np
+    size: ClassVar[int] = 1000
 
-        return np.exp(np.linspace(math.log(0.01), math.log(1.0), 1000))
+    def at(self, i: int) -> float:
+        return _ZETA_GRID(i)
+
+    def values(self) -> tuple[float, ...]:
+        return tuple(map(_ZETA_GRID, range(self.size)))
 
 
 ZetaStrategy = Union[FixedZeta, GridZeta]
@@ -132,16 +152,29 @@ def hjw_lower_bound(n: int, S: int, zeta: float) -> float:
         raise DomainError(f"zeta must be in (0, 1], got {zeta}")
     if n < 1 or S < 1:
         raise DomainError("n and S must be >= 1")
+    first, decay = _hjw_terms(n, S, zeta)
+    return first - decay - _support_penalty(S, zeta)
+
+
+def _hjw_terms(n: int, S: int, zeta: float) -> tuple[float, float]:
+    """(first, decay), the terms of ``hjw_lower_bound`` that depend on n: the
+    bound is first - decay - ``_support_penalty(S, zeta)``.
+
+    Along rising zeta the first term does not rise (both branches fall in
+    x = (1+zeta) n / S, and the jump at x = e/16 falls from exp(-e/8) to 1/2),
+    and neither do the decay and the penalty."""
     x = (1.0 + zeta) * n / S
     if x > math.e / 16.0:
         first = 0.125 * math.sqrt(math.e * S / ((1.0 + zeta) * n))
     else:
         first = math.exp(-2.0 * x)
+    return first, math.exp(-zeta * zeta * n / 24.0)
+
+
+def _support_penalty(S: int, zeta: float) -> float:
+    """12 exp(-zeta^2 S / (32 (ln S)^2)), and 0 at S = 1."""
     log_s = math.log(S)
-    support_penalty = 0.0 if log_s == 0.0 else 12.0 * math.exp(
-        -zeta * zeta * S / (32.0 * log_s * log_s)
-    )
-    return first - math.exp(-zeta * zeta * n / 24.0) - support_penalty
+    return 0.0 if log_s == 0.0 else 12.0 * math.exp(-zeta * zeta * S / (32.0 * log_s * log_s))
 
 
 def cantelli_lambda(beta: float) -> float:
@@ -151,20 +184,43 @@ def cantelli_lambda(beta: float) -> float:
     return math.sqrt(beta / (1.0 - beta))
 
 
-def _first_scalar_max(values: np.ndarray, score) -> tuple[float, int]:
-    """(score, index) of the first index maximizing the scalar ``score(i)``.
+def _first_argmax(size: int, terms, bound) -> tuple[float, int]:
+    """(score, index) of the first maximum score over ``range(size)``,
+    scoring few of the points.
 
-    ``values`` is ``score`` evaluated over all indices as one array
-    expression; only indices within ``_RESCORE_WINDOW`` of its maximum are
-    rescored, in index order, so ties go to the first index as with
-    ``np.argmax`` over the scalar scores.
+    ``terms(k) -> (score, a, b)``, where ``bound(a_i, b_j)`` is at least every
+    score in [i, j]: ``a`` carries the part of the score that only falls along
+    the grid and ``b`` the rest.  A best-first branch and bound splits the
+    index interval with the highest bound at its midpoint, scores that point
+    and stops once every bound is more than ``_PRUNE_MARGIN`` (relative) below
+    the best score.  A point that ties the best is never pruned, so ties go to
+    the first index.
     """
-    top = float(values.max())
-    best, at = -math.inf, -1
-    for i in (values >= top - _RESCORE_WINDOW * max(1.0, abs(top))).nonzero()[0]:
-        v = score(int(i))
+    falls, rest = [0.0] * size, [0.0] * size
+    last = size - 1
+    best, falls[0], rest[0] = terms(0)
+    at = 0
+    heap = []
+    if last > 0:
+        v, falls[last], rest[last] = terms(last)
         if v > best:
-            best, at = v, int(i)
+            best, at = v, last
+        if last > 1:
+            heap.append((-bound(falls[0], rest[last]), 0, last))
+    floor = best - _PRUNE_MARGIN * max(1.0, abs(best))
+    while heap:
+        neg_bound, i, j = heappop(heap)
+        if -neg_bound < floor:
+            break
+        k = (i + j) // 2
+        v, falls[k], rest[k] = terms(k)
+        if v > best or (v == best and k < at):
+            best, at = v, k
+            floor = best - _PRUNE_MARGIN * max(1.0, abs(best))
+        if k - i > 1 and (up := bound(falls[i], rest[k])) >= floor:
+            heappush(heap, (-up, i, k))
+        if j - k > 1 and (up := bound(falls[k], rest[j])) >= floor:
+            heappush(heap, (-up, k, j))
     return best, at
 
 
@@ -172,20 +228,19 @@ def _optimal_beta(alpha: float, r: float, T: int) -> float:
     """Failure-budget split beta maximizing the detection threshold.
 
     The threshold 2((alpha-beta)^(1/T) + r - 1) + sqrt(beta/(1-beta)) is flat
-    in beta except extremely close to alpha, so a log-spaced scan of the gap
-    u = alpha - beta is accurate and deterministic.
+    in beta except extremely close to alpha, so a scan of 4,001 log-spaced
+    gaps u = alpha - beta is accurate and deterministic.  Along rising u the
+    first term does not fall and the second does not rise, so
+    ``_first_argmax`` finds the first best gap from ~100 of them.
     """
-    import numpy as np
+    gap = _log_grid(math.log(alpha * 1e-12), math.log(alpha * (1.0 - 1e-9)), 4001)
 
-    gaps = np.exp(np.linspace(math.log(alpha * 1e-12), math.log(alpha * (1.0 - 1e-9)), 4001))
-    betas = alpha - gaps
-    values = 2.0 * ((alpha - betas) ** (1.0 / T) + r - 1.0) + np.sqrt(betas / (1.0 - betas))
+    def terms(k: int) -> tuple[float, float, float]:
+        beta = alpha - gap(k)
+        lam, eps = cantelli_lambda(beta), epsilon_budget(alpha, beta, r, T)
+        return eps + lam, lam, eps
 
-    def score(i: int) -> float:
-        beta = float(betas[i])
-        return epsilon_budget(alpha, beta, r, T) + cantelli_lambda(beta)
-
-    return float(betas[_first_scalar_max(values, score)[1]])
+    return alpha - gap(_first_argmax(4001, terms, operator.add)[1])
 
 
 def detection_threshold(q: MinimaxQuery) -> tuple[float, str, float | None]:
@@ -209,46 +264,53 @@ def _resolved_bound(q: MinimaxQuery, threshold: float):
     """``(bound, seed)``.  ``bound(n) -> (value, zeta)`` is the largest
     ``hjw_lower_bound`` over the slack strategy's values, first zeta on ties.
 
-    The bound is evaluated over all slack values as arrays, with the scalar
-    formula's operation order; the near-maximal points are then rescored by
-    ``hjw_lower_bound`` itself, so the answer is the scalar one.
+    ``_first_argmax`` finds it, scoring each point in ``hjw_lower_bound``'s
+    own operation order.  Along the grid the first term does not rise and
+    decay + penalty does not rise, so first_i - (decay_j + penalty_j) bounds
+    the score on [i, j].  Each slack value and its penalty, which do not
+    depend on n, are computed once per query.
 
     ``seed``, clamped to [1, 2**53], is the smallest n at which the bound
     without its ``-exp(-zeta^2 n / 24)`` term falls to ``threshold`` at every
     slack value.  That term only lowers the bound, so the descending crossing
     lies at or just below the seed.
     """
-    import numpy as np
+    S, zeta = q.S, q.zeta
+    slack: list[tuple[float, float] | None] = [None] * zeta.size
 
-    S = q.S
-    zs = q.zeta.values()
-    neg_z2 = -zs * zs
-    one_plus = 1.0 + zs
-    log_s = math.log(S)  # > 0: a query has S >= 2
-    penalty = 12.0 * np.exp(neg_z2 * S / (32.0 * log_s * log_s))
+    def slack_at(k: int) -> tuple[float, float]:
+        got = slack[k]
+        if got is None:
+            z = zeta.at(k)
+            got = slack[k] = (z, _support_penalty(S, z))
+        return got
 
     def bound(n: int) -> tuple[float, float]:
-        x = one_plus * n / S
-        first = np.where(
-            x > math.e / 16.0,
-            0.125 * np.sqrt(math.e * S / (one_plus * n)),
-            np.exp(-2.0 * x),
-        )
-        values = first - np.exp(neg_z2 * n / 24.0) - penalty
-        best, i = _first_scalar_max(values, lambda i: hjw_lower_bound(n, S, float(zs[i])))
-        return best, float(zs[i])
+        def terms(k: int) -> tuple[float, float, float]:
+            z, penalty = slack_at(k)
+            first, decay = _hjw_terms(n, S, z)
+            return first - decay - penalty, first, decay + penalty
 
-    # the smallest x = (1 + zeta) n / S at which the first term is at most t:
-    # on the sqrt branch for t < 1/2, at its jump x = e/16 for t below
-    # exp(-e/8), on the exp branch above (x = 0 once t >= 1)
-    t = threshold + penalty
-    with np.errstate(over="ignore", divide="ignore"):
-        x = np.select(
-            [t < 0.5, t < math.exp(-math.e / 8.0)],
-            [math.e / (64.0 * t * t), math.e / 16.0],
-            -0.5 * np.log(np.minimum(t, 1.0)),
-        )
-        n = float((x * S / one_plus).max())
+        best, k = _first_argmax(zeta.size, terms, operator.sub)
+        return best, zeta.at(k)
+
+    # the smallest x = (1 + zeta) n / S at which the first term is at most
+    # t = threshold + penalty: on the sqrt branch for t < 1/2, at its jump
+    # x = e/16 for t below exp(-e/8), on the exp branch above (x = 0 once
+    # t >= 1).  x does not fall in zeta (the penalty falls) and S / (1 + zeta)
+    # falls, so the seed's maximum over zeta has the same split.
+    def seed_terms(k: int) -> tuple[float, float, float]:
+        z, penalty = slack_at(k)
+        t = threshold + penalty
+        if t < 0.5:
+            x = math.e / 64.0 / t / t
+        elif t < _JUMP_TOP:
+            x = math.e / 16.0
+        else:
+            x = -0.5 * math.log(min(t, 1.0))
+        return x * S / (1.0 + z), S / (1.0 + z), x
+
+    n, _ = _first_argmax(zeta.size, seed_terms, operator.mul)
     return bound, max(1, math.ceil(min(n, _MAX_CERTIFIABLE_N)))
 
 

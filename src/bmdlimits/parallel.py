@@ -4,6 +4,7 @@ logic-and-accuracy and parallel (live) testing."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -156,7 +157,9 @@ def min_electorate_for_budget(
     count is re-rounded at each size), so the scan is linear.
     """
     log_alpha = math.log1p(-q.confidence)
-    for bmds in range(1, 1_000_000):
+    # past this many machines the electorate leaves the float range
+    most = int(sys.float_info.max) // q.bmd_daily_capacity
+    for bmds in range(1, min(most + 1, 1_000_000)):
         voters = bmds * q.bmd_daily_capacity
         tests = bmds * q.tests_per_bmd_per_day
         altered = _round_altered(q.altered_fraction, voters, rounding)
@@ -175,6 +178,10 @@ def min_electorate_for_budget(
                 sampling=sampling,
                 rounding=rounding,
             )
+    if most < 999_999:
+        raise DomainError(
+            f"voters is too large to convert to a float (above 1.8e308) at {most + 1} machines"
+        )
     raise Infeasible("no machine count below 1e6 reaches the target confidence")
 
 

@@ -40,6 +40,7 @@ from .errors import DomainError, Infeasible
 from .kernels import (
     TAIL_ABS_TOL,
     PoissonModel,
+    _upper_quantile_and_tail,
     poisson_tail,
     poisson_upper_quantile,
     smallest_int_where,
@@ -152,12 +153,11 @@ def _np_miss(N: int, design: PassiveDesign) -> tuple[float, float]:
     alpha = design.fp_budget
     m0 = N * design.base_rate
     m1 = N * (design.base_rate + design.attack_rate)
-    k = alarm_threshold(N, design)
+    k, fp = _upper_quantile_and_tail(PoissonModel(m0), alpha)
     gap = m1 - m0
     # log lam = c log(m1/m0) - (m1 - m0): the factorials cancel
     log_ratio = (k - 1) * math.log1p(gap / m0) if k > 1 else 0.0
     lam = math.exp(min(log_ratio - gap, 700.0))
-    fp = poisson_tail(m0, k)
     fn = 1.0 - poisson_tail(m1, k) - lam * (alpha - fp)
     # Each tail is off by at most TAIL_ABS_TOL: that is (1 + lam) of it here,
     # once more for the strict miss at any smaller size, and the rest covers

@@ -179,9 +179,12 @@ class TestExitCodes:
             (["parallel", "--p", "0.5", "--tests", HUGE], "n"),
             (["minimax", "--altered-fraction", "0.01", "--test-limit", HUGE], "T"),
             (["minimax", "--support-size", HUGE], "S"),
+            # in range, but two machines' electorate is not
+            (["parallel", "--tests-per-day", "13", "--capacity", str(10**308), "--altered-fraction", "0.005"],
+             "voters"),
         ],
         ids=["oracle-population", "parallel-capacity", "parallel-tests-per-day", "parallel-tests",
-             "minimax-test-limit", "minimax-support-size"],
+             "minimax-test-limit", "minimax-support-size", "parallel-electorate"],
     )
     def test_integer_past_float_range_is_one(self, capsys, argv, field):
         # once "OverflowError: int too large to convert to float" tracebacks
@@ -536,6 +539,14 @@ class TestAgreementWithLibrary:
         code, text = invoke(["--format", "csv", "minimax", "--zeta-grid"])
         assert code == 0
         assert text == ZETA_GRID_CSV
+
+    def test_minimax_zeta_grid_bits(self):
+        # math.exp of np.linspace's exponents; numpy's AVX-512 exp gave ...875
+        code, text = invoke(["--format", "json-lines", "minimax", "--zeta-grid"])
+        assert code == 0
+        row = json.loads(text.splitlines()[6])
+        assert (row["test_limit"], row["confidence"], row["altered_fraction"]) == (2000, 0.95, 0.03)
+        assert (row["min_training_n"], row["zeta"]) == (2_964_448, 0.11144152514667877)
 
     def test_simulate_scenario(self, scenario_dir):
         code, text = invoke(

@@ -1,6 +1,7 @@
-"""Import footprint: no module of the package imports scipy, ``import
-bmdlimits`` and ``import bmdlimits.cli`` load no numpy, each subcommand loads
-only what its answer needs, and every exported name still resolves."""
+"""Import footprint: no module of the package imports scipy, ``minimax``
+imports no numpy, ``import bmdlimits`` and ``import bmdlimits.cli`` load no
+numpy, each subcommand loads only what its answer needs, and every exported
+name still resolves."""
 
 import ast
 import json
@@ -19,18 +20,17 @@ from bmdlimits.space import PRESETS
 
 ROOT = pathlib.Path(__file__).parent.parent
 
-#: (numpy, scipy) loaded by each subcommand; the passive solver, which
-#: ``feasibility`` loads only under ``--margin``, runs on the standard library.
+#: (numpy, scipy) loaded by each subcommand; only the simulator needs numpy.
 LOADS = {
     "passive": (False, False),
     "parallel": (False, False),
     "oracle": (False, False),
-    "minimax": (True, False),
+    "minimax": (False, False),
     "cardinality": (False, False),
     "simulate": (True, False),
     "feasibility": (False, False),
     "feasibility --margin": (False, False),
-    "repro": (True, False),
+    "repro": (False, False),
 }
 
 
@@ -89,10 +89,11 @@ def test_passive_import_loads_no_scipy():
     assert not [m for m in loaded if not m.startswith("bmdlimits")]
 
 
-def test_no_module_imports_scipy():
-    """An ``ast`` walk of the package finds no scipy import, at any depth."""
+def importers(package: str, paths) -> list[tuple[str, str | None]]:
+    """(file, enclosing scope) of every import of ``package`` in ``paths``,
+    found by an ``ast`` walk at any depth."""
     found = []
-    for path in sorted((ROOT / "src" / "bmdlimits").glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for scope in ast.walk(tree):
             for node in ast.iter_child_nodes(scope):
@@ -102,9 +103,17 @@ def test_no_module_imports_scipy():
                     names = [node.module or ""]
                 else:
                     continue
-                if any(name.split(".")[0] == "scipy" for name in names):
+                if any(name.split(".")[0] == package for name in names):
                     found.append((path.name, getattr(scope, "name", None)))
-    assert found == []
+    return found
+
+
+def test_no_module_imports_scipy():
+    assert importers("scipy", sorted((ROOT / "src" / "bmdlimits").glob("*.py"))) == []
+
+
+def test_minimax_imports_no_numpy():
+    assert importers("numpy", [ROOT / "src" / "bmdlimits" / "minimax.py"]) == []
 
 
 @pytest.mark.parametrize("argv", EXAMPLES, ids=[" ".join(a) for a in EXAMPLES])

@@ -1,9 +1,8 @@
 """Training-sample lower bounds: extended-precision oracle for the four-term
 bound, threshold arithmetic, solver certificates, and a frozen golden table."""
 
-import contextlib
 import math
-from unittest import mock
+import operator
 
 import mpmath
 import numpy as np
@@ -44,54 +43,40 @@ def hjw_oracle(n: int, S: int, zeta: float) -> float:
     return float(first - mpmath.e ** (-z * z * nn / 24) - penalty)
 
 
+def stdlib_log_grid(start: float, stop: float, size: int) -> list[float]:
+    """``math.exp`` of ``np.linspace``'s points: the grid's bits on any CPU,
+    which numpy's SIMD ``exp`` need not give."""
+    return [math.exp(float(u)) for u in np.linspace(start, stop, size)]
+
+
+ZETA_GRID = stdlib_log_grid(math.log(0.01), math.log(1.0), 1000)
+
+
 def ref_resolved_bound(q: MinimaxQuery):
     """The scalar slack search: one ``hjw_lower_bound`` call per slack value,
     first maximum by ``np.argmax``."""
-    if isinstance(q.zeta, FixedZeta):
-        z = q.zeta.value
+    zs = [q.zeta.value] if isinstance(q.zeta, FixedZeta) else ZETA_GRID
 
-        def bound(n: int) -> tuple[float, float]:
-            return hjw_lower_bound(n, q.S, z), z
-
-    else:
-        zs = q.zeta.values()
-
-        def bound(n: int) -> tuple[float, float]:
-            vals = [hjw_lower_bound(n, q.S, float(z)) for z in zs]
-            i = int(np.argmax(vals))
-            return vals[i], float(zs[i])
+    def bound(n: int) -> tuple[float, float]:
+        vals = [hjw_lower_bound(n, q.S, z) for z in zs]
+        i = int(np.argmax(vals))
+        return vals[i], zs[i]
 
     return bound
 
 
 def ref_optimal_beta(alpha: float, r: float, T: int) -> float:
     """The scalar beta scan: 4,001 log-spaced gaps, first maximum wins."""
-    gaps = np.exp(np.linspace(math.log(alpha * 1e-12), math.log(alpha * (1.0 - 1e-9)), 4001))
+    gaps = stdlib_log_grid(math.log(alpha * 1e-12), math.log(alpha * (1.0 - 1e-9)), 4001)
     best_beta = alpha / 2.0
     best = -math.inf
     for u in gaps:
-        beta = alpha - float(u)
+        beta = alpha - u
         value = epsilon_budget(alpha, beta, r, T) + cantelli_lambda(beta)
         if value > best:
             best = value
             best_beta = beta
     return best_beta
-
-
-@contextlib.contextmanager
-def array_errors():
-    """Yields a list that gets the relative distance of every array evaluation
-    the solver rescores from its scalar scores, one per ``_first_scalar_max``."""
-    errors = []
-    first_max = minimax._first_scalar_max
-
-    def spy(values, score):
-        exact = np.array([score(i) for i in range(len(values))])
-        errors.append(float(np.abs(values - exact).max()) / max(1.0, abs(exact.max())))
-        return first_max(values, score)
-
-    with mock.patch.object(minimax, "_first_scalar_max", spy):
-        yield errors
 
 
 def ref_min_training_sample(q: MinimaxQuery) -> BoundReport:
@@ -345,9 +330,9 @@ class TestSolver:
         assert max(counts) <= 6
 
 
-class TestArrayEvaluation:
-    """The array paths give the scalar answers bit for bit, and numpy's
-    values sit well inside the window that decides what gets rescored."""
+class TestGridArgmax:
+    """The branch-and-bound argmax gives the full scan's value and first index
+    over both grids, and scores a small share of their points."""
 
     @given(
         n=st.integers(min_value=1, max_value=2**53),
@@ -355,11 +340,9 @@ class TestArrayEvaluation:
         zeta=slack_strategies,
     )
     @settings(max_examples=150, deadline=None)
-    def test_bound_matches_scalar(self, n, S, zeta):
+    def test_bound_matches_full_scan(self, n, S, zeta):
         q = MinimaxQuery(r=0.01, alpha=0.05, S=S, zeta=zeta)
-        with array_errors() as errors:
-            assert minimax._resolved_bound(q, 1.0)[0](n) == ref_resolved_bound(q)(n)
-        assert errors and max(errors) <= minimax._RESCORE_WINDOW / 4
+        assert minimax._resolved_bound(q, 1.0)[0](n) == ref_resolved_bound(q)(n)
 
     @given(
         alpha=st.floats(min_value=1e-8, max_value=0.999),
@@ -367,23 +350,56 @@ class TestArrayEvaluation:
         T=st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=10**12)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_beta_matches_scalar(self, alpha, r, T):
-        with array_errors() as errors:
-            assert minimax._optimal_beta(alpha, r, T) == ref_optimal_beta(alpha, r, T)
-        assert errors and max(errors) <= minimax._RESCORE_WINDOW / 4
+    def test_beta_matches_full_scan(self, alpha, r, T):
+        assert minimax._optimal_beta(alpha, r, T) == ref_optimal_beta(alpha, r, T)
 
-    def test_default_grid_rescores_one_point_per_evaluation(self, monkeypatch):
-        calls = []
-        scalar = minimax.hjw_lower_bound
-        monkeypatch.setattr(
-            minimax, "hjw_lower_bound", lambda *a: calls.append(a) or scalar(*a)
-        )
+    @given(
+        falls=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=80),
+        rises=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_first_index_wins_ties(self, falls, rises):
+        # few distinct values, so most maxima are ties
+        a = sorted(falls, reverse=True)
+        b = sorted(rises.draw(st.lists(st.integers(0, 4), min_size=len(a), max_size=len(a))))
+        scores = [x + y for x, y in zip(a, b)]
+        got = minimax._first_argmax(len(a), lambda k: (float(scores[k]), a[k], b[k]), operator.add)
+        assert got == (max(scores), scores.index(max(scores)))
+
+    def test_flat_grid_gives_first_index(self):
+        assert minimax._first_argmax(4001, lambda k: (0.75, 0.5, 0.25), operator.add) == (0.75, 0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_grid_points_are_linspace_bits(self, alpha):
+        assert list(GridZeta().values()) == ZETA_GRID
+        start, stop = math.log(alpha * 1e-12), math.log(alpha * (1.0 - 1e-9))
+        gap = minimax._log_grid(start, stop, 4001)
+        assert [gap(i) for i in range(4001)] == stdlib_log_grid(start, stop, 4001)
+
+    def test_default_grids_score_few_points(self, monkeypatch):
+        sizes = []
+        first_argmax = minimax._first_argmax
+
+        def counting(size, terms, combine):
+            sizes.append([size, 0])
+
+            def counted(k):
+                sizes[-1][1] += 1
+                return terms(k)
+
+            return first_argmax(size, counted, combine)
+
+        monkeypatch.setattr(minimax, "_first_argmax", counting)
         q = MinimaxQuery(r=0.03, alpha=0.05, zeta=GridZeta())
-        bound, _ = minimax._resolved_bound(q, 1.0)
+        bound, _ = minimax._resolved_bound(q, detection_threshold(q)[0])
         for n in (10**5, 10**6, 3 * 10**6, 10**8):
-            calls.clear()
             assert bound(n) == ref_resolved_bound(q)(n)
-            assert len(calls) == 1
+        minimax._optimal_beta(0.05, 0.03, 2000)
+        minimax._optimal_beta(0.01, 0.005, 2000)
+        zeta_counts = [c for size, c in sizes if size == 1000]
+        beta_counts = [c for size, c in sizes if size == 4001]
+        assert len(zeta_counts) == 5 and max(zeta_counts) <= 64
+        assert len(beta_counts) == 2 and max(beta_counts) <= 200
 
 
 class TestCertifiableLimit:
