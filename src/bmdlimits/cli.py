@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from typing import Sequence
 
 from .errors import DomainError
@@ -88,11 +89,7 @@ def _cmd_passive(args) -> list[dict]:
                 "margin": margins[0],
                 "detect_rate": detect_rates[0],
                 "base_rate": base_rates[0],
-                "contest_size": sol.contest_size,
-                "alarm_threshold": sol.alarm_threshold,
-                "achieved_fp": sol.achieved_fp,
-                "achieved_fn": sol.achieved_fn,
-                "convention": sol.convention,
+                **asdict(sol),
             }
         ]
     if args.fp != args.fn:
@@ -114,8 +111,7 @@ def _cmd_parallel(args) -> list[dict]:
         q = BudgetedTestQuery(
             args.tests_per_day, args.capacity, args.altered_fraction, args.confidence
         )
-        res = min_electorate_for_budget(q, args.sampling, args.rounding)
-        return [res.__dict__.copy()]
+        return [asdict(min_electorate_for_budget(q, args.sampling, args.rounding))]
     if args.p is None:
         raise DomainError("need either --p or --tests-per-day")
     if args.tests is not None:
@@ -141,15 +137,7 @@ def _cmd_oracle(args) -> list[dict]:
     from .parallel import OracleBoundQuery, oracle_min_samples
 
     q = OracleBoundQuery(args.population, args.flawed, args.confidence)
-    n = oracle_min_samples(q)
-    return [
-        {
-            "population": args.population,
-            "flawed": args.flawed,
-            "confidence": args.confidence,
-            "min_samples": n,
-        }
-    ]
+    return [{**asdict(q), "min_samples": oracle_min_samples(q)}]
 
 
 def _zeta_strategy(args):
@@ -164,7 +152,6 @@ def _zeta_strategy(args):
 
 def _cmd_minimax(args) -> list[dict]:
     from .minimax import MinimaxQuery, bound_row, table_lower_bounds
-    from .repro import PUBLISHED_TRAINING_BOUNDS_MILLIONS
 
     if args.altered_fraction is not None:
         T = None if args.test_limit in (None, 0) else args.test_limit
@@ -177,15 +164,7 @@ def _cmd_minimax(args) -> list[dict]:
             zeta=_zeta_strategy(args),
         )
         return [bound_row(args.confidence, q)]
-    rows = table_lower_bounds(S=args.support_size, zeta=_zeta_strategy(args))
-    for row in rows:
-        key = (row["test_limit"], row["confidence"], row["altered_fraction"])
-        published = PUBLISHED_TRAINING_BOUNDS_MILLIONS.get(key)
-        row["published_millions"] = published
-        row["ratio_to_published"] = (
-            row["bound_millions"] / published if published else None
-        )
-    return rows
+    return table_lower_bounds(S=args.support_size, zeta=_zeta_strategy(args))
 
 
 def _cmd_cardinality(args) -> list[dict]:
@@ -205,54 +184,32 @@ def _cmd_simulate(args) -> list[dict]:
 
     kind, scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = type(scenario)(
-            **{**scenario.__dict__, "seed": args.seed}
-        )
+        scenario = replace(scenario, seed=args.seed)
     run = run_passive_sim if kind == "passive" else run_parallel_sim
     report = run(scenario, workers=args.workers)
     return [report.to_dict()]
 
 
 def _cmd_feasibility(args) -> list[dict]:
-    from .feasibility import load_turnout, summarize
+    from .feasibility import load_turnout, passive_feasibility_join, summarize
 
     records = load_turnout(args.data)
     thresholds = args.threshold or [43_000]
     summary = summarize(records, thresholds)
-    rows = [
-        {
-            "metric": "jurisdictions",
-            "value": summary.count,
-        },
-        {"metric": "median_turnout", "value": summary.median_turnout},
-    ]
-    for t, frac in summary.fraction_below.items():
-        rows.append({"metric": f"fraction_below_{t}", "value": frac})
-    rows.append(
-        {
-            "metric": f"states_where_majority_below_{thresholds[0]}",
-            "value": summary.states_where_majority_below,
-        }
-    )
+    metrics = {
+        "jurisdictions": summary.count,
+        "median_turnout": summary.median_turnout,
+        **{f"fraction_below_{t}": frac for t, frac in summary.fraction_below.items()},
+        f"states_where_majority_below_{thresholds[0]}": summary.states_where_majority_below,
+    }
     if args.margin is not None:
-        from .feasibility import passive_feasibility_join
         from .passive import PassiveDesign
 
         design = PassiveDesign(
             args.margin, args.detect_rate, args.base_rate, args.fp, args.fn
         )
-        join = passive_feasibility_join(records, design)
-        rows.append(
-            {"metric": "required_contest_size", "value": join.required_contest_size}
-        )
-        rows.append({"metric": "fraction_infeasible", "value": join.fraction_infeasible})
-        rows.append(
-            {
-                "metric": "states_where_majority_infeasible",
-                "value": join.states_where_majority_infeasible,
-            }
-        )
-    return rows
+        metrics.update(asdict(passive_feasibility_join(records, design)))
+    return [{"metric": k, "value": v} for k, v in metrics.items()]
 
 
 def _cmd_repro(args) -> tuple[list[dict], int]:

@@ -2,8 +2,8 @@
 
 Passive monitoring needs a minimum contest size; most jurisdictions are small.
 This module loads turnout records (CSV, schema ``state,jurisdiction,turnout``),
-summarizes the size distribution, and joins it against a monitoring design to
-flag where the required contest size exceeds the available electorate.
+summarizes the size distribution, and joins it against a monitoring design:
+the summary at the design's required contest size.
 
 Real turnout data is not bundled; synthetic fixtures with a documented
 construction live under scripts/.  Jurisdiction counts are a property of the
@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import DomainError, ParseError
 
@@ -118,17 +118,6 @@ def lower_median(values: Sequence[int]) -> int:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def _state_fractions(flags: Iterable[tuple[str, bool]]) -> tuple[dict[str, float], int]:
-    """Per state, in state order, the fraction of its ``(state, flag)`` pairs
-    whose flag is set; and the number of states where that is a strict
-    majority."""
-    by_state: dict[str, list[bool]] = {}
-    for state, flag in flags:
-        by_state.setdefault(state, []).append(flag)
-    per_state = {s: sum(fs) / len(fs) for s, fs in sorted(by_state.items())}
-    return per_state, sum(frac > 0.5 for frac in per_state.values())
-
-
 def summarize(
     records: Sequence[JurisdictionRecord], thresholds: Sequence[int]
 ) -> FeasibilitySummary:
@@ -144,54 +133,37 @@ def summarize(
     fraction_below = {
         t: sum(v < t for v in turnouts) / len(turnouts) for t in thresholds
     }
-    per_state, majority = _state_fractions((r.state, r.turnout < thresholds[0]) for r in records)
+    by_state: dict[str, list[bool]] = {}
+    for r in records:
+        by_state.setdefault(r.state, []).append(r.turnout < thresholds[0])
+    per_state = {s: sum(fs) / len(fs) for s, fs in sorted(by_state.items())}
     return FeasibilitySummary(
         count=len(records),
         median_turnout=lower_median(turnouts),
         fraction_below=fraction_below,
         per_state_fraction_below=per_state,
-        states_where_majority_below=majority,
+        states_where_majority_below=sum(frac > 0.5 for frac in per_state.values()),
     )
-
-
-@dataclass(frozen=True)
-class JoinRow:
-    state: str
-    jurisdiction: str
-    turnout: int
-    required: int
-    feasible: bool  # turnout >= required counts as feasible
 
 
 @dataclass(frozen=True)
 class JoinResult:
     required_contest_size: int
-    rows: tuple[JoinRow, ...]
     fraction_infeasible: float
-    per_state_fraction_infeasible: Mapping[str, float]
     states_where_majority_infeasible: int
 
 
 def passive_feasibility_join(
     records: Sequence[JurisdictionRecord], design: PassiveDesign
 ) -> JoinResult:
-    """Flag each jurisdiction by whether its turnout covers the minimum contest
-    size of the design; a turnout exactly equal to the requirement is feasible."""
+    """The share of jurisdictions, and the number of states with a majority
+    of them, whose turnout is below the minimum contest size of the design:
+    the summary at that one threshold.  A turnout exactly equal to the
+    requirement is feasible."""
     from .passive import min_contest_size
 
-    if not records:
-        raise DomainError("cannot join an empty dataset")
     required = min_contest_size(design).contest_size
-    rows = tuple(
-        JoinRow(r.state, r.jurisdiction, r.turnout, required, r.turnout >= required)
-        for r in records
-    )
-    infeasible = sum(not row.feasible for row in rows)
-    per_state, majority = _state_fractions((row.state, not row.feasible) for row in rows)
+    summary = summarize(records, [required])
     return JoinResult(
-        required_contest_size=required,
-        rows=rows,
-        fraction_infeasible=infeasible / len(rows),
-        per_state_fraction_infeasible=per_state,
-        states_where_majority_infeasible=majority,
+        required, summary.fraction_below[required], summary.states_where_majority_below
     )

@@ -152,12 +152,19 @@ def _upper_quantile_and_tail(model: PoissonModel, alpha: float) -> tuple[int, fl
     return k, tails[k]
 
 
+#: Largest population the solvers pass to ``log_no_replacement_miss_prob``:
+#: ``math.lgamma`` overflows past about 2.56e305, where x ln x leaves the
+#: float range.
+_LGAMMA_LIMIT = 2.5e305
+
+
 def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> float:
     """Natural log of the probability that a simple random sample of ``draws``
     units misses every flawed one (``-inf`` when it is zero).
 
     The probability is prod_{i=0}^{draws-1} (population - flawed - i) / (population - i),
-    i.e. C(population - flawed, draws) / C(population, draws).
+    i.e. C(population - flawed, draws) / C(population, draws).  Past
+    ``_LGAMMA_LIMIT`` the population overflows ``math.lgamma``.
     """
     if population < 1:
         raise DomainError(f"population must be >= 1, got {population}")

@@ -134,7 +134,6 @@ class BoundReport:
     threshold: float
     bound_at_n: float
     bound_below: float | None  # bound at n - 1; None when the bound is vacuous
-    threshold_formula: str
     beta_used: float | None
 
 
@@ -243,21 +242,16 @@ def _optimal_beta(alpha: float, r: float, T: int) -> float:
     return alpha - gap(_first_argmax(4001, terms, operator.add)[1])
 
 
-def detection_threshold(q: MinimaxQuery) -> tuple[float, str, float | None]:
-    """(threshold, formula description, beta used).
+def detection_threshold(q: MinimaxQuery) -> tuple[float, float | None]:
+    """(threshold, beta used; None for an unbounded budget).
 
     Unbounded budget:  2r + sqrt(alpha / (1 - alpha))
     Finite budget:     2((alpha - beta)^(1/T) + r - 1) + sqrt(beta / (1 - beta))
     """
     if q.T is None:
-        return (
-            2.0 * q.r + cantelli_lambda(q.alpha),
-            "2r + sqrt(alpha/(1-alpha))",
-            None,
-        )
+        return 2.0 * q.r + cantelli_lambda(q.alpha), None
     beta = q.beta if q.beta is not None else _optimal_beta(q.alpha, q.r, q.T)
-    value = epsilon_budget(q.alpha, beta, q.r, q.T) + cantelli_lambda(beta)
-    return value, "2((alpha-beta)^(1/T) + r - 1) + sqrt(beta/(1-beta))", beta
+    return epsilon_budget(q.alpha, beta, q.r, q.T) + cantelli_lambda(beta), beta
 
 
 def _resolved_bound(q: MinimaxQuery, threshold: float):
@@ -310,6 +304,10 @@ def _resolved_bound(q: MinimaxQuery, threshold: float):
             x = -0.5 * math.log(min(t, 1.0))
         return x * S / (1.0 + z), S / (1.0 + z), x
 
+    # x = 0 at the last slack value makes every seed value 0 (the bound is
+    # vacuous), which _first_argmax would confirm only by scoring each tie
+    if seed_terms(zeta.size - 1)[2] == 0.0:
+        return bound, 1
     n, _ = _first_argmax(zeta.size, seed_terms, operator.mul)
     return bound, max(1, math.ceil(min(n, _MAX_CERTIFIABLE_N)))
 
@@ -326,7 +324,7 @@ def min_training_sample(q: MinimaxQuery) -> BoundReport:
     is vacuous: n = 1 with no bound below.  No n past 2**53 is certified: if
     the bound at 2**53 is still above the threshold, ``DomainError``.
     """
-    threshold, formula, beta_used = detection_threshold(q)
+    threshold, beta_used = detection_threshold(q)
     if threshold <= 0.0:
         raise Infeasible(
             "detection threshold is nonpositive: no training-sample size helps"
@@ -340,24 +338,29 @@ def min_training_sample(q: MinimaxQuery) -> BoundReport:
         raise DomainError("no training size past 2**53 can be certified") from None
     b_at, z_at = bound(n)
     if n == 1:
-        return BoundReport(1, z_at, threshold, b_at, None, formula, beta_used)
+        return BoundReport(1, z_at, threshold, b_at, None, beta_used)
     b_below, _ = bound(n - 1)
     if not b_at <= threshold < b_below:
         raise AssertionError("minimality certificate failed")
-    return BoundReport(n, z_at, threshold, b_at, b_below, formula, beta_used)
+    return BoundReport(n, z_at, threshold, b_at, b_below, beta_used)
 
 
 def table_lower_bounds(
     S: int = DEFAULT_SUPPORT_SIZE, zeta: ZetaStrategy | None = None
 ) -> list[dict]:
     """Training-sample lower bounds over the published 16-row grid layout
-    (finite budgets first, then unbounded; higher confidence first)."""
+    (finite budgets first, then unbounded; higher confidence first), each
+    with its published value and the ratio to it."""
     from .repro import PUBLISHED_TRAINING_BOUNDS_MILLIONS
 
-    return [
-        bound_row(conf, MinimaxQuery(r=r, alpha=1.0 - conf, T=T, S=S, zeta=zeta or FixedZeta()))
-        for T, conf, r in PUBLISHED_TRAINING_BOUNDS_MILLIONS
-    ]
+    zeta = zeta or FixedZeta()
+    rows = []
+    for (T, conf, r), published in PUBLISHED_TRAINING_BOUNDS_MILLIONS.items():
+        row = bound_row(conf, MinimaxQuery(r=r, alpha=1.0 - conf, T=T, S=S, zeta=zeta))
+        row["published_millions"] = published
+        row["ratio_to_published"] = row["bound_millions"] / published
+        rows.append(row)
+    return rows
 
 
 def bound_row(confidence: float, q: MinimaxQuery) -> dict:

@@ -9,7 +9,12 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import DomainError, Infeasible
-from .kernels import check_float_range, log_no_replacement_miss_prob, smallest_int_where
+from .kernels import (
+    _LGAMMA_LIMIT,
+    check_float_range,
+    log_no_replacement_miss_prob,
+    smallest_int_where,
+)
 
 Sampling = Literal["with_replacement", "without_replacement"]
 Rounding = Literal["half_up", "floor", "ceil"]
@@ -26,7 +31,8 @@ class OracleBoundQuery:
     def __post_init__(self) -> None:
         if self.population < 1:
             raise DomainError("population must be >= 1")
-        check_float_range(population=self.population)
+        if self.population > _LGAMMA_LIMIT:
+            raise DomainError("population is too large for math.lgamma (above 2.5e305)")
         if not 0 <= self.flawed <= self.population:
             raise DomainError("flawed must be in [0, population]")
         if not 0.0 < self.confidence < 1.0:
@@ -157,15 +163,18 @@ def min_electorate_for_budget(
     count is re-rounded at each size), so the scan is linear.
     """
     log_alpha = math.log1p(-q.confidence)
-    # past this many machines the electorate leaves the float range
-    most = int(sys.float_info.max) // q.bmd_daily_capacity
+    # past this many machines the electorate leaves the float range, or
+    # without replacement the range of math.lgamma
+    if sampling == "without_replacement":
+        limit, why = _LGAMMA_LIMIT, "for math.lgamma (above 2.5e305)"
+    else:
+        limit, why = sys.float_info.max, "to convert to a float (above 1.8e308)"
+    most = int(limit) // q.bmd_daily_capacity
     for bmds in range(1, min(most + 1, 1_000_000)):
         voters = bmds * q.bmd_daily_capacity
         tests = bmds * q.tests_per_bmd_per_day
         altered = _round_altered(q.altered_fraction, voters, rounding)
         if altered == 0:
-            continue
-        if sampling == "without_replacement" and tests > voters:
             continue
         log_miss = _log_miss(voters, altered, tests, sampling)
         if log_miss <= log_alpha:
@@ -179,9 +188,7 @@ def min_electorate_for_budget(
                 rounding=rounding,
             )
     if most < 999_999:
-        raise DomainError(
-            f"voters is too large to convert to a float (above 1.8e308) at {most + 1} machines"
-        )
+        raise DomainError(f"voters is too large {why} at {most + 1} machines")
     raise Infeasible("no machine count below 1e6 reaches the target confidence")
 
 

@@ -363,20 +363,34 @@ def _array_rngs(
     return [np.random.Generator(np.random.PCG64(seq).advance(j * cells)) for j in range(arrays)]
 
 
-def _map_chunks(fn, jobs: Sequence[tuple], workers: int) -> list:
-    """``[fn(*job) for job in jobs]``, spread over at most one process per job."""
-    workers = min(workers, len(jobs))  # fork starts every worker at once
+#: A worker process's ``(chunk_fn, args)``, set once by ``_set_worker_job``.
+_worker_job: tuple = ()
+
+
+def _set_worker_job(chunk_fn, args: tuple) -> None:
+    global _worker_job
+    _worker_job = chunk_fn, args
+
+
+def _worker_chunk(chunk: int, lo: int, hi: int):
+    chunk_fn, args = _worker_job
+    return chunk_fn(*args, chunk, lo, hi)
+
+
+def _run_chunks(chunk_fn, trials: int, workers: int, *args) -> list:
+    """``chunk_fn(*args, chunk, lo, hi)`` for each chunk of ``trials``
+    replications, in chunk order, spread over at most one process per chunk.
+
+    A worker receives ``chunk_fn`` and ``args`` once, from the pool's
+    initializer, so each chunk task carries only ``(chunk, lo, hi)``.
+    """
+    tasks = [(c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(trials))]
+    workers = min(workers, len(tasks))  # fork starts every worker at once
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*jobs)))
-    return [fn(*job) for job in jobs]
-
-
-def _run_chunks(chunk_fn, trials: int, workers: int, *args) -> list[int]:
-    """Sums over the chunks of ``trials`` replications of the integer tuples
-    ``chunk_fn(*args, chunk, lo, hi)``."""
-    jobs = [(*args, c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(trials))]
-    return [sum(col) for col in zip(*_map_chunks(chunk_fn, jobs, workers))]
+        pool = ProcessPoolExecutor(workers, initializer=_set_worker_job, initargs=(chunk_fn, args))
+        with pool:
+            return list(pool.map(_worker_chunk, *zip(*tasks)))
+    return [chunk_fn(*args, *task) for task in tasks]
 
 
 def _report(
@@ -433,9 +447,9 @@ def run_parallel_sim(s: SimScenario, workers: int = 1) -> SimReport:
     """Empirical detection rate of the tester against the configured attack."""
     p_voter = trigger_mass(s.mallory, s.voter_dist)
     tests, analytic = _resolve_tests(s)
-    detected, altered = _run_chunks(
+    detected, altered = map(sum, zip(*_run_chunks(
         _parallel_chunk, s.trials, workers, s.seed, s.n_voters, s.mallory.flip_prob, p_voter, tests
-    )
+    )))
     return _report(s, p_voter, altered, analytic, detection=detected / s.trials)
 
 
@@ -471,9 +485,9 @@ def run_passive_sim(s: SimScenario, workers: int = 1) -> SimReport:
     if s.passive is None:
         raise DomainError("scenario has no passive parameters")
     p_voter = trigger_mass(s.mallory, s.voter_dist)
-    alarms0, alarms1, altered = _run_chunks(
+    alarms0, alarms1, altered = map(sum, zip(*_run_chunks(
         _passive_chunk, s.trials, workers, s.seed, s.n_voters, s.mallory.flip_prob, p_voter, s.passive
-    )
+    )))
     b = s.passive.base_rate
     k = s.passive.alarm_threshold
     attack_rate = p_voter * s.mallory.flip_prob * s.passive.detect_rate
@@ -506,9 +520,10 @@ class EstimationReport:
 
 
 def _estimation_chunk(
-    weights: np.ndarray, n_train: int, seed: int, chunk: int, n_rep: int
+    weights: np.ndarray, n_train: int, seed: int, chunk: int, lo: int, hi: int
 ) -> np.ndarray:
     rng = _chunk_rng(seed, _STREAM_ESTIMATION, chunk)
+    n_rep = hi - lo
     l1 = np.empty(n_rep)
     block = max(1, BLOCK_CELLS // len(weights))
     # successive multinomial calls continue one stream: blocking keeps the draws
@@ -544,7 +559,6 @@ def run_estimation_study(
         support_size = int((dense > 0).sum())
         weights = dense[dense > 0]
     else:
-        assert true_dist.weights is not None
         weights = np.asarray(true_dist.weights, dtype=float)
         support_size = len(weights)
     if n_train < 1 or trials < 1:
@@ -552,9 +566,7 @@ def run_estimation_study(
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
 
-    chunks = _chunk_bounds(trials)
-    jobs = [(weights, n_train, seed, c, hi - lo) for c, (lo, hi) in enumerate(chunks)]
-    l1 = np.concatenate(_map_chunks(_estimation_chunk, jobs, workers))
+    l1 = np.concatenate(_run_chunks(_estimation_chunk, trials, workers, weights, n_train, seed))
     bound = (
         hjw_lower_bound(n_train, support_size, 1.0) if support_size >= 2 else float("-inf")
     )

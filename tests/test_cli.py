@@ -182,9 +182,14 @@ class TestExitCodes:
             # in range, but two machines' electorate is not
             (["parallel", "--tests-per-day", "13", "--capacity", str(10**308), "--altered-fraction", "0.005"],
              "voters"),
+            # in the float range, but math.lgamma overflows past about 2.56e305
+            (["oracle", "--population", str(10**306), "--flawed", "15"], "population"),
+            (["parallel", "--tests-per-day", "13", "--capacity", str(10**306), "--altered-fraction", "0.005",
+              "--sampling", "without_replacement"], "voters"),
         ],
         ids=["oracle-population", "parallel-capacity", "parallel-tests-per-day", "parallel-tests",
-             "minimax-test-limit", "minimax-support-size", "parallel-electorate"],
+             "minimax-test-limit", "minimax-support-size", "parallel-electorate",
+             "oracle-population-lgamma", "parallel-electorate-lgamma"],
     )
     def test_integer_past_float_range_is_one(self, capsys, argv, field):
         # once "OverflowError: int too large to convert to float" tracebacks

@@ -118,8 +118,9 @@ class TestJoin:
         ]
         join = passive_feasibility_join(records, design)
         assert join.required_contest_size == required
-        assert [r.feasible for r in join.rows] == [True, False]
+        # only the jurisdiction one voter short is infeasible: half, no majority
         assert join.fraction_infeasible == 0.5
+        assert join.states_where_majority_infeasible == 0
 
     def test_loosening_the_design_helps(self):
         records = [JurisdictionRecord("AA", "C1", 10_000)]

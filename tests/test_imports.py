@@ -1,7 +1,7 @@
 """Import footprint: no module of the package imports scipy, ``minimax``
 imports no numpy, ``import bmdlimits`` and ``import bmdlimits.cli`` load no
 numpy, each subcommand loads only what its answer needs, and every exported
-name still resolves."""
+name still resolves.  The library's sources hold no ``assert``."""
 
 import ast
 import json
@@ -114,6 +114,17 @@ def test_no_module_imports_scipy():
 
 def test_minimax_imports_no_numpy():
     assert importers("numpy", [ROOT / "src" / "bmdlimits" / "minimax.py"]) == []
+
+
+def test_library_has_no_assert():
+    """Checks in the library raise: ``python -O`` strips ``assert``."""
+    found = [
+        (path.name, node.lineno)
+        for path in sorted((ROOT / "src" / "bmdlimits").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("argv", EXAMPLES, ids=[" ".join(a) for a in EXAMPLES])

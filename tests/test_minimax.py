@@ -83,7 +83,7 @@ def ref_min_training_sample(q: MinimaxQuery) -> BoundReport:
     """The doubling, halving and bisection search the seeded gallop replaced:
     double from ``max(16, eS / (128 threshold^2))`` until the bound is at or
     below the threshold, halve down until it is above, then bisect."""
-    threshold, formula, beta_used = detection_threshold(q)
+    threshold, beta_used = detection_threshold(q)
     if threshold <= 0.0:
         raise Infeasible(
             "detection threshold is nonpositive: no training-sample size helps"
@@ -99,7 +99,7 @@ def ref_min_training_sample(q: MinimaxQuery) -> BoundReport:
         lo //= 2
     if lo < 1:
         b, z = bound(1)
-        return BoundReport(1, z, threshold, b, None, formula, beta_used)
+        return BoundReport(1, z, threshold, b, None, beta_used)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if bound(mid)[0] <= threshold:
@@ -107,7 +107,7 @@ def ref_min_training_sample(q: MinimaxQuery) -> BoundReport:
         else:
             lo = mid
     b_at, z_at = bound(hi)
-    return BoundReport(hi, z_at, threshold, b_at, bound(hi - 1)[0], formula, beta_used)
+    return BoundReport(hi, z_at, threshold, b_at, bound(hi - 1)[0], beta_used)
 
 
 def outcome(solve, q: MinimaxQuery):
@@ -205,22 +205,21 @@ class TestThreshold:
 
     def test_unbounded_formula(self):
         q = MinimaxQuery(r=0.005, alpha=0.05)
-        value, formula, beta = detection_threshold(q)
+        value, beta = detection_threshold(q)
         assert value == pytest.approx(0.01 + math.sqrt(0.05 / 0.95), abs=1e-12)
         assert beta is None
-        assert "sqrt(alpha/(1-alpha))" in formula
 
     def test_finite_with_explicit_beta(self):
         q = MinimaxQuery(r=0.01, alpha=0.05, T=2000, beta=0.025)
-        value, _, beta = detection_threshold(q)
+        value, beta = detection_threshold(q)
         expect = 2 * ((0.025) ** (1 / 2000) + 0.01 - 1) + math.sqrt(0.025 / 0.975)
         assert value == pytest.approx(expect, abs=1e-12)
         assert beta == 0.025
 
     def test_default_beta_is_at_least_as_good(self):
-        auto, _, _ = detection_threshold(MinimaxQuery(r=0.01, alpha=0.05, T=2000))
+        auto, _ = detection_threshold(MinimaxQuery(r=0.01, alpha=0.05, T=2000))
         for b in (0.01, 0.025, 0.04, 0.049):
-            manual, _, _ = detection_threshold(
+            manual, _ = detection_threshold(
                 MinimaxQuery(r=0.01, alpha=0.05, T=2000, beta=b)
             )
             assert auto >= manual - 1e-9
@@ -295,6 +294,28 @@ class TestSolver:
         for T, zeta in ((2000, FixedZeta()), (None, GridZeta())):
             with pytest.raises(DomainError, match=r"2\*\*53"):
                 min_training_sample(MinimaxQuery(r=0.005, alpha=0.01, T=T, S=10**20 // 4, zeta=zeta))
+
+    @pytest.mark.parametrize("S", [1000, 5000])
+    def test_vacuous_grid_query_scores_few_points(self, monkeypatch, S):
+        # threshold + penalty >= 1 at every slack value, so every seed value
+        # ties at 0; the seed is 1 without scoring the 1,000 ties
+        q = MinimaxQuery(r=0.01, alpha=0.05, S=S, zeta=GridZeta())
+        want = ref_min_training_sample(q)
+        scored = []
+        first_argmax = minimax._first_argmax
+
+        def counting(size, terms, combine):
+            def counted(k):
+                scored.append(k)
+                return terms(k)
+
+            return first_argmax(size, counted, combine)
+
+        monkeypatch.setattr(minimax, "_first_argmax", counting)
+        report = min_training_sample(q)
+        assert report == want
+        assert (report.min_training_n, report.bound_below) == (1, None)
+        assert len(scored) <= 64
 
     def test_hump_the_halvings_miss(self):
         # the bound is above the threshold on [184, 302] only; the

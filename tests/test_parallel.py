@@ -118,6 +118,15 @@ class TestOracleMinSamples:
         with pytest.raises(Infeasible):
             oracle_min_samples(OracleBoundQuery(100, 0, 0.95))
 
+    def test_largest_population_has_finite_lgamma(self):
+        from bmdlimits.kernels import _LGAMMA_LIMIT
+
+        # every lgamma the kernel takes is finite at the largest population
+        largest = int(_LGAMMA_LIMIT)
+        assert oracle_min_samples(OracleBoundQuery(largest, 15, 0.95)) >= 1
+        with pytest.raises(DomainError, match="population is too large"):
+            OracleBoundQuery(largest + 1, 15, 0.95)
+
     @given(
         population=st.integers(min_value=2, max_value=200),
         flawed=st.integers(min_value=1, max_value=20),

@@ -74,6 +74,35 @@ def drawn_each_way(s: SimScenario, seed: int, n_rep: int) -> list[np.ndarray]:
     return out
 
 
+def inline_pool(monkeypatch) -> dict[str, list]:
+    """Swap the simulator's ``ProcessPoolExecutor`` for a stand-in that runs
+    in this process, so no process starts, and record what a real pool would
+    send: each pool's size and the ``initargs`` every one of its workers
+    receives once, then each chunk task."""
+    sent: dict[str, list] = {"pools": [], "initargs": [], "tasks": []}
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sent["pools"].append(max_workers)
+            sent["initargs"].append(initargs)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            tasks = list(zip(*columns))
+            sent["tasks"].extend(tasks)
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulate, "_worker_job", ())  # restored after the test
+    return sent
+
+
 def scenario(**overrides) -> SimScenario:
     base = dict(
         space=SPACE,
@@ -163,29 +192,23 @@ class TestWorkerInvariance:
         assert a == b
 
     def test_pool_never_outnumbers_chunks(self, monkeypatch):
-        # a stand-in executor records the pool size, so no process starts
-        pools = []
+        sent = inline_pool(monkeypatch)
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+        def echo(*args):
+            return args
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-        assert simulate._map_chunks(abs, [(-i,) for i in range(3)], 64) == [0, 1, 2]
-        assert pools == [3]
-        assert simulate._map_chunks(abs, [(-5,)], 64) == [5]
-        assert pools == [3]  # one chunk runs in this process
+        trials = 2 * CHUNK_TRIALS + 1
+        want = [("x", 0, 0, CHUNK_TRIALS), ("x", 1, CHUNK_TRIALS, trials - 1), ("x", 2, trials - 1, trials)]
+        assert simulate._run_chunks(echo, trials, 64, "x") == want
+        assert sent["pools"] == [3]
+        # the shared arguments go to each worker once, not with every task
+        assert sent["initargs"] == [(echo, ("x",))]
+        assert sent["tasks"] == [job[1:] for job in want]
+        assert simulate._run_chunks(echo, 5, 64, "x") == [("x", 0, 0, 5)]
+        assert sent["pools"] == [3]  # one chunk runs in this process
         s = scenario(trials=100)
         assert run_parallel_sim(s, workers=1000).to_json() == run_parallel_sim(s).to_json()
-        assert pools == [3]
+        assert sent["pools"] == [3]
 
     def test_seed_changes_results(self):
         a = run_parallel_sim(scenario(seed=1))
@@ -805,32 +828,22 @@ class TestResolvedOnce:
 
 
 class TestChunkJobs:
-    @staticmethod
-    def recorded_jobs(monkeypatch) -> list[tuple]:
-        """The chunk jobs of the runs that follow, as they are sent to workers."""
-        jobs = []
-        map_chunks = simulate._map_chunks
-
-        def recording(fn, chunk_jobs, workers):
-            jobs.extend(chunk_jobs)
-            return map_chunks(fn, chunk_jobs, workers)
-
-        monkeypatch.setattr(simulate, "_map_chunks", recording)
-        return jobs
+    """What a run sends to its worker processes, recorded by ``inline_pool``."""
 
     @pytest.mark.parametrize("run", [run_parallel_sim, run_passive_sim])
     def test_jobs_hold_no_scenario(self, monkeypatch, run):
-        jobs = self.recorded_jobs(monkeypatch)
+        sent = inline_pool(monkeypatch)
         s = dataclasses.replace(pin_scenario("tester"), voter_dist=random_sparse(18, 150))
-        run(s)
-        assert len(jobs) == 3
-        # a job is pickled for a worker: the sparse laws stay in this process
-        for arg in itertools.chain.from_iterable(jobs):
+        run(s, workers=2)
+        assert len(sent["tasks"]) == 3
+        # what a worker receives is pickled: the sparse laws stay in this process
+        [(_, args)] = sent["initargs"]
+        for arg in itertools.chain(args, *sent["tasks"]):
             assert not isinstance(arg, (SimScenario, TransactionDistribution))
 
     @pytest.mark.parametrize("size", [2_000, 200_000])
     def test_sparse_tester_job_grows_with_runs_not_support(self, monkeypatch, size):
-        jobs = self.recorded_jobs(monkeypatch)
+        sent = inline_pool(monkeypatch)
         space = TransactionSpace((AttributeSpec("a", size),))
         tester = TransactionDistribution.sparse(space, np.arange(size)[:, None], np.full(size, 1 / size))
         s = scenario(
@@ -841,10 +854,24 @@ class TestChunkJobs:
             pat=PatStrategy("distribution", 10, tester),
             trials=2 * CHUNK_TRIALS,
         )
-        run_parallel_sim(s)
-        assert len(jobs) == 2
+        run_parallel_sim(s, workers=2)
+        assert len(sent["tasks"]) == 2
         # two run ends, not a hit flag and a cdf entry per support point
-        assert all(len(pickle.dumps(job)) < 1000 for job in jobs)
+        assert len(pickle.dumps(sent["initargs"])) < 1000
+
+    def test_estimation_task_does_not_grow_with_support(self, monkeypatch):
+        task_sizes = {}
+        for size in (10, 10_000):
+            sent = inline_pool(monkeypatch)
+            space = TransactionSpace((AttributeSpec("a", size),))
+            d = TransactionDistribution.sparse(space, np.arange(size)[:, None], np.full(size, 1 / size))
+            run_estimation_study(space, d, 100, CHUNK_TRIALS + 1, 5, workers=2)
+            # the weights reach each worker once, with the pool's initializer
+            [(_, (weights, *_))] = sent["initargs"]
+            assert len(weights) == size
+            task_sizes[size] = [len(pickle.dumps(task)) for task in sent["tasks"]]
+        assert len(task_sizes[10]) == 2
+        assert task_sizes[10] == task_sizes[10_000]
 
 
 class TestArrayStreams:
