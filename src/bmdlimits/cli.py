@@ -108,12 +108,16 @@ def _cmd_parallel(args) -> list[dict]:
     if args.tests_per_day is not None:
         if args.capacity is None or args.altered_fraction is None:
             raise DomainError("--tests-per-day needs --capacity and --altered-fraction")
+        if args.p is not None or args.tests is not None:
+            raise DomainError("--tests-per-day takes neither --p nor --tests")
         q = BudgetedTestQuery(
             args.tests_per_day, args.capacity, args.altered_fraction, args.confidence
         )
-        return [asdict(min_electorate_for_budget(q, args.sampling, args.rounding))]
+        return [asdict(min_electorate_for_budget(q, args.sampling or "with_replacement"))]
     if args.p is None:
         raise DomainError("need either --p or --tests-per-day")
+    if args.sampling is not None:
+        raise DomainError("--sampling needs --tests-per-day")
     if args.tests is not None:
         return [
             {
@@ -154,16 +158,19 @@ def _cmd_minimax(args) -> list[dict]:
     from .minimax import MinimaxQuery, bound_row, table_lower_bounds
 
     if args.altered_fraction is not None:
+        confidence = 0.95 if args.confidence is None else args.confidence
         T = None if args.test_limit in (None, 0) else args.test_limit
         q = MinimaxQuery(
             r=args.altered_fraction,
-            alpha=1.0 - args.confidence,
+            alpha=1.0 - confidence,
             T=T,
             S=args.support_size,
             beta=args.beta,
             zeta=_zeta_strategy(args),
         )
-        return [bound_row(args.confidence, q)]
+        return [bound_row(confidence, q)]
+    if (args.confidence, args.test_limit, args.beta) != (None, None, None):
+        raise DomainError("--confidence, --test-limit and --beta need --altered-fraction")
     return table_lower_bounds(S=args.support_size, zeta=_zeta_strategy(args))
 
 
@@ -251,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sampling",
         choices=("with_replacement", "without_replacement"),
-        default="with_replacement",
+        help="electorate sampling model (default: with_replacement)",
     )
-    p.add_argument("--rounding", choices=("half_up", "floor", "ceil"), default="half_up")
 
     p = sub.add_parser("oracle", help="printout sample size for an error oracle")
     p.add_argument("--population", type=int, required=True)
@@ -261,13 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confidence", type=float, default=0.95)
 
     p = sub.add_parser("minimax", help="training-sample lower bounds")
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", type=float, help="single-cell confidence (default: 0.95)")
     p.add_argument("--test-limit", type=int, help="test budget; omit or 0 for unbounded")
     p.add_argument("--altered-fraction", type=float, help="single-cell mode")
     p.add_argument("--support-size", type=int, default=DEFAULT_SUPPORT_SIZE)
     p.add_argument("--beta", type=float, help="estimation-failure budget split")
-    p.add_argument("--zeta", type=float, help="fixed slack value in (0, 1]")
-    p.add_argument("--zeta-grid", action="store_true", help="maximize over 1,000 log-spaced slack values in [0.01, 1]")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--zeta", type=float, help="fixed slack value in (0, 1]")
+    g.add_argument("--zeta-grid", action="store_true", help="maximize over 1,000 log-spaced slack values in [0.01, 1]")
 
     p = sub.add_parser("cardinality", help="transaction-space size")
     g = p.add_mutually_exclusive_group(required=True)

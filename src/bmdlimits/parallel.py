@@ -17,7 +17,6 @@ from .kernels import (
 )
 
 Sampling = Literal["with_replacement", "without_replacement"]
-Rounding = Literal["half_up", "floor", "ceil"]
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class BudgetedTestQuery:
 
 @dataclass(frozen=True)
 class ElectorateResult:
-    """Solved electorate size plus the convention that produced it."""
+    """Solved electorate size plus the sampling model that produced it."""
 
     bmds: int
     voters: int
@@ -70,7 +69,6 @@ class ElectorateResult:
     altered: int
     achieved_detection: float
     sampling: Sampling
-    rounding: Rounding
 
 
 def detection_prob_iid(p: float, n: int) -> float:
@@ -116,7 +114,11 @@ def _closed_form_count(target: float, log_step: float, what: str) -> int:
 
 def oracle_min_samples(q: OracleBoundQuery) -> int:
     """Smallest sample of printouts an error oracle needs for the target
-    detection probability, sampling without replacement."""
+    detection probability, sampling without replacement.
+
+    Beyond 2**53 a float cannot tell n from n - 1, so no larger sample can be
+    certified minimal; needing one is a ``DomainError``.
+    """
     if q.flawed == 0:
         raise Infeasible("no flawed printouts: nothing is detectable")
     log_alpha = math.log1p(-q.confidence)
@@ -124,17 +126,10 @@ def oracle_min_samples(q: OracleBoundQuery) -> int:
     def ok(n: int) -> bool:
         return log_no_replacement_miss_prob(q.population, q.flawed, n) <= log_alpha
 
-    return smallest_int_where(ok, hi_limit=q.population + 1)
-
-
-def _round_altered(r: float, voters: int, rounding: Rounding) -> int:
-    if rounding == "half_up":
-        return math.floor(r * voters + 0.5)
-    if rounding == "floor":
-        return math.floor(r * voters)
-    if rounding == "ceil":
-        return math.ceil(r * voters)
-    raise DomainError(f"unknown rounding {rounding!r}")
+    try:
+        return smallest_int_where(ok, hi_limit=min(q.population + 1, 2**53))
+    except DomainError:
+        raise DomainError("more than 2**53 printouts needed") from None
 
 
 def _log_miss(voters: int, altered: int, tests: int, sampling: Sampling) -> float:
@@ -148,19 +143,17 @@ def _log_miss(voters: int, altered: int, tests: int, sampling: Sampling) -> floa
 
 
 def min_electorate_for_budget(
-    q: BudgetedTestQuery,
-    sampling: Sampling = "with_replacement",
-    rounding: Rounding = "half_up",
+    q: BudgetedTestQuery, sampling: Sampling = "with_replacement"
 ) -> ElectorateResult:
     """Smallest machine count whose aggregate test budget reaches the target
     detection probability against an ``altered_fraction`` attack.
 
     Voters scale as machines times daily capacity and tests as machines times
-    the per-machine budget.  The altered count and the sampling model are
-    conventions, reported in the result so downstream numbers can be audited;
-    the defaults reproduce the published 47-machine / 6,580-voter figure.
-    Detection feasibility is not monotone in the machine count (the altered
-    count is re-rounded at each size), so the scan is linear.
+    the per-machine budget; the altered count is ``altered_fraction`` times the
+    voters rounded half up, which gives the published 47 machines and 6,580
+    voters.  Detection feasibility is not monotone in the machine count (the
+    altered count is re-rounded at each size), so the scan is linear; it stops
+    below 10**6 machines.
     """
     log_alpha = math.log1p(-q.confidence)
     # past this many machines the electorate leaves the float range, or
@@ -173,7 +166,7 @@ def min_electorate_for_budget(
     for bmds in range(1, min(most + 1, 1_000_000)):
         voters = bmds * q.bmd_daily_capacity
         tests = bmds * q.tests_per_bmd_per_day
-        altered = _round_altered(q.altered_fraction, voters, rounding)
+        altered = math.floor(q.altered_fraction * voters + 0.5)  # half up
         if altered == 0:
             continue
         log_miss = _log_miss(voters, altered, tests, sampling)
@@ -185,11 +178,13 @@ def min_electorate_for_budget(
                 altered=altered,
                 achieved_detection=-math.expm1(log_miss),
                 sampling=sampling,
-                rounding=rounding,
             )
     if most < 999_999:
         raise DomainError(f"voters is too large {why} at {most + 1} machines")
-    raise Infeasible("no machine count below 1e6 reaches the target confidence")
+    raise Infeasible(
+        "no machine count below 1e6 reaches the target confidence;"
+        " larger counts are not searched"
+    )
 
 
 def margin_leverage(

@@ -245,7 +245,10 @@ def min_contest_size(
     while True:
         k, j = _threshold(N, design, convention)
         if k > 10**7:
-            raise Infeasible("no alarm threshold below 1e7 meets both budgets")
+            raise Infeasible(
+                "no alarm threshold below 1e7 meets both budgets;"
+                " larger thresholds are not searched"
+            )
         need = _smallest_fn_ok(design, j)
         if need <= N:
             break

@@ -208,8 +208,7 @@ def build_manifest() -> list[ManifestRow]:
             "electorate/13-tests-per-day/r=0.5%/95%/machines",
             elect.bmds,
             47,
-            f"sampling={elect.sampling}, rounding={elect.rounding}, "
-            f"achieved={elect.achieved_detection:.4f}",
+            f"sampling={elect.sampling}, achieved={elect.achieved_detection:.4f}",
         )
     )
     rows.append(_exact("electorate/13-tests-per-day/r=0.5%/95%/voters", elect.voters, 6_580))

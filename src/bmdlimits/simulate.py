@@ -347,10 +347,6 @@ def _chunk_seq(seed: int, stream: int, chunk: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(stream, chunk))
 
 
-def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    return np.random.default_rng(_chunk_seq(seed, stream, chunk))
-
-
 def _array_rngs(
     seq: np.random.SeedSequence, arrays: int, cells: int
 ) -> list[np.random.Generator]:
@@ -384,6 +380,8 @@ def _run_chunks(chunk_fn, trials: int, workers: int, *args) -> list:
     A worker receives ``chunk_fn`` and ``args`` once, from the pool's
     initializer, so each chunk task carries only ``(chunk, lo, hi)``.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     tasks = [(c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(trials))]
     workers = min(workers, len(tasks))  # fork starts every worker at once
     if workers > 1:
@@ -466,11 +464,11 @@ def _passive_chunk(
     d = passive.detect_rate
     k = passive.alarm_threshold
 
-    rng0 = _chunk_rng(seed, _STREAM_PASSIVE_NULL, chunk)
+    rng0 = np.random.default_rng(_chunk_seq(seed, _STREAM_PASSIVE_NULL, chunk))
     spoils0 = rng0.binomial(n_voters, b, size=n_rep)
     alarms0 = int((spoils0 >= k).sum())
 
-    rng1 = _chunk_rng(seed, _STREAM_PASSIVE_ATTACKED, chunk)
+    rng1 = np.random.default_rng(_chunk_seq(seed, _STREAM_PASSIVE_ATTACKED, chunk))
     altered = rng1.binomial(n_voters, p_voter * q, size=n_rep)
     benign = rng1.binomial(n_voters - altered, b)
     # an altered voter spoils if either the benign or the noticing event fires
@@ -522,7 +520,7 @@ class EstimationReport:
 def _estimation_chunk(
     weights: np.ndarray, n_train: int, seed: int, chunk: int, lo: int, hi: int
 ) -> np.ndarray:
-    rng = _chunk_rng(seed, _STREAM_ESTIMATION, chunk)
+    rng = np.random.default_rng(_chunk_seq(seed, _STREAM_ESTIMATION, chunk))
     n_rep = hi - lo
     l1 = np.empty(n_rep)
     block = max(1, BLOCK_CELLS // len(weights))
@@ -545,22 +543,16 @@ def run_estimation_study(
 ) -> EstimationReport:
     """L1 error of the plug-in estimator from ``n_train`` IID draws.
 
-    Sampling is by multinomial counts over the support, which is equivalent to
-    drawing individual transactions and tallying.  The reported lower bound is
+    Sampling is by multinomial counts over the points of positive mass (the
+    support size reported), like tallying IID draws.  The reported bound is
     the worst case over all distributions on this support size, so it is a
     comparison column, not an assertion about this particular distribution.
     """
     from .minimax import hjw_lower_bound
 
-    if true_dist.form != "sparse":
-        if true_dist.space.cardinality > 10**6:
-            raise DomainError("estimation study needs a sparse (or small) distribution")
-        dense = true_dist.to_dense()
-        support_size = int((dense > 0).sum())
-        weights = dense[dense > 0]
-    else:
-        weights = np.asarray(true_dist.weights, dtype=float)
-        support_size = len(weights)
+    weights = true_dist.weights if true_dist.form == "sparse" else true_dist.to_dense()
+    weights = weights[weights > 0]
+    support_size = len(weights)
     if n_train < 1 or trials < 1:
         raise DomainError("n_train and trials must be >= 1")
     if seed < 0:

@@ -67,6 +67,17 @@ def _as_points(space: TransactionSpace, points) -> np.ndarray:
     return arr
 
 
+def _normalized(w: np.ndarray, what: str) -> np.ndarray:
+    """Non-negative weights ``w`` that sum to 1 within ``_MASS_TOL``, rescaled
+    to sum to 1 exactly; ``what`` names them in the errors."""
+    if (w < 0).any():
+        raise DomainError(f"negative weight {what}")
+    total = w.sum()
+    if not abs(total - 1.0) <= _MASS_TOL:  # NaN-safe
+        raise DomainError(f"weights {what} sum to {total}, not 1")
+    return w / total
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One byte-string key per coordinate row.
 
@@ -97,68 +108,17 @@ class TransactionDistribution:
       per row) answers point queries by binary search.
     """
 
-    def __init__(
-        self,
-        space: TransactionSpace,
-        *,
-        factored: Sequence[np.ndarray | None] | None = None,
-        support: np.ndarray | Sequence[Sequence[int]] | None = None,
-        weights: np.ndarray | Sequence[float] | None = None,
-    ):
+    def __init__(self, space: TransactionSpace, form: str):
+        """Hold ``space`` and ``form``; the ``factored`` and ``sparse``
+        constructors check and set the fields of their form."""
         self.space = space
-        if (factored is None) == (support is None):
-            raise DomainError("exactly one of factored/support must be given")
-        if factored is not None:
-            self.form = "factored"
-            self._marginals: list[np.ndarray | None] = []
-            for w, attr in zip(factored, space.attributes, strict=True):
-                if w is None:
-                    self._marginals.append(None)
-                    continue
-                w = np.asarray(w, dtype=float)
-                if w.shape != (attr.cardinality,):
-                    raise DomainError(f"weight vector shape mismatch for {attr.name!r}")
-                if (w < 0).any():
-                    raise DomainError(f"negative weight for {attr.name!r}")
-                total = w.sum()
-                if not abs(total - 1.0) <= _MASS_TOL:  # NaN-safe
-                    raise DomainError(f"weights for {attr.name!r} sum to {total}, not 1")
-                self._marginals.append(w / total)
-            self.support = None
-            self.weights = None
-        else:
-            self.form = "sparse"
-            if weights is None:
-                raise DomainError("a sparse support needs weights")
-            weights = np.asarray(weights, dtype=float)
-            if not hasattr(support, "__len__"):
-                support = list(support)
-            if weights.ndim != 1 or len(support) != len(weights):
-                raise DomainError("support and weights lengths differ")
-            if len(support) == 0:
-                raise DomainError("sparse support must be nonempty")
-            if (weights < 0).any():
-                raise DomainError("negative weight in sparse support")
-            total = weights.sum()
-            if not abs(total - 1.0) <= _MASS_TOL:  # NaN-safe
-                raise DomainError(f"sparse weights sum to {total}, not 1")
-            # a read-only view: the caller's array is neither copied nor frozen
-            self.support = _as_points(space, support).view()
-            self.support.flags.writeable = False
-            self._order = _lexsorted(self.support)
-            self._keys = _row_keys(self.support[self._order])
-            dup = self._keys[1:] == self._keys[:-1]
-            if dup.any():
-                pt = self.support[self._order[int(dup.argmax())]]
-                raise DomainError(f"duplicate support point {tuple(int(c) for c in pt)}")
-            self.weights = weights / total
-            self._marginals = []
+        self.form = form
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def uniform(cls, space: TransactionSpace) -> "TransactionDistribution":
-        return cls(space, factored=[None] * len(space.attributes))
+        return cls.factored(space, {})
 
     @classmethod
     def factored(
@@ -171,8 +131,15 @@ class TransactionDistribution:
         per_attr: list[np.ndarray | None] = []
         for attr in space.attributes:
             w = marginals.get(attr.name)
-            per_attr.append(None if w is None else np.asarray(w, dtype=float))
-        return cls(space, factored=per_attr)
+            if w is not None:
+                w = np.asarray(w, dtype=float)
+                if w.shape != (attr.cardinality,):
+                    raise DomainError(f"weight vector shape mismatch for {attr.name!r}")
+                w = _normalized(w, f"for {attr.name!r}")
+            per_attr.append(w)
+        dist = cls(space, "factored")
+        dist._marginals, dist.support, dist.weights = per_attr, None, None
+        return dist
 
     @classmethod
     def sparse(
@@ -186,7 +153,26 @@ class TransactionDistribution:
         An int64 support array is used as it is, without a copy, so it must
         not change afterwards.
         """
-        return cls(space, support=support, weights=weights)
+        weights = np.asarray(weights, dtype=float)
+        if not hasattr(support, "__len__"):
+            support = list(support)
+        if weights.ndim != 1 or len(support) != len(weights):
+            raise DomainError("support and weights lengths differ")
+        if len(support) == 0:
+            raise DomainError("sparse support must be nonempty")
+        weights = _normalized(weights, "in sparse support")
+        # a read-only view: the caller's array is neither copied nor frozen
+        points = _as_points(space, support).view()
+        points.flags.writeable = False
+        order = _lexsorted(points)
+        keys = _row_keys(points[order])
+        dup = keys[1:] == keys[:-1]
+        if dup.any():
+            pt = points[order[int(dup.argmax())]]
+            raise DomainError(f"duplicate support point {tuple(int(c) for c in pt)}")
+        dist = cls(space, "sparse")
+        dist.support, dist.weights, dist._order, dist._keys = points, weights, order, keys
+        return dist
 
     # -- queries -----------------------------------------------------------
 

@@ -167,6 +167,74 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
 
+    def test_oracle_sample_past_2_53_is_one(self, capsys):
+        # once printed 999,470,236,045,220,811: past 2**53, where n and n - 1
+        # share a float, and 5.5x the ~1.81e17 that V(1 - alpha**(1/F)) gives
+        code, out = invoke(["oracle", "--population", str(10**18), "--flawed", "15"])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
+
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            # 4,418,189,847 voters would do, at an alarm threshold past 1e7
+            (["passive", "--margin", "0.0001", "--detect-rate", "0.07", "--base-rate", "0.005"],
+             "larger thresholds are not searched"),
+            # 5e8 voters are needed before a single one is altered
+            (["parallel", "--tests-per-day", "13", "--capacity", "140", "--altered-fraction", "1e-9"],
+             "larger counts are not searched"),
+        ],
+        ids=["passive-threshold", "parallel-machines"],
+    )
+    def test_search_cap_names_its_limit(self, capsys, argv, limit):
+        # these caps bound the work, not the answer: once worded as if no answer existed
+        code, out = invoke(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: no ") and err.endswith(f"; {limit}\n")
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["minimax", "--confidence", "0.5"], "--confidence"),
+            (["minimax", "--test-limit", "7"], "--test-limit"),
+            (["minimax", "--beta", "0.001"], "--beta"),
+            (["parallel", "--p", "0.5", "--tests", "5", "--tests-per-day", "13", "--capacity", "140",
+              "--altered-fraction", "0.005"], "--tests-per-day"),
+            (["parallel", "--tests-per-day", "13", "--capacity", "140", "--altered-fraction", "0.005",
+              "--tests", "5"], "--tests"),
+            (["parallel", "--p", "0.01", "--sampling", "without_replacement"], "--sampling"),
+            (["simulate", "--scenario", "<flip>", "--workers", "0"], "workers"),
+            (["simulate", "--scenario", "<flip>", "--workers", "-3"], "workers"),
+        ],
+        ids=["minimax-table-confidence", "minimax-table-test-limit", "minimax-table-beta",
+             "parallel-p-and-electorate", "parallel-tests-and-electorate", "parallel-p-sampling",
+             "simulate-workers-0", "simulate-workers-negative"],
+    )
+    def test_unused_input_is_one(self, scenario_dir, capsys, argv, flag):
+        # each was once ignored: the default table, the electorate or one worker
+        flip = str(scenario_dir / "whole_space_flip.json")
+        code, out = invoke([flip if a == "<flip>" else a for a in argv])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minimax", "--altered-fraction", "0.01", "--zeta", "0.5", "--zeta-grid"],
+            ["parallel", "--tests-per-day", "13", "--capacity", "140", "--altered-fraction", "0.005",
+             "--rounding", "floor"],
+        ],
+        ids=["zeta-and-zeta-grid", "rounding-removed"],
+    )
+    def test_conflicting_or_removed_flag_is_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "argv,field",
         [

@@ -119,11 +119,15 @@ class TestOracleMinSamples:
             oracle_min_samples(OracleBoundQuery(100, 0, 0.95))
 
     def test_largest_population_has_finite_lgamma(self):
-        from bmdlimits.kernels import _LGAMMA_LIMIT
+        from bmdlimits.kernels import _LGAMMA_LIMIT, log_no_replacement_miss_prob
 
         # every lgamma the kernel takes is finite at the largest population
         largest = int(_LGAMMA_LIMIT)
-        assert oracle_min_samples(OracleBoundQuery(largest, 15, 0.95)) >= 1
+        for draws in (1, 2**53, largest // 2):
+            assert math.isfinite(log_no_replacement_miss_prob(largest, 15, draws))
+        # its answer, ~0.18 of the population, is past 2**53: not certifiable
+        with pytest.raises(DomainError, match=r"2\*\*53"):
+            oracle_min_samples(OracleBoundQuery(largest, 15, 0.95))
         with pytest.raises(DomainError, match="population is too large"):
             OracleBoundQuery(largest + 1, 15, 0.95)
 

@@ -210,6 +210,20 @@ class TestWorkerInvariance:
         assert run_parallel_sim(s, workers=1000).to_json() == run_parallel_sim(s).to_json()
         assert sent["pools"] == [3]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        # once ran on one worker without a word
+        d = TransactionDistribution.sparse(SPACE, [(0, 0)], [1.0])
+        passive = scenario(passive=PassiveParams(0.25, 0.005, 5), trials=10)
+        runs = [
+            lambda: run_parallel_sim(scenario(trials=10), workers=workers),
+            lambda: run_passive_sim(passive, workers=workers),
+            lambda: run_estimation_study(SPACE, d, 100, 10, 1, workers=workers),
+        ]
+        for run in runs:
+            with pytest.raises(DomainError, match="workers must be >= 1"):
+                run()
+
     def test_seed_changes_results(self):
         a = run_parallel_sim(scenario(seed=1))
         b = run_parallel_sim(scenario(seed=2))
@@ -315,6 +329,18 @@ class TestEstimationStudy:
         report = run_estimation_study(SPACE, d, 400, 100, 99)
         assert report.support_size == 2
         assert math.isfinite(report.lower_bound_at_n)
+
+    def test_zero_weight_points_are_not_support(self):
+        # one law, factored with a zero-weight value and as a sparse support
+        # of every point in row-major order; the sparse form once reported
+        # support 6, not 4, and drew other L1 values (mean 0.1323, not 0.13168)
+        space = TransactionSpace((AttributeSpec("a", 3), AttributeSpec("b", 2)))
+        factored = TransactionDistribution.factored(space, {"a": [0.5, 0.5, 0.0], "b": [0.25, 0.75]})
+        rows = list(itertools.product(range(3), range(2)))
+        sparse = TransactionDistribution.sparse(space, rows, factored.to_dense())
+        report = run_estimation_study(space, factored, 100, 500, 3)
+        assert run_estimation_study(space, sparse, 100, 500, 3) == report
+        assert report.support_size == 4
 
     def test_domain(self):
         d = TransactionDistribution.sparse(SPACE, [(0, 0)], [1.0])
