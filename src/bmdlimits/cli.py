@@ -2,8 +2,10 @@
 
 Every subcommand is a thin shim over one library call; the CLI adds parsing
 and formatting only.  Output is a stream of records rendered as CSV (default),
-an aligned markdown table, or JSON lines; the default format can be set with
-the ``BMDLIMITS_FORMAT`` environment variable.
+an aligned markdown table, or JSON lines, chosen by ``--format`` alone.
+
+``parallel``, ``minimax`` and ``feasibility`` have more than one form; each
+form reads its own flags (``_read``), and any other flag given is an error.
 
 Exit codes: 0 success; 1 domain or infeasibility errors (and a failing
 reproduction manifest); 2 usage errors.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from typing import Sequence
@@ -72,6 +73,18 @@ def _csv_floats(text: str) -> list[float]:
         raise DomainError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _read(args, form: str, **reads) -> argparse.Namespace:
+    """The flags that ``form`` reads, each at its given value or its default
+    in ``reads``.  Multi-form subcommands parse with ``argparse.SUPPRESS``, so
+    ``args`` holds only the flags given; one that ``form`` does not read is a
+    ``DomainError`` naming it."""
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "format")}
+    unread = ", ".join("--" + k.replace("_", "-") for k in given if k not in reads)
+    if unread:
+        raise DomainError(f"{unread}: not read with {form}")
+    return argparse.Namespace(**{**reads, **given})
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -105,34 +118,28 @@ def _cmd_parallel(args) -> list[dict]:
         min_tests_iid,
     )
 
-    if args.tests_per_day is not None:
-        if args.capacity is None or args.altered_fraction is None:
-            raise DomainError("--tests-per-day needs --capacity and --altered-fraction")
-        if args.p is not None or args.tests is not None:
-            raise DomainError("--tests-per-day takes neither --p nor --tests")
-        q = BudgetedTestQuery(
-            args.tests_per_day, args.capacity, args.altered_fraction, args.confidence
+    if "tests_per_day" in args:
+        a = _read(
+            args, "--tests-per-day", tests_per_day=None, capacity=None,
+            altered_fraction=None, confidence=0.95, sampling="with_replacement",
         )
-        return [asdict(min_electorate_for_budget(q, args.sampling or "with_replacement"))]
-    if args.p is None:
+        if a.capacity is None or a.altered_fraction is None:
+            raise DomainError("--tests-per-day needs --capacity and --altered-fraction")
+        q = BudgetedTestQuery(a.tests_per_day, a.capacity, a.altered_fraction, a.confidence)
+        return [asdict(min_electorate_for_budget(q, a.sampling))]
+    if "p" not in args:
         raise DomainError("need either --p or --tests-per-day")
-    if args.sampling is not None:
-        raise DomainError("--sampling needs --tests-per-day")
-    if args.tests is not None:
-        return [
-            {
-                "p": args.p,
-                "tests": args.tests,
-                "detection": detection_prob_iid(args.p, args.tests),
-            }
-        ]
-    t = min_tests_iid(args.p, args.confidence)
+    if "tests" in args:
+        a = _read(args, "--tests", p=None, tests=None)
+        return [{"p": a.p, "tests": a.tests, "detection": detection_prob_iid(a.p, a.tests)}]
+    a = _read(args, "--p alone", p=None, confidence=0.95)
+    t = min_tests_iid(a.p, a.confidence)
     return [
         {
-            "p": args.p,
-            "confidence": args.confidence,
+            "p": a.p,
+            "confidence": a.confidence,
             "min_tests": t,
-            "achieved_detection": detection_prob_iid(args.p, t),
+            "achieved_detection": detection_prob_iid(a.p, t),
         }
     ]
 
@@ -144,34 +151,26 @@ def _cmd_oracle(args) -> list[dict]:
     return [{**asdict(q), "min_samples": oracle_min_samples(q)}]
 
 
-def _zeta_strategy(args):
-    from .minimax import FixedZeta, GridZeta
-
-    if args.zeta is not None:
-        return FixedZeta(args.zeta)
-    if args.zeta_grid:
-        return GridZeta()
-    return FixedZeta()
-
-
 def _cmd_minimax(args) -> list[dict]:
-    from .minimax import MinimaxQuery, bound_row, table_lower_bounds
+    from .minimax import FixedZeta, GridZeta, MinimaxQuery, bound_row, table_lower_bounds
 
-    if args.altered_fraction is not None:
-        confidence = 0.95 if args.confidence is None else args.confidence
-        T = None if args.test_limit in (None, 0) else args.test_limit
-        q = MinimaxQuery(
-            r=args.altered_fraction,
-            alpha=1.0 - confidence,
-            T=T,
-            S=args.support_size,
-            beta=args.beta,
-            zeta=_zeta_strategy(args),
-        )
-        return [bound_row(confidence, q)]
-    if (args.confidence, args.test_limit, args.beta) != (None, None, None):
-        raise DomainError("--confidence, --test-limit and --beta need --altered-fraction")
-    return table_lower_bounds(S=args.support_size, zeta=_zeta_strategy(args))
+    cell = "altered_fraction" in args
+    reads = dict(support_size=DEFAULT_SUPPORT_SIZE, zeta=1.0, zeta_grid=False)
+    if cell:
+        reads.update(altered_fraction=None, confidence=0.95, test_limit=None, beta=None)
+    a = _read(args, "--altered-fraction" if cell else "the 16-row table", **reads)
+    zeta = GridZeta() if a.zeta_grid else FixedZeta(a.zeta)
+    if not cell:
+        return table_lower_bounds(S=a.support_size, zeta=zeta)
+    q = MinimaxQuery(
+        r=a.altered_fraction,
+        alpha=1.0 - a.confidence,
+        T=a.test_limit or None,
+        S=a.support_size,
+        beta=a.beta,
+        zeta=zeta,
+    )
+    return [bound_row(a.confidence, q)]
 
 
 def _cmd_cardinality(args) -> list[dict]:
@@ -200,21 +199,23 @@ def _cmd_simulate(args) -> list[dict]:
 def _cmd_feasibility(args) -> list[dict]:
     from .feasibility import load_turnout, passive_feasibility_join, summarize
 
-    records = load_turnout(args.data)
-    thresholds = args.threshold or [43_000]
-    summary = summarize(records, thresholds)
+    join = "margin" in args
+    reads = dict(data=None, threshold=[43_000])
+    if join:
+        reads.update(margin=None, detect_rate=0.07, base_rate=0.005, fp=0.05, fn=0.05)
+    a = _read(args, "--margin" if join else "the summary", **reads)
+    records = load_turnout(a.data)
+    summary = summarize(records, a.threshold)
     metrics = {
         "jurisdictions": summary.count,
         "median_turnout": summary.median_turnout,
         **{f"fraction_below_{t}": frac for t, frac in summary.fraction_below.items()},
-        f"states_where_majority_below_{thresholds[0]}": summary.states_where_majority_below,
+        f"states_where_majority_below_{a.threshold[0]}": summary.states_where_majority_below,
     }
-    if args.margin is not None:
+    if join:
         from .passive import PassiveDesign
 
-        design = PassiveDesign(
-            args.margin, args.detect_rate, args.base_rate, args.fp, args.fn
-        )
+        design = PassiveDesign(a.margin, a.detect_rate, a.base_rate, a.fp, a.fn)
         metrics.update(asdict(passive_feasibility_join(records, design)))
     return [{"metric": k, "value": v} for k, v in metrics.items()]
 
@@ -235,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format",
         choices=FORMATS,
-        default=os.environ.get("BMDLIMITS_FORMAT", "csv"),
-        help="output format (default: csv, or $BMDLIMITS_FORMAT)",
+        default="csv",
+        help="output format (default: csv)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -248,10 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", type=float, default=0.05)
     p.add_argument("--convention", choices=("published", "strict"), default="published")
 
-    p = sub.add_parser("parallel", help="test counts and electorate sizes")
+    # subcommands with more than one form hold only the flags given (see _read)
+    forms = dict(argument_default=argparse.SUPPRESS)
+
+    p = sub.add_parser("parallel", help="test counts and electorate sizes", **forms)
     p.add_argument("--p", type=float, help="per-test detection probability")
     p.add_argument("--tests", type=int, help="evaluate detection at this test count")
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", type=float)
     p.add_argument("--tests-per-day", type=int, help="per-machine daily test budget")
     p.add_argument("--capacity", type=int, help="per-machine daily transaction capacity")
     p.add_argument("--altered-fraction", type=float)
@@ -266,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flawed", type=int, required=True)
     p.add_argument("--confidence", type=float, default=0.95)
 
-    p = sub.add_parser("minimax", help="training-sample lower bounds")
+    p = sub.add_parser("minimax", help="training-sample lower bounds", **forms)
     p.add_argument("--confidence", type=float, help="single-cell confidence (default: 0.95)")
     p.add_argument("--test-limit", type=int, help="test budget; omit or 0 for unbounded")
     p.add_argument("--altered-fraction", type=float, help="single-cell mode")
-    p.add_argument("--support-size", type=int, default=DEFAULT_SUPPORT_SIZE)
+    p.add_argument("--support-size", type=int)
     p.add_argument("--beta", type=float, help="estimation-failure budget split")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--zeta", type=float, help="fixed slack value in (0, 1]")
@@ -286,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, help="override the scenario seed")
 
-    p = sub.add_parser("feasibility", help="turnout data vs monitoring requirements")
+    p = sub.add_parser("feasibility", help="turnout data vs monitoring requirements", **forms)
     p.add_argument("--data", required=True, help="CSV: state,jurisdiction,turnout")
     p.add_argument("--margin", type=float)
-    p.add_argument("--detect-rate", type=float, default=0.07)
-    p.add_argument("--base-rate", type=float, default=0.005)
-    p.add_argument("--fp", type=float, default=0.05)
-    p.add_argument("--fn", type=float, default=0.05)
+    p.add_argument("--detect-rate", type=float)
+    p.add_argument("--base-rate", type=float)
+    p.add_argument("--fp", type=float)
+    p.add_argument("--fn", type=float)
     p.add_argument(
         "--threshold", type=int, action="append", help="turnout threshold (repeatable)"
     )

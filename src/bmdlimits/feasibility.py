@@ -49,7 +49,6 @@ class FeasibilitySummary:
     count: int
     median_turnout: int
     fraction_below: Mapping[int, float]
-    per_state_fraction_below: Mapping[str, float]
     states_where_majority_below: int
 
 
@@ -123,7 +122,7 @@ def summarize(
 ) -> FeasibilitySummary:
     """Median, below-threshold fractions, and per-state majority indicators.
 
-    The per-state fractions and the majority count use the first threshold.
+    The majority count uses the first threshold.
     """
     if not records:
         raise DomainError("cannot summarize an empty dataset")
@@ -136,13 +135,12 @@ def summarize(
     by_state: dict[str, list[bool]] = {}
     for r in records:
         by_state.setdefault(r.state, []).append(r.turnout < thresholds[0])
-    per_state = {s: sum(fs) / len(fs) for s, fs in sorted(by_state.items())}
+    per_state = (sum(fs) / len(fs) for fs in by_state.values())
     return FeasibilitySummary(
         count=len(records),
         median_turnout=lower_median(turnouts),
         fraction_below=fraction_below,
-        per_state_fraction_below=per_state,
-        states_where_majority_below=sum(frac > 0.5 for frac in per_state.values()),
+        states_where_majority_below=sum(frac > 0.5 for frac in per_state),
     )
 
 

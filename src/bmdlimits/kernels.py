@@ -132,24 +132,11 @@ def poisson_upper_quantile(model: PoissonModel, alpha: float) -> int:
     m + z sqrt(m) + (z**2 + 2) / 6, with m the mean and z the normal upper
     alpha point.
     """
-    return _upper_quantile_and_tail(model, alpha)[0]
-
-
-def _upper_quantile_and_tail(model: PoissonModel, alpha: float) -> tuple[int, float]:
-    """``poisson_upper_quantile`` and the tail at its answer, which the search
-    has already evaluated."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     m, z = model.mean, upper_normal_point(alpha)
     guess = math.ceil(m + z * math.sqrt(m) + (z * z + 2.0) / 6.0)
-    tails: dict[int, float] = {}
-
-    def ok(k: int) -> bool:
-        tails[k] = tail = poisson_tail(m, k)
-        return tail <= alpha
-
-    k = smallest_int_where(ok, guess=guess)
-    return k, tails[k]
+    return smallest_int_where(lambda k: poisson_tail(m, k) <= alpha, guess=guess)
 
 
 #: Largest population the solvers pass to ``log_no_replacement_miss_prob``:

@@ -67,9 +67,6 @@ class FixedZeta:
     def at(self, i: int) -> float:
         return self.value
 
-    def values(self) -> tuple[float, ...]:
-        return (self.value,)
-
 
 @dataclass(frozen=True)
 class GridZeta:

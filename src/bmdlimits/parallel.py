@@ -132,16 +132,6 @@ def oracle_min_samples(q: OracleBoundQuery) -> int:
         raise DomainError("more than 2**53 printouts needed") from None
 
 
-def _log_miss(voters: int, altered: int, tests: int, sampling: Sampling) -> float:
-    if altered == 0:
-        return 0.0
-    if sampling == "with_replacement":
-        return tests * math.log1p(-altered / voters)
-    if sampling == "without_replacement":
-        return log_no_replacement_miss_prob(voters, altered, tests)
-    raise DomainError(f"unknown sampling convention {sampling!r}")
-
-
 def min_electorate_for_budget(
     q: BudgetedTestQuery, sampling: Sampling = "with_replacement"
 ) -> ElectorateResult:
@@ -155,13 +145,17 @@ def min_electorate_for_budget(
     altered count is re-rounded at each size), so the scan is linear; it stops
     below 10**6 machines.
     """
-    log_alpha = math.log1p(-q.confidence)
-    # past this many machines the electorate leaves the float range, or
-    # without replacement the range of math.lgamma
-    if sampling == "without_replacement":
+    # the miss probability, and the largest electorate it takes: past the
+    # float range, or without replacement the range of math.lgamma
+    if sampling == "with_replacement":
+        log_miss_at = lambda v, f, n: n * math.log1p(-f / v)  # noqa: E731
+        limit, why = sys.float_info.max, "to convert to a float (above 1.8e308)"
+    elif sampling == "without_replacement":
+        log_miss_at = log_no_replacement_miss_prob
         limit, why = _LGAMMA_LIMIT, "for math.lgamma (above 2.5e305)"
     else:
-        limit, why = sys.float_info.max, "to convert to a float (above 1.8e308)"
+        raise DomainError(f"unknown sampling convention {sampling!r}")
+    log_alpha = math.log1p(-q.confidence)
     most = int(limit) // q.bmd_daily_capacity
     for bmds in range(1, min(most + 1, 1_000_000)):
         voters = bmds * q.bmd_daily_capacity
@@ -169,7 +163,7 @@ def min_electorate_for_budget(
         altered = math.floor(q.altered_fraction * voters + 0.5)  # half up
         if altered == 0:
             continue
-        log_miss = _log_miss(voters, altered, tests, sampling)
+        log_miss = log_miss_at(voters, altered, tests)
         if log_miss <= log_alpha:
             return ElectorateResult(
                 bmds=bmds,

@@ -40,7 +40,6 @@ from .errors import DomainError, Infeasible
 from .kernels import (
     TAIL_ABS_TOL,
     PoissonModel,
-    _upper_quantile_and_tail,
     poisson_tail,
     poisson_upper_quantile,
     smallest_int_where,
@@ -153,7 +152,8 @@ def _np_miss(N: int, design: PassiveDesign) -> tuple[float, float]:
     alpha = design.fp_budget
     m0 = N * design.base_rate
     m1 = N * (design.base_rate + design.attack_rate)
-    k, fp = _upper_quantile_and_tail(PoissonModel(m0), alpha)
+    k = poisson_upper_quantile(PoissonModel(m0), alpha)
+    fp = poisson_tail(m0, k)
     gap = m1 - m0
     # log lam = c log(m1/m0) - (m1 - m0): the factorials cancel
     log_ratio = (k - 1) * math.log1p(gap / m0) if k > 1 else 0.0
@@ -236,6 +236,12 @@ def min_contest_size(
     randomized Neyman-Pearson miss one size lower exceeds the fn budget (see
     the module docstring), a few steps short of the answer; under
     ``published`` no such bound is known, so it starts at N = 1.
+
+    Tolerance: past about 6e14 voters (spoil rates below about 1e-11) the
+    computed miss probability wobbles by an ulp between neighbouring sizes,
+    so the minimum holds to within a few voters (2-6 seen): a climb
+    from another start may stop elsewhere, and both pass the N / N - 1
+    certificate.
     """
     if convention not in _THRESHOLD_FLOOR:
         raise DomainError(f"unknown convention {convention!r}")

@@ -636,6 +636,8 @@ def _kind_and_scenario(cfg: Mapping) -> tuple[str, SimScenario]:
     kind = cfg.get("kind", "parallel")
     if kind not in ("parallel", "passive"):
         raise ParseError(f"unknown scenario kind {kind!r}")
+    if kind == "parallel" and cfg.get("passive") is not None:
+        raise ParseError("kind 'parallel' does not read the 'passive' block; set kind to 'passive'")
     return kind, scenario_from_config(cfg)
 
 

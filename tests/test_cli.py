@@ -221,6 +221,37 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("error: ") and flag in err
 
     @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (["parallel", "--p", "0.5", "--tests", "5", "--confidence", "0.5"], ["--confidence"]),
+            (["parallel", "--p", "0.5", "--tests", "5", "--capacity", "140"], ["--capacity"]),
+            (["parallel", "--p", "0.5", "--tests", "5", "--altered-fraction", "0.3"], ["--altered-fraction"]),
+            (["parallel", "--p", "0.01", "--capacity", "140"], ["--capacity"]),
+            (["parallel", "--p", "0.01", "--altered-fraction", "0.3"], ["--altered-fraction"]),
+            (["parallel", "--p", "0.01", "--capacity", "140", "--altered-fraction", "0.3"],
+             ["--capacity", "--altered-fraction"]),
+            (["feasibility", "--data", "<turnout>", "--detect-rate", "0.5"], ["--detect-rate"]),
+            (["feasibility", "--data", "<turnout>", "--base-rate", "0.01"], ["--base-rate"]),
+            (["feasibility", "--data", "<turnout>", "--fp", "0.2"], ["--fp"]),
+            (["feasibility", "--data", "<turnout>", "--fn", "0.2"], ["--fn"]),
+            (["feasibility", "--data", "<turnout>", "--detect-rate", "0.5", "--fp", "0.2"],
+             ["--detect-rate", "--fp"]),
+        ],
+        ids=["parallel-tests-confidence", "parallel-tests-capacity", "parallel-tests-altered-fraction",
+             "parallel-p-capacity", "parallel-p-altered-fraction", "parallel-p-electorate-flags",
+             "feasibility-summary-detect-rate", "feasibility-summary-base-rate",
+             "feasibility-summary-fp", "feasibility-summary-fn", "feasibility-summary-design-flags"],
+    )
+    def test_flag_not_read_by_form_is_one(self, data_dir, capsys, argv, flags):
+        # each once printed the answer of a form that does not read it, exit 0
+        turnout = str(data_dir / "county_turnout.csv")
+        code, out = invoke([turnout if a == "<turnout>" else a for a in argv])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "not read with" in err
+        assert all(flag in err for flag in flags)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["minimax", "--altered-fraction", "0.01", "--zeta", "0.5", "--zeta-grid"],
@@ -313,6 +344,17 @@ class TestMalformedConfig:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
         self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, str(path), "'mallory'")
+
+    @pytest.mark.parametrize("kind", ["parallel", None], ids=["explicit", "default"])
+    def test_passive_block_in_parallel_scenario(self, scenario_dir, tmp_path, capsys, kind):
+        # once ran parallel testing without a word about the passive block
+        cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())
+        cfg["passive"] = {"detect_rate": 0.25, "base_rate": 0.005, "alarm_threshold": 277}
+        if kind is None:
+            del cfg["kind"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, str(path), "kind", "'passive'")
 
     def test_scenario_not_json(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -487,16 +529,16 @@ class TestFormats:
             assert "11" in text
 
     def test_env_var_default(self, monkeypatch):
+        # --format is the only way to choose the format: the variable leaves CSV
         monkeypatch.setenv("BMDLIMITS_FORMAT", "json-lines")
         code, text = invoke(["cardinality", "--preset", "optimistic"])
-        assert code == 0
-        assert json.loads(text)["cardinality"] == 6_144_000
+        assert (code, text) == (0, "space,cardinality\noptimistic,6144000\n")
 
     def test_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("BMDLIMITS_FORMAT", "json-lines")
-        code, text = invoke(["--format", "csv", "cardinality", "--preset", "optimistic"])
+        monkeypatch.setenv("BMDLIMITS_FORMAT", "csv")
+        code, text = invoke(["--format", "json-lines", "cardinality", "--preset", "optimistic"])
         assert code == 0
-        assert text.startswith("space,cardinality\n")
+        assert json.loads(text)["cardinality"] == 6_144_000
 
 
 class TestAgreementWithLibrary:
