@@ -25,6 +25,16 @@ never changes a report, and a chunk holds a few arrays of one block at a
 time (8 bytes per cell), whatever the test count.  The binomial continues
 from the flips' generator, which the last flip block leaves where the
 one-shot draw did.
+
+A uniform lies in an allowed run iff an odd number of run ends lie at or
+below it.  For a few ends the chunk compares it with each end; for more it
+reads that parity from a guide table (Chen & Asau 1974), built once per
+scenario and sent to each worker once: one byte per bucket
+``[b / M, (b + 1) / M)``, with ``M`` a power of two of 16 to 32 buckets per
+end.  Only the cells whose bucket holds an end, 3 to 6 % of them, fall back
+to a binary search, so the mask is exact either way and never changes a
+report.
+
 Passive runs draw benign spoils, then extra spoils among altered voters, on
 streams of their own.
 
@@ -241,11 +251,13 @@ class _TestDraw:
     """How a chunk draws which of its ``count`` tests match the trigger,
     resolved once per scenario: a script's ``hit`` row, or the sorted ends
     of the allowed ``runs`` of each uniform array the tests read (one per
-    triggered attribute, or one over a sparse tester's support)."""
+    triggered attribute, or one over a sparse tester's support), each with
+    its guide table in ``guides``."""
 
     count: int
     hit: np.ndarray | None = None
     runs: tuple[np.ndarray, ...] = ()
+    guides: tuple[np.ndarray | None, ...] = ()
 
 
 def _resolve_tests(s: SimScenario) -> tuple[_TestDraw, dict[str, float]]:
@@ -274,7 +286,8 @@ def _resolve_tests(s: SimScenario) -> tuple[_TestDraw, dict[str, float]]:
         )
         p_test = trigger_mass(s.mallory, dist)
     detection = detection_prob_iid(p_test * q, n)
-    return _TestDraw(n, runs=runs), {"trigger_mass_under_tests": p_test, "detection": detection}
+    tests = _TestDraw(n, runs=runs, guides=tuple(map(_guide_table, runs)))
+    return tests, {"trigger_mass_under_tests": p_test, "detection": detection}
 
 
 def _triggered_tests(
@@ -288,9 +301,9 @@ def _triggered_tests(
     out = np.ones(shape, dtype=bool)
     if tests.runs:
         u = np.empty(shape)
-        for rng, ends in zip(rngs, tests.runs):
+        for rng, ends, guide in zip(rngs, tests.runs, tests.guides):
             rng.random(out=u)
-            out &= _in_runs(u, ends)
+            out &= _in_runs(u, ends, guide)
     return out
 
 
@@ -316,26 +329,60 @@ def _allowed_runs(w: np.ndarray, vals: Sequence[int] | np.ndarray) -> np.ndarray
 
 
 #: Most run ends that ``_in_runs`` compares ``u`` with one at a time; past
-#: it, a binary search per cell is faster.  Per 3,495 x 300 block on one
-#: Xeon core, numpy 2.4 (compared vs searched): 2 ends 1.0 vs 20 ms, 64 ends
-#: 32 vs 57 ms, 128 ends 62-67 vs 64-78 ms, 192 ends 97-100 vs 73-81 ms.
-_COMPARE_ENDS = 128
+#: it, the guide table is faster.  Per 3,495 x 300 block on one Xeon core,
+#: numpy 2.4 (compared vs guide table, medians): 2 ends 1.9 vs 8.0 ms, 16 ends
+#: 7.7 vs 12.9 ms, 18 ends 9.2 vs 10.3 ms, 20 ends 9.9 vs 9.2 ms, 24 ends 11.9
+#: vs 10.0 ms.  At 35.7k ends the table takes 13-17 ms, a binary search 189.
+_COMPARE_ENDS = 18
+
+#: Guide-table buckets per run end, rounded up to a power of two.
+_BUCKETS_PER_END = 16
 
 
-def _in_runs(u: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _guide_table(ends: np.ndarray) -> np.ndarray | None:
+    """Guide table (Chen & Asau 1974) over the sorted run ``ends``, or None
+    for at most ``_COMPARE_ENDS`` ends, which ``_in_runs`` compares one at a
+    time.
+
+    Entry b covers the uniforms in ``[b / M, (b + 1) / M)``, where ``M``,
+    the table's length, is a power of two, so ``u * M`` and ``end * M`` are
+    exact.  It is the parity of the ends at or below every ``u`` there (0 or
+    1), or 2 if an end lies strictly inside the bucket.  An end counts from
+    bucket ``ceil(end * M)`` on, so one pass of counts and a running sum
+    build the table.
+    """
+    if len(ends) <= _COMPARE_ENDS:
+        return None
+    buckets = 1 << (_BUCKETS_PER_END * len(ends) - 1).bit_length()
+    scaled = ends * buckets
+    first = np.ceil(scaled)
+    counts = np.bincount(first.astype(np.intp), minlength=buckets + 1)[:buckets]
+    # a uint8 running sum wraps modulo 256, which keeps its parity
+    table = np.cumsum(counts, dtype=np.uint8) & 1
+    table[first[first > scaled].astype(np.intp) - 1] = 2
+    return table
+
+
+def _in_runs(u: np.ndarray, ends: np.ndarray, guide: np.ndarray | None) -> np.ndarray:
     """Boolean mask: ``u`` lies in one of the disjoint intervals ``[lo, hi)``
     whose sorted ends are ``ends``.
 
     ``u`` lies in ``[lo, hi)`` iff exactly one of ``lo``, ``hi`` is at or
     below it, and in at most one interval, so the mask is the parity of the
-    ends at or below ``u``, counted end by end or, for many, by bisection.
+    ends at or below ``u``: counted end by end, or read from the ``guide``
+    table of ``_guide_table``, with a binary search for the cells whose
+    bucket holds an end.
     """
-    if len(ends) > _COMPARE_ENDS:
-        return (np.searchsorted(ends, u, side="right") & 1).astype(bool)
-    hit = np.zeros(u.shape, dtype=bool)
-    passed = np.empty(u.shape, dtype=bool)
-    for end in ends.tolist():
-        hit ^= np.greater_equal(u, end, out=passed)
+    if guide is None:
+        hit = np.zeros(u.shape, dtype=bool)
+        passed = np.empty(u.shape, dtype=bool)
+        for end in ends.tolist():
+            hit ^= np.greater_equal(u, end, out=passed)
+        return hit
+    code = guide[(u * len(guide)).astype(np.intp)]
+    hit = code == 1
+    split = np.flatnonzero(code == 2)
+    hit.reshape(-1)[split] = np.searchsorted(ends, u.reshape(-1)[split], side="right") & 1
     return hit
 
 
@@ -638,6 +685,8 @@ def _kind_and_scenario(cfg: Mapping) -> tuple[str, SimScenario]:
         raise ParseError(f"unknown scenario kind {kind!r}")
     if kind == "parallel" and cfg.get("passive") is not None:
         raise ParseError("kind 'parallel' does not read the 'passive' block; set kind to 'passive'")
+    if kind == "passive" and cfg.get("passive") is None:
+        raise ParseError("kind 'passive' needs a 'passive' block")
     return kind, scenario_from_config(cfg)
 
 

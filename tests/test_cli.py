@@ -356,6 +356,21 @@ class TestMalformedConfig:
         path.write_text(json.dumps(cfg))
         self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, str(path), "kind", "'passive'")
 
+    @pytest.mark.parametrize("block", ["missing", "null"])
+    def test_passive_scenario_without_passive_block(self, scenario_dir, tmp_path, capsys, block):
+        # once "error: scenario has no passive parameters", naming neither file nor key
+        cfg = json.loads((scenario_dir / "passive_poisson_gap.json").read_text())
+        if block == "missing":
+            del cfg["passive"]
+        else:
+            cfg["passive"] = None
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(
+            ["simulate", "--scenario", str(path)], capsys,
+            f"error: {path}: kind 'passive' needs a 'passive' block",
+        )
+
     def test_scenario_not_json(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text('{"kind": "parallel",')

@@ -65,7 +65,7 @@ def drawn_tests(s: SimScenario, rng: np.random.Generator, n_rep: int) -> np.ndar
 
 def drawn_each_way(s: SimScenario, seed: int, n_rep: int) -> list[np.ndarray]:
     """``drawn_tests`` with ``_in_runs`` comparing every run end, then
-    binary-searching them."""
+    reading them through a guide table."""
     out = []
     for most in (2**62, 0):
         with pytest.MonkeyPatch.context() as mp:
@@ -684,7 +684,7 @@ class TestFactoredTriggerAgainstReference:
         for got in drawn_each_way(s, 1, 200):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("most", [2**62, 0], ids=["compare", "search"])
+    @pytest.mark.parametrize("most", [2**62, 0], ids=["compare", "guide"])
     def test_run_ends_and_their_neighbours(self, monkeypatch, most):
         # uniforms almost never land on a run end: put them there
         monkeypatch.setattr(simulate, "_COMPARE_ENDS", most)
@@ -699,7 +699,7 @@ class TestFactoredTriggerAgainstReference:
         cdf = np.cumsum(w)
         cdf[-1] = 1.0
         want = allowed[np.searchsorted(cdf, u, side="right")]
-        assert np.array_equal(simulate._in_runs(u, ends), want)
+        assert np.array_equal(simulate._in_runs(u, ends, simulate._guide_table(ends)), want)
 
     def test_scattered_runs(self):
         # every other value of 1,000 bins: 500 runs, 1,000 ends
@@ -716,6 +716,116 @@ class TestFactoredTriggerAgainstReference:
         want = ref_triggered_tests(s, np.random.default_rng(2), 400)
         for got in drawn_each_way(s, 2, 400):
             assert np.array_equal(got, want)
+
+
+# -- guide table over many run ends ------------------------------------------
+
+
+def dyadic_run_ends() -> np.ndarray:
+    """Run ends of 80,000 integer weights, every seventh of them zero, that
+    sum to 2**22: each cumulative weight is an exact multiple of 2**-22, so
+    one end in four lies on a bucket edge of a 2**20-bucket table.  The first
+    two values and the last are allowed, so the ends start at 0.0 and stop at
+    1.0."""
+    rng = np.random.default_rng(8)
+    w = rng.integers(0, 90, size=80_000).astype(float)
+    w[::7] = 0.0
+    w[-1] = 2.0**22 - w[:-1].sum()
+    allowed = rng.random(len(w)) < 0.5
+    allowed[[0, 1, -1]] = True
+    return simulate._allowed_runs(w / 2.0**22, np.flatnonzero(allowed))
+
+
+class TestGuideTable:
+    def test_ends(self):
+        ends = dyadic_run_ends()
+        buckets = len(simulate._guide_table(ends))
+        assert buckets == 2**20
+        assert len(ends) >= 30_000
+        assert (ends[0], ends[-1]) == (0.0, 1.0)
+        on_edge = ends * buckets == np.floor(ends * buckets)
+        assert 0.1 < on_edge.mean() < 0.9
+
+    def test_every_end_edge_and_neighbour(self):
+        ends = dyadic_run_ends()
+        guide = simulate._guide_table(ends)
+        edges = np.arange(len(guide)) / len(guide)
+        u = np.concatenate([
+            ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0),
+            edges, np.nextafter(edges, 1.0), [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.searchsorted(ends, u, side="right") & 1
+        assert np.array_equal(simulate._in_runs(u, ends, guide), want.astype(bool))
+
+    def test_codes_against_a_count_per_bucket(self):
+        ends = dyadic_run_ends()
+        guide = simulate._guide_table(ends)
+        edges = np.arange(len(guide) + 1) / len(guide)
+        at_or_below = np.searchsorted(ends, edges[:-1], side="right")
+        inside = np.searchsorted(ends, edges[1:], side="left") - at_or_below
+        want = np.where(inside > 0, 2, at_or_below & 1)
+        assert guide.dtype == np.uint8
+        assert np.array_equal(guide, want)
+        assert 0.01 < np.mean(guide == 2) < 0.06
+
+    @pytest.mark.parametrize("count", [2, 17, 18, 19, 20, 1000, 40_000])
+    def test_size(self, count):
+        ends = np.linspace(0.0, 1.0, count)
+        guide = simulate._guide_table(ends)
+        if count <= simulate._COMPARE_ENDS:
+            assert guide is None
+        else:
+            # a power of two, 16 to 32 buckets per end
+            assert len(guide) & (len(guide) - 1) == 0
+            assert 16 * count <= len(guide) < 32 * count
+
+
+def many_runs_scenario() -> SimScenario:
+    """A sparse tester over 20,000 support points whose trigger splits into
+    thousands of runs, so that its tests read the guide table."""
+    space = TransactionSpace((AttributeSpec("a", 1000), AttributeSpec("b", 100)))
+    rng = np.random.default_rng(23)
+    flat = rng.choice(space.cardinality, size=20_000, replace=False)
+    weights = rng.gamma(2.0, size=20_000)
+    tester = TransactionDistribution.sparse(
+        space, np.stack(np.unravel_index(flat, (1000, 100)), axis=1), weights / weights.sum()
+    )
+    return SimScenario(
+        space=space,
+        voter_dist=TransactionDistribution.uniform(space),
+        n_voters=700,
+        mallory=MalloryStrategy.from_mapping({"a": range(0, 1000, 2)}, 0.002),
+        pat=PatStrategy("distribution", 1000, tester),
+        trials=CHUNK_TRIALS + 100,
+        seed=4242,
+    )
+
+
+#: The report of the binary search per cell that the guide table replaced.
+MANY_RUNS_PINNED = (
+    '{"label": "", "trials": 4196, "seed": 4242, '
+    '"empirical_detection": {"value": 0.6217826501429933, '
+    '"std_error": 0.007486387171387891, "trials": 4196}, '
+    '"empirical_altered_fraction": {"value": 0.0009863134958463843, '
+    '"std_error": 1.8315823386678016e-05, "trials": 4196}, '
+    '"empirical_fp": null, "empirical_fn": null, '
+    '"analytic": {"trigger_mass_under_tests": 0.49131273460633246, '
+    '"detection": 0.6258537675426188, "altered_fraction": 0.0010000000000000005}}'
+)
+
+
+class TestManyRunsPin:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("blocks", ["rows", "columns"])
+    def test_parallel(self, monkeypatch, blocks, workers):
+        s = many_runs_scenario()
+        tests = simulate._resolve_tests(s)[0]
+        assert len(tests.runs[0]) > 10_000 and tests.guides[0] is not None
+        if blocks == "columns":
+            # one-row blocks, each row of 1,000 tests in column blocks of 400
+            monkeypatch.setattr(simulate, "BLOCK_CELLS", 400)
+        assert run_parallel_sim(s, workers=workers).to_json() == MANY_RUNS_PINNED
 
 
 FACTORED_SPACE = TransactionSpace(
