@@ -148,7 +148,11 @@ def min_electorate_for_budget(
     # the miss probability, and the largest electorate it takes: past the
     # float range, or without replacement the range of math.lgamma
     if sampling == "with_replacement":
-        log_miss_at = lambda v, f, n: n * math.log1p(-f / v)  # noqa: E731
+
+        def log_miss_at(v: int, f: int, n: int) -> float:
+            # with every voter altered every test finds one
+            return n * math.log1p(-f / v) if f < v else -math.inf
+
         limit, why = sys.float_info.max, "to convert to a float (above 1.8e308)"
     elif sampling == "without_replacement":
         log_miss_at = log_no_replacement_miss_prob

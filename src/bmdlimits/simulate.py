@@ -72,6 +72,8 @@ from .transactions import TransactionDistribution, _as_points, distribution_from
 
 CHUNK_TRIALS = 4096  # fixed; never dependent on the worker count
 
+MAX_TRIALS = 2**30  # 2**18 chunks; the memory this bounds is in ``SimScenario``
+
 #: Most cells a chunk holds at once (8 bytes each): tests of a parallel-testing
 #: block, multinomial counts of the estimation study.  Memory stays bounded at
 #: any test count or support size; fixed, so it never changes a report.
@@ -155,7 +157,14 @@ class PassiveParams:
 
 @dataclass(frozen=True)
 class SimScenario:
-    """Full specification of one attacker-vs-tester Monte Carlo experiment."""
+    """Full specification of one attacker-vs-tester Monte Carlo experiment.
+
+    ``trials`` is at most ``MAX_TRIALS`` (2**30).  A run lists every chunk of
+    ``CHUNK_TRIALS`` before its first draw, and with more than one worker the
+    process pool holds a pending future per chunk, so the limit of 2**18
+    chunks bounds that bookkeeping at ~80 MB of chunk lists plus ~0.5 GB of
+    futures (~1.9 KB each, measured on CPython 3.11).
+    """
 
     space: TransactionSpace
     voter_dist: TransactionDistribution
@@ -174,6 +183,8 @@ class SimScenario:
             raise DomainError("n_voters must be below 2**63")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise DomainError(f"trials must be at most 2**30 ({MAX_TRIALS:,}), got {self.trials:,}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         self.mallory.validate_against(self.space)

@@ -6,8 +6,9 @@ numpy-free ``space`` module.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -35,16 +36,13 @@ def _as_points(space: TransactionSpace, points) -> np.ndarray:
     """Validated ``(n, d)`` int64 array of coordinate rows.
 
     An int64 array comes back without a copy, and no points as a ``(0, d)``
-    array; anything else array-like is converted, and non-integral or
+    array; other rows are read flat (``_flat_rows``), and non-integral or
     out-of-range coordinates raise ``DomainError``.
     """
     d = len(space.attributes)
     if len(points) == 0:
         return np.empty((0, d), dtype=np.int64)
-    try:
-        arr = np.asarray(points)
-    except ValueError:  # ragged rows
-        raise DomainError(f"every point needs {d} coordinates") from None
+    arr = points if isinstance(points, np.ndarray) else _flat_rows(points, d)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise DomainError(f"expected points of {d} coordinates, got shape {arr.shape}")
     if arr.dtype.kind in "iu":
@@ -54,7 +52,8 @@ def _as_points(space: TransactionSpace, points) -> np.ndarray:
             as_int = arr.astype(np.int64)
         except (OverflowError, TypeError, ValueError):
             raise DomainError("coordinates must be integers below 2**63") from None
-        if not (as_int == arr).all():
+        # array_equal, not ==, so that strings compare unequal on every numpy
+        if not np.array_equal(as_int, arr):
             raise DomainError("coordinates must be integers")
         arr = as_int
     cards = np.array(
@@ -65,6 +64,23 @@ def _as_points(space: TransactionSpace, points) -> np.ndarray:
     for row in arr[flagged]:
         space.validate_coordinates(tuple(int(c) for c in row))
     return arr
+
+
+def _flat_rows(rows, d: int) -> np.ndarray:
+    """``(n, d)`` array of ``rows``, each a sequence or array of ``d`` numbers.
+
+    numpy reads the flattened list of coordinates to the dtype it would give
+    the nested rows, several times faster.
+    """
+    sequences = all(issubclass(t, (Sequence, np.ndarray)) for t in set(map(type, rows)))
+    try:
+        if sequences and set(map(len, rows)) == {d}:
+            flat = np.array(list(chain.from_iterable(rows)))
+            if flat.ndim == 1:  # not rows of rows
+                return flat.reshape(-1, d)
+    except (TypeError, ValueError):  # a 0-d array row; ragged coordinates
+        pass
+    raise DomainError(f"every point needs {d} coordinates")
 
 
 def _normalized(w: np.ndarray, what: str) -> np.ndarray:
@@ -78,20 +94,26 @@ def _normalized(w: np.ndarray, what: str) -> np.ndarray:
     return w / total
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One byte-string key per coordinate row.
+def _row_keys(rows: np.ndarray, space: TransactionSpace) -> np.ndarray:
+    """One int64 key per coordinate row of ``space``: keys order the rows
+    lexicographically, and equal keys mean equal rows.
 
-    Keys hold the coordinates as big-endian int64, so for non-negative
-    coordinates comparing keys byte by byte compares rows lexicographically,
-    however large the space's cardinality.
+    The key is mixed radix over the cardinalities.  Where the next digit
+    would overflow int64, the key so far is replaced by its dense rank
+    among the rows, and a column still too wide by the rank of its values,
+    so one path serves any cardinality.
     """
-    be = np.ascontiguousarray(rows, dtype=">i8")
-    return be.view(np.dtype((np.void, 8 * be.shape[1]))).ravel()
-
-
-def _lexsorted(rows: np.ndarray) -> np.ndarray:
-    """Permutation that sorts ``rows`` lexicographically (first column first)."""
-    return np.lexsort(rows.T[::-1])
+    keys, span = np.zeros(len(rows), dtype=np.int64), 1  # keys lie in [0, span)
+    for col, radix in zip(rows.T, (a.cardinality for a in space.attributes)):
+        if span * radix > _INT64_MAX:
+            ranks, keys = np.unique(keys, return_inverse=True)
+            span = len(ranks)
+            if span * radix > _INT64_MAX:
+                values, col = np.unique(col, return_inverse=True)
+                radix = len(values)
+        keys = keys * radix + col
+        span *= radix
+    return keys
 
 
 class TransactionDistribution:
@@ -103,9 +125,10 @@ class TransactionDistribution:
       one weight vector per attribute (``None`` meaning uniform);
     * ``sparse`` -- an explicit support, the only form usable at realistic
       scale: ``support`` is an ``(S, d)`` int64 array of coordinate rows in
-      the caller's order and ``weights`` the matching probabilities.  A
-      lookup index (the rows' lexicographic order and one sorted byte key
-      per row) answers point queries by binary search.
+      the caller's order and ``weights`` the matching probabilities.
+      Nothing else is stored: a query that needs the rows in order keys them
+      with ``_row_keys`` (one int64 per row, at any cardinality) and sorts
+      the keys.
     """
 
     def __init__(self, space: TransactionSpace, form: str):
@@ -164,14 +187,14 @@ class TransactionDistribution:
         # a read-only view: the caller's array is neither copied nor frozen
         points = _as_points(space, support).view()
         points.flags.writeable = False
-        order = _lexsorted(points)
-        keys = _row_keys(points[order])
-        dup = keys[1:] == keys[:-1]
-        if dup.any():
-            pt = points[order[int(dup.argmax())]]
+        keys = _row_keys(points, space)
+        ordered = np.sort(keys)
+        dup = ordered[1:] == ordered[:-1]
+        if dup.any():  # the lexicographically first duplicate
+            pt = points[int((keys == ordered[int(dup.argmax())]).argmax())]
             raise DomainError(f"duplicate support point {tuple(int(c) for c in pt)}")
         dist = cls(space, "sparse")
-        dist.support, dist.weights, dist._order, dist._keys = points, weights, order, keys
+        dist.support, dist.weights = points, weights
         return dist
 
     # -- queries -----------------------------------------------------------
@@ -195,10 +218,13 @@ class TransactionDistribution:
     def _masses_at(self, points: np.ndarray) -> np.ndarray:
         """Probabilities of validated coordinate rows."""
         if self.form == "sparse":
-            keys = _row_keys(points)
-            at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-            found = self._keys[at] == keys
-            return np.where(found, self.weights[self._order[at]], 0.0)
+            # one keying of both row sets, so that ranked keys compare
+            S = len(self.support)
+            keys = _row_keys(np.concatenate([self.support, points]), self.space)
+            order = np.argsort(keys[:S])
+            own = keys[:S][order]
+            at = np.minimum(np.searchsorted(own, keys[S:]), S - 1)
+            return np.where(own[at] == keys[S:], self.weights[order[at]], 0.0)
         mass = np.ones(len(points))
         for i, (w, attr) in enumerate(zip(self._marginals, self.space.attributes)):
             mass *= 1.0 / attr.cardinality if w is None else w[points[:, i]]
@@ -206,7 +232,14 @@ class TransactionDistribution:
 
     def mass_of(self, coords: Sequence[int]) -> float:
         """Probability of a single transaction."""
-        return float(self._masses_at(_as_points(self.space, [coords]))[0])
+        point = _as_points(self.space, [coords])
+        if self.form == "factored":
+            return float(self._masses_at(point)[0])
+        # the support holds each point once: narrow it column by column
+        at = np.flatnonzero(self.support[:, 0] == point[0, 0])
+        for j in range(1, point.shape[1]):
+            at = at[self.support[at, j] == point[0, j]]
+        return float(self.weights[at[0]]) if len(at) else 0.0
 
     def to_dense(self) -> np.ndarray:
         """Flattened dense probability vector (cardinality <= DENSE_LIMIT only)."""
@@ -232,10 +265,12 @@ def estimate(
     if len(training) == 0:
         raise DomainError("cannot estimate from an empty training set")
     rows = _as_points(space, [tx.coordinates for tx in training])
-    rows = rows[_lexsorted(rows)]
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    keys = _row_keys(rows, space)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     counts = np.diff(np.r_[starts, len(rows)])
-    return TransactionDistribution.sparse(space, rows[starts], counts / len(rows))
+    return TransactionDistribution.sparse(space, rows[order[starts]], counts / len(rows))
 
 
 def _same_space(p: TransactionDistribution, q: TransactionDistribution) -> None:

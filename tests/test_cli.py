@@ -175,6 +175,17 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
 
+    @pytest.mark.parametrize("fraction", ["1", "0.9999999999999999"])
+    @pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
+    def test_every_voter_altered(self, fraction, sampling):
+        # with replacement this was a math domain error from log1p(-1); the
+        # second fraction rounds half up to all 140 voters as well
+        code, out = invoke(
+            ["parallel", "--tests-per-day", "13", "--capacity", "140",
+             "--altered-fraction", fraction, "--sampling", sampling]
+        )
+        assert (code, out.splitlines()[1]) == (0, f"1,140,13,140,1,{sampling}")
+
     @pytest.mark.parametrize(
         "argv,limit",
         [
@@ -482,8 +493,13 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize(
         "key,value,needle",
-        [("seed", -1, "seed must be >= 0"), ("n_voters", 10**20, "n_voters must be below 2**63")],
-        ids=["negative-seed", "huge-n_voters"],
+        [
+            ("seed", -1, "seed must be >= 0"),
+            ("n_voters", 10**20, "n_voters must be below 2**63"),
+            # once listed 2.4e8 chunk bounds and ended in a MemoryError
+            ("trials", 10**12, "trials must be at most 2**30"),
+        ],
+        ids=["negative-seed", "huge-n_voters", "huge-trials"],
     )
     def test_scenario_value_out_of_range(
         self, scenario_dir, tmp_path, capsys, key, value, needle

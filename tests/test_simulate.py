@@ -22,6 +22,7 @@ from bmdlimits import simulate
 from bmdlimits.errors import DomainError
 from bmdlimits.simulate import (
     CHUNK_TRIALS,
+    MAX_TRIALS,
     MalloryStrategy,
     PassiveParams,
     PatStrategy,
@@ -209,6 +210,13 @@ class TestWorkerInvariance:
         s = scenario(trials=100)
         assert run_parallel_sim(s, workers=1000).to_json() == run_parallel_sim(s).to_json()
         assert sent["pools"] == [3]
+
+    def test_trials_limit(self, monkeypatch):
+        # checked when the scenario is built: no chunk list is ever made
+        monkeypatch.setattr(simulate, "_chunk_bounds", None)
+        assert scenario(trials=MAX_TRIALS).trials == 2**30
+        with pytest.raises(DomainError, match=r"trials must be at most 2\*\*30 \(1,073,741,824\)"):
+            scenario(trials=MAX_TRIALS + 1)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_rejected(self, workers):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -20,6 +22,8 @@ from bmdlimits.space import (
 from bmdlimits.transactions import (
     DENSE_LIMIT,
     TransactionDistribution,
+    _as_points,
+    _row_keys,
     distribution_from_config,
     estimate,
     l1_distance,
@@ -347,6 +351,90 @@ class TestAgainstReference:
         assert d.weights.tolist() == weights
 
 
+@st.composite
+def keyed_rows(draw):
+    """Rows over a space whose cardinalities mix small, mid-size (products
+    past 2**63, so keys are re-ranked) and above 2**63 (a ranked column),
+    each coordinate drawn from a few values so that rows repeat."""
+    cards = draw(
+        st.lists(
+            st.one_of(
+                st.integers(1, 6), st.integers(2**20, 2**40), st.integers(2**63, 2**70)
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    space = TransactionSpace(tuple(AttributeSpec(f"x{i}", c) for i, c in enumerate(cards)))
+    columns = [
+        draw(st.lists(st.integers(0, min(c, 2**63) - 1), min_size=1, max_size=3)) for c in cards
+    ]
+    point = st.tuples(*(st.sampled_from(col) for col in columns))
+    return space, draw(st.lists(point, min_size=1, max_size=30))
+
+
+class TestRowKeys:
+    @given(keyed_rows())
+    @settings(max_examples=200)
+    def test_keys_order_rows_as_tuples(self, case):
+        space, rows = case
+        keys = _row_keys(_as_points(space, rows), space)
+        assert keys.dtype == np.int64
+        assert [rows[i] for i in np.argsort(keys, kind="stable")] == sorted(rows)
+        for i in range(len(rows)):
+            assert ((keys == keys[i]) == [r == rows[i] for r in rows]).all()
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            realistic_preset(),
+            TransactionSpace((AttributeSpec("x", 2**70), AttributeSpec("y", 2**70))),
+        ],
+        ids=["realistic", "two-wide-columns"],
+    )
+    def test_ranked_keys(self, space):
+        hi = [min(a.cardinality, 2**63) - 1 for a in space.attributes]
+        rows = [tuple(hi), tuple(0 for _ in hi), tuple(hi[:-1]) + (0,), (0,) + tuple(hi[1:])]
+        keys = _row_keys(_as_points(space, rows), space)
+        assert [rows[i] for i in np.argsort(keys)] == sorted(rows)
+        assert len(set(keys.tolist())) == 4
+
+
+def pinned_case(space: TransactionSpace, seed: int) -> tuple[str, str, str]:
+    """The two L1 distances between a seeded sparse law and a plug-in
+    estimate, and a digest of the estimate and of point masses."""
+    rng = np.random.default_rng(seed)
+    d = len(space.attributes)
+    hi = np.array([min(a.cardinality, 2**62) for a in space.attributes], dtype=np.int64)
+    pool = (rng.random((60, d)) * hi).astype(np.int64)
+    pool[:, 0] = rng.integers(0, min(3, hi[0]), size=60)  # ties in the first column
+    pool = np.unique(pool, axis=0)
+    rng.shuffle(pool)
+    p = TransactionDistribution.sparse(space, pool[:40], rng.dirichlet(np.ones(40)))
+    draws = pool[rng.integers(15, len(pool), size=300)]
+    e = estimate(space, [Transaction(tuple(int(c) for c in r)) for r in draws])
+    masses = [p.mass_of(tuple(int(c) for c in r)) for r in pool]
+    blob = e.support.tobytes() + e.weights.tobytes() + np.array(masses).tobytes()
+    return repr(l1_distance(p, e)), repr(l1_distance(e, p)), hashlib.sha256(blob).hexdigest()[:16]
+
+
+class TestPinnedOutputs:
+    # computed when the lookup index held big-endian byte keys; the integer
+    # keys must give the same bytes
+    def test_realistic_preset(self):
+        assert pinned_case(realistic_preset(), 21) == (
+            "1.4384498626013626", "1.4384498626013626", "f5623fee2fe75524"
+        )
+
+    def test_wide_attribute(self):
+        space = TransactionSpace(
+            (AttributeSpec("x", 3), AttributeSpec("y", 2**64), AttributeSpec("z", 2**40))
+        )
+        assert pinned_case(space, 21) == (
+            "1.3348461769060158", "1.3348461769060156", "ef3c4f60cd31d645"
+        )
+
+
 class TestSparseArrays:
     def test_int64_support_is_not_copied(self):
         rows = np.array([[0, 1], [1, 0]], dtype=np.int64)
@@ -368,19 +456,74 @@ class TestSparseArrays:
             [(0,)],  # too few
             [(2**70, 0)],  # beyond int64
             [(-1, 0)],
+            [(0, 1), (0,)],  # ragged
+            [(2**63, 0)],
+            [(1e300, 0)],
+            [(float("nan"), 0)],
+            [(float("inf"), 0)],
+            ["10"],  # a string row
+            [("1", "0")],
+            [(b"1", 0)],
+            [None],
+            [(None, 0)],
+            [[(0,), (1,)]],  # rows nested three deep
+            [[[0, 1], [1, 0]]],
+            [(c for c in (0, 1))],  # a generator row
+            [{0: 1, 1: 0}],  # unordered rows
+            [{0, 1}],
+            [1, 0],  # scalars, not rows
+            np.array([1, 0]),
+            np.zeros((1, 2, 1)),
         ],
     )
     def test_bad_points_rejected(self, support):
         with pytest.raises(DomainError):
-            TransactionDistribution.sparse(small_space(), support, [1.0])
+            _as_points(small_space(), support)
+        with pytest.raises(DomainError):
+            TransactionDistribution.sparse(small_space(), support, [1.0] * len(support))
 
     def test_integral_floats_accepted(self):
         d = TransactionDistribution.sparse(small_space(), [(1.0, 0.0)], [1.0])
         assert d.support.tolist() == [[1, 0]]
 
+    @pytest.mark.parametrize(
+        "support",
+        [
+            [(np.float64(1.0), 0)],
+            [(True, False)],
+            [(np.int64(1), np.int32(0))],  # numpy scalars
+            [np.array([1, 0])],
+            [[1, 0]],
+            ((1, 0),),
+            [range(1, -1, -1)],
+            np.array([[1, 0]], dtype=np.uint64),
+            np.array([[1.0, 0.0]]),
+            np.array([[1, 0]], dtype=object),
+        ],
+    )
+    def test_good_points_accepted(self, support):
+        d = TransactionDistribution.sparse(small_space(), support, [1.0])
+        assert d.support.tolist() == [[1, 0]] and d.support.dtype == np.int64
+
     def test_duplicate_named(self):
         with pytest.raises(DomainError, match=r"duplicate support point \(1, 0\)"):
             TransactionDistribution.sparse(small_space(), [(1, 0), (0, 0), (1, 0)], [0.2, 0.4, 0.4])
+
+    @pytest.mark.parametrize(
+        "space,big",
+        [
+            (realistic_preset(), 19),
+            (TransactionSpace((AttributeSpec("x", 2**64), AttributeSpec("y", 3))), 2**62),
+        ],
+        ids=["realistic-rerank", "wide-column"],
+    )
+    def test_first_duplicate_named_on_ranked_keys(self, space, big):
+        # both spaces' keys are ranked: the message still names the
+        # lexicographically first duplicate, not the first one seen
+        ones = (1,) * (len(space.attributes) - 1)
+        late, early, other = (big, *ones), (5, *ones), (big, 0, *ones[1:])
+        with pytest.raises(DomainError, match=re.escape(f"duplicate support point {early}")):
+            TransactionDistribution.sparse(space, [late, other, early, late, early], [0.2] * 5)
 
     def test_l1_stays_in_range(self):
         # disjoint supports whose weights, summed left to right, come to 2.0000000000000004
