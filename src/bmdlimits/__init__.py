@@ -18,11 +18,7 @@ _EXPORTS = {
         "passive_feasibility_join",
         "summarize",
     ),
-    "kernels": (
-        "PoissonModel",
-        "poisson_sf",
-        "poisson_upper_quantile",
-    ),
+    "kernels": ("poisson_upper_quantile",),
     "minimax": (
         "BoundReport",
         "FixedZeta",

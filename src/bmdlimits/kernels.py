@@ -30,20 +30,6 @@ def check_float_range(**values: int | None) -> None:
             raise DomainError(f"{name} is too large to convert to a float (above 1.8e308)")
 
 
-@dataclass(frozen=True)
-class PoissonModel:
-    """Poisson count model with a known mean.
-
-    mean = 0 is a legal degenerate model (point mass at zero counts).
-    """
-
-    mean: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mean) or self.mean < 0:
-            raise DomainError(f"Poisson mean must be finite and >= 0, got {self.mean}")
-
-
 def poisson_tail(mean: float, k: int) -> float:
     """P{X >= k} for X ~ Poisson(mean), with mean finite and >= 0.
 
@@ -119,24 +105,39 @@ def upper_normal_point(p: float) -> float:
     return -NormalDist().inv_cdf(p)
 
 
+# ``PoissonModel`` and ``poisson_sf`` have no caller in the library; they stay
+# only because perfbench/run.py and perfbench/tracer.py import them by name
+# (ROADMAP item 3).
+@dataclass(frozen=True)
+class PoissonModel:
+    """Poisson count model with a known mean; mean = 0 is a point mass at zero."""
+
+    mean: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.mean) or self.mean < 0:
+            raise DomainError(f"Poisson mean must be finite and >= 0, got {self.mean}")
+
+
 def poisson_sf(model: PoissonModel, k: int) -> float:
     """P{X >= k} for X ~ Poisson(model.mean): ``poisson_tail(model.mean, k)``."""
     return poisson_tail(model.mean, k)
 
 
-def poisson_upper_quantile(model: PoissonModel, alpha: float) -> int:
-    """Smallest integer k with ``poisson_tail(model.mean, k) <= alpha``.
+def poisson_upper_quantile(mean: float, alpha: float) -> int:
+    """Smallest integer k with ``poisson_tail(mean, k) <= alpha``.
 
-    Satisfies ``poisson_tail(model.mean, k - 1) > alpha`` whenever k > 0.
+    Satisfies ``poisson_tail(mean, k - 1) > alpha`` whenever k > 0.
     The search starts at the continuity-corrected Cornish-Fisher guess
-    m + z sqrt(m) + (z**2 + 2) / 6, with m the mean and z the normal upper
-    alpha point.
+    mean + z sqrt(mean) + (z**2 + 2) / 6, with z the normal upper alpha point.
     """
+    if not math.isfinite(mean) or mean < 0:
+        raise DomainError(f"Poisson mean must be finite and >= 0, got {mean}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    m, z = model.mean, upper_normal_point(alpha)
-    guess = math.ceil(m + z * math.sqrt(m) + (z * z + 2.0) / 6.0)
-    return smallest_int_where(lambda k: poisson_tail(m, k) <= alpha, guess=guess)
+    z = upper_normal_point(alpha)
+    guess = math.ceil(mean + z * math.sqrt(mean) + (z * z + 2.0) / 6.0)
+    return smallest_int_where(lambda k: poisson_tail(mean, k) <= alpha, guess=guess)
 
 
 #: Largest population the solvers pass to ``log_no_replacement_miss_prob``:

@@ -39,7 +39,6 @@ from typing import Callable, Literal, Sequence
 from .errors import DomainError, Infeasible
 from .kernels import (
     TAIL_ABS_TOL,
-    PoissonModel,
     poisson_tail,
     poisson_upper_quantile,
     smallest_int_where,
@@ -113,7 +112,7 @@ def passive_power(N: int, design: PassiveDesign, k: int) -> tuple[float, float]:
 
 def alarm_threshold(N: int, design: PassiveDesign) -> int:
     """Smallest k whose benign false-positive rate meets the fp budget."""
-    return poisson_upper_quantile(PoissonModel(N * design.base_rate), design.fp_budget)
+    return poisson_upper_quantile(N * design.base_rate, design.fp_budget)
 
 
 def _threshold(N: int, design: PassiveDesign, convention: Convention) -> tuple[int, int]:
@@ -152,7 +151,7 @@ def _np_miss(N: int, design: PassiveDesign) -> tuple[float, float]:
     alpha = design.fp_budget
     m0 = N * design.base_rate
     m1 = N * (design.base_rate + design.attack_rate)
-    k = poisson_upper_quantile(PoissonModel(m0), alpha)
+    k = poisson_upper_quantile(m0, alpha)
     fp = poisson_tail(m0, k)
     gap = m1 - m0
     # log lam = c log(m1/m0) - (m1 - m0): the factorials cancel

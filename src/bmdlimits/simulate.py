@@ -54,7 +54,7 @@ from typing import Literal, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .kernels import PoissonModel, poisson_sf
+from .kernels import poisson_tail
 from .parallel import detection_prob_iid
 from .space import (
     Transaction,
@@ -73,6 +73,10 @@ from .transactions import TransactionDistribution, _as_points, distribution_from
 CHUNK_TRIALS = 4096  # fixed; never dependent on the worker count
 
 MAX_TRIALS = 2**30  # 2**18 chunks; the memory this bounds is in ``SimScenario``
+
+#: ``run_estimation_study`` keeps one float64 L1 value per trial: 128 MB and
+#: 4,096 chunks at this limit.
+MAX_STUDY_TRIALS = 2**24
 
 #: Most cells a chunk holds at once (8 bytes each): tests of a parallel-testing
 #: block, multinomial counts of the estimation study.  Memory stays bounded at
@@ -548,8 +552,8 @@ def run_passive_sim(s: SimScenario, workers: int = 1) -> SimReport:
     k = s.passive.alarm_threshold
     attack_rate = p_voter * s.mallory.flip_prob * s.passive.detect_rate
     analytic = {
-        "fp": poisson_sf(PoissonModel(s.n_voters * b), k),
-        "fn": 1.0 - poisson_sf(PoissonModel(s.n_voters * (b + attack_rate)), k),
+        "fp": poisson_tail(s.n_voters * b, k),
+        "fn": 1.0 - poisson_tail(s.n_voters * (b + attack_rate), k),
     }
     return _report(
         s, p_voter, altered, analytic, fp=alarms0 / s.trials, fn=1.0 - alarms1 / s.trials
@@ -605,16 +609,22 @@ def run_estimation_study(
     support size reported), like tallying IID draws.  The reported bound is
     the worst case over all distributions on this support size, so it is a
     comparison column, not an assertion about this particular distribution.
+
+    ``true_dist`` must be over ``space``, and ``trials`` at most 2**24 (``MAX_STUDY_TRIALS``).
     """
     from .minimax import hjw_lower_bound
 
+    if true_dist.space.attributes != space.attributes:
+        raise DomainError("true distribution is over a different space")
+    if n_train < 1 or trials < 1:
+        raise DomainError("n_train and trials must be >= 1")
+    if trials > MAX_STUDY_TRIALS:
+        raise DomainError(f"trials must be at most 2**24 ({MAX_STUDY_TRIALS:,}), got {trials:,}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     weights = true_dist.weights if true_dist.form == "sparse" else true_dist.to_dense()
     weights = weights[weights > 0]
     support_size = len(weights)
-    if n_train < 1 or trials < 1:
-        raise DomainError("n_train and trials must be >= 1")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
 
     l1 = np.concatenate(_run_chunks(_estimation_chunk, trials, workers, weights, n_train, seed))
     bound = (

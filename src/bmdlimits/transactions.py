@@ -48,6 +48,9 @@ def _as_points(space: TransactionSpace, points) -> np.ndarray:
     if arr.dtype.kind in "iu":
         arr = arr.astype(np.int64, copy=False)
     else:
+        # nan, inf and 2**63 up would cast with a RuntimeWarning; refuse them first
+        if arr.dtype.kind == "f" and not (np.abs(arr) < 2.0**63).all():
+            raise DomainError("coordinates must be integers below 2**63")
         try:
             as_int = arr.astype(np.int64)
         except (OverflowError, TypeError, ValueError):

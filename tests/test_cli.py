@@ -1,8 +1,11 @@
 """Command-line front end: formats, exit codes, and agreement with the library."""
 
+import contextlib
 import io
 import json
+import math
 import os
+import re
 import pathlib
 import subprocess
 import sys
@@ -533,6 +536,84 @@ class TestMalformedConfig:
         self.fails_cleanly(
             ["feasibility", "--data", str(path)], capsys, str(path), "line 2", "UTF-8"
         )
+
+
+COUNTY_CSV = str(pathlib.Path(__file__).parent / "data" / "county_turnout.csv")
+_PASSIVE_FLAGS = dict.fromkeys(["--margin", "--detect-rate", "--base-rate", "--fp", "--fn"], float)
+_ELECTORATE = ["parallel", "--tests-per-day", "13", "--capacity", "140",
+               "--altered-fraction", "0.005", "--confidence", "0.95"]
+_ELECTORATE_FLAGS = {"--tests-per-day": int, "--capacity": int, "--altered-fraction": float,
+                     "--confidence": float}
+_CELL = ["minimax", "--confidence", "0.99", "--test-limit", "2000", "--altered-fraction", "0.005"]
+_CELL_FLAGS = {"--confidence": float, "--test-limit": int, "--altered-fraction": float,
+               "--support-size": int, "--beta": float}
+#: One valid call per form of every subcommand but ``simulate``, and the
+#: type of each numeric flag that form reads.
+SWEEP_FORMS = {
+    "passive": (["passive", "--margin", "0.03", "--detect-rate", "0.07", "--base-rate", "0.005"],
+                _PASSIVE_FLAGS),
+    "passive grid": (["passive", "--margin", "0.03,0.05", "--detect-rate", "0.07",
+                      "--base-rate", "0.005"], _PASSIVE_FLAGS),
+    "parallel --p": (["parallel", "--p", "0.01", "--confidence", "0.95"],
+                     {"--p": float, "--confidence": float}),
+    "parallel --tests": (["parallel", "--p", "0.5", "--tests", "5"], {"--p": float, "--tests": int}),
+    "parallel --tests-per-day": (_ELECTORATE, _ELECTORATE_FLAGS),
+    "parallel --tests-per-day without_replacement": (
+        [*_ELECTORATE, "--sampling", "without_replacement"], _ELECTORATE_FLAGS),
+    "oracle": (["oracle", "--population", "2980", "--flawed", "15", "--confidence", "0.95"],
+               {"--population": int, "--flawed": int, "--confidence": float}),
+    "minimax cell": (_CELL, {**_CELL_FLAGS, "--zeta": float}),
+    "minimax cell --zeta-grid": ([*_CELL, "--zeta-grid"], _CELL_FLAGS),
+    "minimax table": (["minimax"], {"--support-size": int, "--zeta": float}),
+    "feasibility": (["feasibility", "--data", COUNTY_CSV], {"--threshold": int}),
+    "feasibility --margin": (["feasibility", "--data", COUNTY_CSV, "--margin", "0.03"],
+                             {**_PASSIVE_FLAGS, "--threshold": int}),
+}
+#: 1e308 and 1e20 go to an int flag as integers; the other floats are its type errors
+SWEEP_VALUES = (0, 1, -1, 1e-300, math.nextafter(1.0, 0.0), 1e308, math.nan, math.inf, 1e20,
+                2**63, "x")
+
+
+def _flag_text(value, kind) -> str:
+    if kind is int and isinstance(value, float) and math.isfinite(value) and value == int(value):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class TestNumericFlagSweep:
+    """Every numeric flag of every form, one at a time from a valid call, over
+    the edge values: each call answers (exit 0), ends in one ``error:`` line
+    (exit 1), or fails argparse's type check (exit 2), never in a traceback."""
+
+    @pytest.mark.parametrize(
+        "form,flag",
+        [(form, flag) for form, (_, flags) in SWEEP_FORMS.items() for flag in flags],
+    )
+    def test_edge_values(self, form, flag):
+        base, flags = SWEEP_FORMS[form]
+        wrong = []
+        for value in SWEEP_VALUES:
+            text = _flag_text(value, flags[flag])
+            argv = list(base)
+            if flag in argv:
+                argv[argv.index(flag) + 1] = text
+            else:
+                argv += [flag, text]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            lines = err.getvalue().splitlines()
+            ok = (
+                code == 0
+                or (code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+                or (code == 2 and re.search(rf"argument {flag}: invalid (int|float) value", lines[-1]))
+            )
+            if not ok or "Traceback" in err.getvalue():
+                wrong.append((text, code, err.getvalue()))
+        assert wrong == []
 
 
 class TestModuleEntryPoints:

@@ -1,5 +1,5 @@
 """Turnout ingestion, summaries, feasibility joins, and the bundled synthetic
-county fixture."""
+county fixture (built by scripts/make_turnout_fixture.py)."""
 
 import io
 
@@ -14,14 +14,6 @@ from bmdlimits.feasibility import (
     parse_turnout,
     passive_feasibility_join,
     summarize,
-)
-from bmdlimits.fixtures import (
-    COUNTY_COUNT,
-    MEDIAN_TURNOUT,
-    REFERENCE_DESIGN,
-    STATE_COUNT,
-    build_county_fixture,
-    county_turnouts,
 )
 from bmdlimits.passive import PassiveDesign, min_contest_size
 
@@ -130,31 +122,32 @@ class TestJoin:
 
 
 class TestCountyFixture:
-    def test_quantile_construction(self):
-        turnouts = county_turnouts()
-        assert len(turnouts) == COUNTY_COUNT
+    def test_quantile_construction(self, turnout_script):
+        count = turnout_script.COUNTY_COUNT
+        turnouts = turnout_script.county_turnouts()
+        assert len(turnouts) == count
         assert turnouts == sorted(turnouts)
-        assert turnouts[(COUNTY_COUNT - 1) // 2] == MEDIAN_TURNOUT
+        assert turnouts[(count - 1) // 2] == turnout_script.MEDIAN_TURNOUT
 
-    def test_even_count_rejected(self):
+    def test_even_count_rejected(self, turnout_script):
         with pytest.raises(DomainError):
-            county_turnouts(n=10)
+            turnout_script.county_turnouts(n=10)
 
-    def test_bundled_file_matches_builder(self, data_dir):
+    def test_bundled_file_matches_builder(self, data_dir, turnout_script):
         text = (data_dir / "county_turnout.csv").read_text(encoding="utf-8")
-        assert emit_turnout(build_county_fixture()) == text
+        assert emit_turnout(turnout_script.build_county_fixture()) == text
 
-    def test_fixture_statistics(self, data_dir):
+    def test_fixture_statistics(self, data_dir, turnout_script):
         records = load_turnout(str(data_dir / "county_turnout.csv"))
         summary = summarize(records, [43_000])
-        assert summary.count == COUNTY_COUNT
-        assert summary.median_turnout == MEDIAN_TURNOUT
+        assert summary.count == turnout_script.COUNTY_COUNT
+        assert summary.median_turnout == turnout_script.MEDIAN_TURNOUT
         assert summary.fraction_below[43_000] > 2 / 3
-        assert len({r.state for r in records}) == STATE_COUNT
+        assert len({r.state for r in records}) == turnout_script.STATE_COUNT
 
-    def test_majority_infeasible_states(self, data_dir):
+    def test_majority_infeasible_states(self, data_dir, turnout_script):
         records = load_turnout(str(data_dir / "county_turnout.csv"))
-        join = passive_feasibility_join(records, REFERENCE_DESIGN)
+        join = passive_feasibility_join(records, turnout_script.REFERENCE_DESIGN)
         assert join.states_where_majority_infeasible == 37
 
     def test_small_jurisdictions_cannot_monitor_tight_margins(self, data_dir):

@@ -156,7 +156,7 @@ def test_every_export_resolves():
 
 
 def test_submodules_resolve_as_attributes():
-    assert bmdlimits.kernels.poisson_sf is bmdlimits.poisson_sf
+    assert bmdlimits.kernels.poisson_upper_quantile is bmdlimits.poisson_upper_quantile
 
 
 def test_unknown_name_is_attribute_error():

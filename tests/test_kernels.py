@@ -159,7 +159,7 @@ class TestPoissonTail:
         """With scipy's tail the first quantile was 4,961,553, whose exact
         tail is 1.0058e-6 > alpha.  The second is odd and past 2**53, where
         float(k) is k + 1."""
-        k = poisson_upper_quantile(PoissonModel(mean), alpha)
+        k = poisson_upper_quantile(mean, alpha)
         assert tail_oracle(mean, k) <= alpha < tail_oracle(mean, k - 1)
 
     def test_coefficient_block_is_generated(self):
@@ -175,15 +175,15 @@ class TestPoissonTail:
 
 class TestPoissonSf:
     def test_degenerate_model(self):
-        assert poisson_sf(PoissonModel(0.0), 1) == 0.0
-        assert poisson_sf(PoissonModel(0.0), 0) == 1.0
+        assert poisson_tail(0.0, 1) == 0.0
+        assert poisson_tail(0.0, 0) == 1.0
 
     def test_tail_at_zero(self):
-        assert poisson_sf(PoissonModel(3.7), 0) == 1.0
-        assert poisson_sf(PoissonModel(3.7), -2) == 1.0
+        assert poisson_tail(3.7, 0) == 1.0
+        assert poisson_tail(3.7, -2) == 1.0
 
     def test_small_case_against_oracle(self):
-        assert poisson_sf(PoissonModel(5.0), 10) == pytest.approx(
+        assert poisson_tail(5.0, 10) == pytest.approx(
             float(tail_oracle(5.0, 10)), abs=TAIL_ABS_TOL
         )
 
@@ -201,7 +201,7 @@ class TestPoissonSf:
         ],
     )
     def test_against_oracle(self, mean, k):
-        assert poisson_sf(PoissonModel(mean), k) == pytest.approx(
+        assert poisson_tail(mean, k) == pytest.approx(
             float(tail_oracle(mean, k)), abs=TAIL_ABS_TOL
         )
 
@@ -211,16 +211,19 @@ class TestPoissonSf:
         with pytest.raises(DomainError):
             PoissonModel(float("nan"))
 
+    @pytest.mark.parametrize("mean,k", [(0.0, 1), (3.7, 0), (5.0, 10), (2257.055, 2336)])
+    def test_model_wrapper_is_the_tail(self, mean, k):
+        assert poisson_sf(PoissonModel(mean), k) == poisson_tail(mean, k)
+
     @given(
         mean=st.floats(min_value=0.01, max_value=5000.0),
         k=st.integers(min_value=0, max_value=6000),
     )
     @settings(max_examples=200)
     def test_in_unit_interval_and_monotone_in_k(self, mean, k):
-        model = PoissonModel(mean)
-        v = poisson_sf(model, k)
+        v = poisson_tail(mean, k)
         assert 0.0 <= v <= 1.0
-        assert poisson_sf(model, k + 1) <= v + TAIL_ABS_TOL
+        assert poisson_tail(mean, k + 1) <= v + TAIL_ABS_TOL
 
     @given(
         mean=st.floats(min_value=0.01, max_value=500.0),
@@ -229,8 +232,8 @@ class TestPoissonSf:
     )
     @settings(max_examples=200)
     def test_monotone_in_mean(self, mean, bump, k):
-        lo = poisson_sf(PoissonModel(mean), k)
-        hi = poisson_sf(PoissonModel(mean + bump), k)
+        lo = poisson_tail(mean, k)
+        hi = poisson_tail(mean + bump, k)
         assert hi >= lo - TAIL_ABS_TOL
 
 
@@ -246,14 +249,11 @@ QUANTILE_ALPHAS = st.floats(min_value=1e-12, max_value=0.9) | st.integers(-12, -
 
 class TestPoissonQuantile:
     def test_degenerate_model(self):
-        assert poisson_upper_quantile(PoissonModel(0.0), 0.05) == 1
+        assert poisson_upper_quantile(0.0, 0.05) == 1
 
     def test_scan_oracle(self):
-        model = PoissonModel(10.0)
-        expected = min(
-            k for k in range(0, 51) if poisson_sf(model, k) <= 0.05
-        )
-        assert poisson_upper_quantile(model, 0.05) == expected
+        expected = min(k for k in range(0, 51) if poisson_tail(10.0, k) <= 0.05)
+        assert poisson_upper_quantile(10.0, 0.05) == expected
 
     @given(mean=QUANTILE_MEANS, alpha=QUANTILE_ALPHAS)
     @example(mean=1e10, alpha=1e-6)
@@ -262,11 +262,10 @@ class TestPoissonQuantile:
     @example(mean=1e16, alpha=1e-12)
     @settings(max_examples=200)
     def test_round_trip_certificate(self, mean, alpha):
-        model = PoissonModel(mean)
-        k = poisson_upper_quantile(model, alpha)
-        assert poisson_sf(model, k) <= alpha
+        k = poisson_upper_quantile(mean, alpha)
+        assert poisson_tail(mean, k) <= alpha
         if k > 0:
-            assert poisson_sf(model, k - 1) > alpha
+            assert poisson_tail(mean, k - 1) > alpha
 
     @given(mean=QUANTILE_MEANS, alpha=QUANTILE_ALPHAS)
     @example(mean=1e10, alpha=1e-6)
@@ -274,15 +273,19 @@ class TestPoissonQuantile:
     @example(mean=1e16, alpha=0.9)
     @settings(max_examples=200)
     def test_seed_does_not_change_answer(self, mean, alpha):
-        model = PoissonModel(mean)
-        unseeded = smallest_int_where(lambda k: poisson_sf(model, k) <= alpha)
-        assert poisson_upper_quantile(model, alpha) == unseeded
+        unseeded = smallest_int_where(lambda k: poisson_tail(mean, k) <= alpha)
+        assert poisson_upper_quantile(mean, alpha) == unseeded
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
-            poisson_upper_quantile(PoissonModel(1.0), 0.0)
+            poisson_upper_quantile(1.0, 0.0)
         with pytest.raises(DomainError):
-            poisson_upper_quantile(PoissonModel(1.0), 1.0)
+            poisson_upper_quantile(1.0, 1.0)
+
+    @pytest.mark.parametrize("mean", [-1.0, float("nan"), float("inf")])
+    def test_mean_domain(self, mean):
+        with pytest.raises(DomainError, match="Poisson mean"):
+            poisson_upper_quantile(mean, 0.05)
 
 
 def miss_prob_exact(population: int, flawed: int, draws: int) -> Fraction:

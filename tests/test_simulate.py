@@ -357,6 +357,23 @@ class TestEstimationStudy:
         with pytest.raises(DomainError, match="seed"):
             run_estimation_study(SPACE, d, 100, 100, -1)
 
+    def test_true_distribution_over_another_space(self):
+        other = TransactionSpace((AttributeSpec("a", 3), AttributeSpec("b", 2)))
+        d = TransactionDistribution.sparse(other, [(0, 0)], [1.0])
+        with pytest.raises(DomainError, match="true distribution is over a different space"):
+            run_estimation_study(SPACE, d, 100, 100, 1)
+
+    def test_trials_limit(self, monkeypatch):
+        def no_chunks(*args):  # the limit is checked before any chunk is listed
+            raise AssertionError("chunks listed")
+
+        monkeypatch.setattr(simulate, "_chunk_bounds", no_chunks)
+        d = TransactionDistribution.sparse(SPACE, [(0, 0)], [1.0])
+        with pytest.raises(DomainError, match=r"at most 2\*\*24 \(16,777,216\), got 16,777,217"):
+            run_estimation_study(SPACE, d, 100, 2**24 + 1, 1)
+        with pytest.raises(DomainError, match="at most 2"):
+            run_estimation_study(SPACE, d, 100, 10**12, 1)
+
 
 # -- sparse paths: reference loop and pinned reports -------------------------
 
