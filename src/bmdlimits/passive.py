@@ -14,7 +14,10 @@ Two accounting conventions for the miss probability are provided:
   behavior.
 * ``"strict"`` counts a miss whenever the alarm does not fire: ``P{X < k}``.
 
-The solver climbs N <- need(N) (see ``min_contest_size``).  Under ``strict``
+The solver climbs from N toward need(N), the smallest size meeting the fn
+budget at N's alarm threshold, mostly by jumps to lower bounds of need(N)
+that two Poisson tails certify; the sizes they skip are infeasible, so it
+stops where N <- need(N) does (see ``min_contest_size``).  Under ``strict``
 it starts at a certified size N0 rather than at 1:
 
 1. fn_rand(N), the miss of the randomized most powerful level-fp_budget test
@@ -50,6 +53,8 @@ Convention = Literal["published", "strict"]
 # fewest spoils that may alarm: a one-spoil alarm would make the published
 # miss event X <= k - 2 vacuous
 _THRESHOLD_FLOOR = {"published": 2, "strict": 1}
+# the climb stops once the alarm threshold passes this, to bound its work
+_THRESHOLD_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -201,14 +206,42 @@ def _certified_start(design: PassiveDesign) -> int:
 def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
     """Smallest N whose miss probability below j spoils meets the fn budget.
 
-    P{Pois(m) < j} = P{Gamma(j) > m} falls with N.  The search starts at the
-    Wilson-Hilferty quantile j (1 - 1/(9j) + z/(3 sqrt(j)))**3 / rate, with z
-    the normal upper fn_budget point, and certifies the answer by exact tails.
+    P{Pois(m) < j} = P{Gamma(j) > m} falls with N.  The search starts at
+    ``_fn_guess`` and certifies the answer by exact tails.
     """
     rate = design.base_rate + design.attack_rate
-    z = upper_normal_point(design.fn_budget)
-    guess = j * (1.0 - 1.0 / (9 * j) + z / (3.0 * math.sqrt(j))) ** 3 / rate
+    guess = _fn_guess(design, j)
     return _smallest_size(lambda N: _miss(N, design, j) <= design.fn_budget, guess, rate)
+
+
+def _fn_guess(design: PassiveDesign, j: int) -> float:
+    """The Wilson-Hilferty quantile j (1 - 1/(9j) + z/(3 sqrt(j)))**3 / rate,
+    with z the normal upper fn_budget point."""
+    z = upper_normal_point(design.fn_budget)
+    rate = design.base_rate + design.attack_rate
+    return j * (1.0 - 1.0 / (9 * j) + z / (3.0 * math.sqrt(j))) ** 3 / rate
+
+
+def _step(N: int, design: PassiveDesign, convention: Convention) -> int:
+    """The climb's next size from N: a lower bound of need(N) where two tails
+    certify one above N (see ``min_contest_size``), else need(N) by exact
+    searches, which raise at the 1e7 threshold cap and at 2**53."""
+    floor = _THRESHOLD_FLOOR[convention]
+    mean = N * design.base_rate
+    z = upper_normal_point(design.fp_budget)
+    g = max(floor, math.ceil(mean + z * math.sqrt(mean) + (z * z + 2.0) / 6.0))
+    if g <= _THRESHOLD_CAP and (g == floor or poisson_tail(mean, g - 1) > design.fp_budget):
+        j = g - 1 if convention == "published" else g
+        h = _fn_guess(design, j)
+        if N < h <= 2**53 and _miss(math.ceil(h) - 1, design, j) > design.fn_budget:
+            return math.ceil(h)
+    k, j = _threshold(N, design, convention)
+    if k > _THRESHOLD_CAP:
+        raise Infeasible(
+            "no alarm threshold below 1e7 meets both budgets;"
+            " larger thresholds are not searched"
+        )
+    return _smallest_fn_ok(design, j)
 
 
 def min_contest_size(
@@ -227,8 +260,18 @@ def min_contest_size(
     2. need is nondecreasing, since k(N) is and so is the size needed at a
        higher threshold.
     3. Hence if N < need(N), every M in [N, need(N)) has M < need(N) <=
-       need(M) and is infeasible: climbing N <- need(N) from N = 1 stops at
-       the smallest feasible size.
+       need(M) and is infeasible, and so is every M in [N, L) for any
+       L <= need(N): climbing from N = 1 to any such L while N < need(N)
+       stops at the smallest feasible size.
+
+    Each step (``_step``) climbs to such an L, certified by one tail per
+    search: k(N) >= g if the fp budget fails at g - 1, and need(N) >= h if
+    the fn budget fails at size h - 1 at threshold g (need is no larger at a
+    lower threshold), with g and h the exact searches' own guesses.  Only an
+    exact step, taken where a bound fails or h <= N, stops the climb.  Where
+    no size up to 2**53 is feasible, which limit comes first (the 1e7
+    threshold cap or 2**53) depends on the path; a bound could in principle
+    change it, but none has been seen to.
 
     The argument holds from any start below which no size is feasible.
     Under ``strict`` the climb starts at ``_certified_start``, where the
@@ -247,17 +290,8 @@ def min_contest_size(
     if design.attack_rate <= 0.0:
         raise Infeasible("attack is statistically invisible (margin * detect_rate = 0)")
     N = _certified_start(design) if convention == "strict" else 1
-    while True:
-        k, j = _threshold(N, design, convention)
-        if k > 10**7:
-            raise Infeasible(
-                "no alarm threshold below 1e7 meets both budgets;"
-                " larger thresholds are not searched"
-            )
-        need = _smallest_fn_ok(design, j)
-        if need <= N:
-            break
-        N = need
+    while (step := _step(N, design, convention)) > N:
+        N = step
     # certificates: N is feasible, N - 1 is not
     k, fp, fn = _achieved(N, design, convention)
     if not (fp <= design.fp_budget and fn <= design.fn_budget):  # pragma: no cover
@@ -283,12 +317,18 @@ def table_passive(
     """
     if not (margins and detect_rates and base_rates):
         raise DomainError("grids must be nonempty")
+    labels: dict[str, float] = {}
+    for b in base_rates:  # two rates under one label would drop an answer
+        label = f"base_rate={b:g}"
+        if label in labels and labels[label] != b:
+            raise DomainError(f"base rates {labels[label]!r} and {b!r} share the column {label}")
+        labels[label] = b
     rows = []
     for margin in margins:
         for d in detect_rates:
             row: dict = {"margin": margin, "detect_rate": d}
-            for b in base_rates:
+            for label, b in labels.items():
                 design = PassiveDesign(margin, d, b, fp_fn, fp_fn)
-                row[f"base_rate={b:g}"] = min_contest_size(design, convention).contest_size
+                row[label] = min_contest_size(design, convention).contest_size
             rows.append(row)
     return rows

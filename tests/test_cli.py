@@ -126,6 +126,14 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
 
+    def test_colliding_base_rate_columns_is_one(self, capsys):
+        # once exit 0 with a single base_rate=0.005 column: one rate's answers dropped
+        code, out = invoke(["passive", "--margin", "0.03,0.05", "--detect-rate", "0.07",
+                            "--base-rate", "0.005,0.0050000001"])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err == "error: base rates 0.005 and 0.0050000001 share the column base_rate=0.005\n"
+
     def test_negative_seed_flag_is_one(self, scenario_dir, capsys):
         # once numpy's "expected non-negative integer" traceback
         path = scenario_dir / "whole_space_flip.json"
@@ -840,3 +848,10 @@ class TestRepro:
         _, a = invoke(["repro"])
         _, b = invoke(["repro"])
         assert a == b
+
+    def test_matches_golden_output(self, data_dir):
+        # tests/data/repro.csv holds every published number as the solvers
+        # print it; CI compares `python -m bmdlimits repro` with it as well
+        code, text = invoke(["repro"])
+        assert code == 0
+        assert text == (data_dir / "repro.csv").read_text(encoding="utf-8")

@@ -2,6 +2,7 @@
 an extended-precision oracle for the power calculation."""
 
 import math
+import re
 from collections import Counter
 from statistics import NormalDist
 
@@ -15,10 +16,13 @@ from bmdlimits.errors import DomainError, Infeasible
 from bmdlimits.kernels import smallest_int_where
 from bmdlimits.passive import (
     PassiveDesign,
+    PassiveSolution,
+    _achieved,
     _certified_start,
     _miss,
     _np_miss,
     _smallest_fn_ok,
+    _threshold,
     alarm_threshold,
     min_contest_size,
     passive_power,
@@ -140,6 +144,26 @@ class TestAlarmThreshold:
                 assert fp_below > design.fp_budget
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Calls of ``poisson_tail`` and ``_smallest_fn_ok`` made by the passive solver."""
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(passive, "poisson_tail")
+    counted(kernels, "poisson_tail")  # the quantile search's own binding
+    counted(passive, "_smallest_fn_ok")
+    return calls
+
+
 def published_cases():
     for budget, table in ((0.05, PUBLISHED_CONTEST_SIZES_5PCT), (0.01, PUBLISHED_CONTEST_SIZES_1PCT)):
         for (margin, d), sizes in table.items():
@@ -163,6 +187,15 @@ class TestGoldenTables:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             table_passive(0.05, [], [0.07], [0.005])
+
+    def test_colliding_base_rate_columns_rejected(self):
+        # once one column, base_rate=0.005, holding the second rate's answers
+        with pytest.raises(DomainError, match=r"0\.005 and 0\.0050000001 share the column base_rate=0\.005$"):
+            table_passive(0.05, [0.03, 0.05], [0.07], [0.005, 0.0050000001])
+
+    def test_repeated_base_rate_is_one_column(self):
+        rows = table_passive(0.05, [0.03], [0.07], [0.005, 0.005])
+        assert rows == [{"margin": 0.03, "detect_rate": 0.07, "base_rate=0.005": 52_310}]
 
 
 class TestSolver:
@@ -318,36 +351,22 @@ class TestCertifiedStart:
             assert miss <= passive_power(N, design, alarm_threshold(N, design))[1]
         assert all(after <= before for before, after in zip(misses, misses[1:]))
 
-    def test_start_saves_the_strict_climb(self, monkeypatch):
+    def test_start_saves_the_strict_climb(self, solver_calls):
         """On the 60 published-grid cells under ``strict`` the climb from
         N = 1 made 25,634 Poisson tails and 6,301 steps."""
-        calls = Counter()
-
-        def counted(module, name):
-            fn = getattr(module, name)
-
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(module, name, wrapped)
-
-        counted(passive, "poisson_tail")
-        counted(kernels, "poisson_tail")  # the quantile search's own binding
-        counted(passive, "_smallest_fn_ok")
         cells = list(published_cases())
         for budget, margin, d, b, expected in cells:
             design = PassiveDesign(margin, d, b, budget, budget)
             assert min_contest_size(design, "published").contest_size == expected
-        calls.clear()
+        solver_calls.clear()
         for budget, margin, d, b, _ in cells:
             design = PassiveDesign(margin, d, b, budget, budget)
             min_contest_size(design, "strict")
         assert len(cells) == 60
         # ~2,400; a count below one tail per cell would mean the wrappers
         # missed the binding the solver calls
-        assert 60 <= calls["poisson_tail"] <= 4_000
-        assert calls["_smallest_fn_ok"] <= 200
+        assert 60 <= solver_calls["poisson_tail"] <= 4_000
+        assert solver_calls["_smallest_fn_ok"] <= 200
 
 
 def log_uniform(lo, hi):
@@ -423,3 +442,82 @@ class TestSizeSearch:
     def test_certified_start_past_2_53_is_infeasible(self, rate):
         with pytest.raises(Infeasible, match=r"more than 2\*\*53 voters needed"):
             _certified_start(self.at_rate(rate, 0.05, 0.05))
+
+
+def exact_climb(design, convention):
+    """``min_contest_size`` with both of every step's searches exact:
+    N <- need(N), with k(N) from ``_threshold`` and need from ``_smallest_fn_ok``."""
+    N = _certified_start(design) if convention == "strict" else 1
+    while True:
+        k, j = _threshold(N, design, convention)
+        if k > 10**7:
+            raise Infeasible(
+                "no alarm threshold below 1e7 meets both budgets;"
+                " larger thresholds are not searched"
+            )
+        need = _smallest_fn_ok(design, j)
+        if need <= N:
+            break
+        N = need
+    k, fp, fn = _achieved(N, design, convention)
+    return PassiveSolution(N, k, fp, fn, convention)
+
+
+def outcome(solve, design, convention):
+    try:
+        return solve(design, convention)
+    except (DomainError, Infeasible) as exc:
+        return type(exc), str(exc)
+
+
+class TestBoundedClimb:
+    """Steps to one-tail lower bounds on k(N) and need(N) end where the exact
+    climb does: at the same size, or in the same error."""
+
+    @given(
+        margin=log_uniform(1e-5, 0.5),
+        d=log_uniform(1e-3, 0.9),
+        b=log_uniform(1e-9, 0.4),
+        fp=log_uniform(1e-6, 0.5),
+        fn=log_uniform(1e-6, 0.5),
+        convention=st.sampled_from(["published", "strict"]),
+    )
+    # where the 2**53 limit and the 1e7 threshold cap meet
+    @example(margin=4e-13, d=0.5, b=1.1e-9, fp=0.05, fn=0.05, convention="published")
+    @example(margin=4e-13, d=0.5, b=1.12e-9, fp=0.05, fn=0.05, convention="published")
+    # past 6e14 voters, where the computed miss wobbles by an ulp between sizes
+    @example(margin=1.2e-11, d=0.5, b=1.05e-9, fp=0.05, fn=0.05, convention="published")
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exact_climb(self, margin, d, b, fp, fn, convention):
+        design = PassiveDesign(margin, d, b, fp, fn)
+        assert outcome(min_contest_size, design, convention) == outcome(exact_climb, design, convention)
+
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            ((4e-13, 0.5, 1.1e-9, 0.05, 0.05), "more than 2**53 voters needed"),
+            ((4e-13, 0.5, 1.12e-9, 0.05, 0.05), "larger thresholds are not searched"),
+            ((1.2e-11, 0.5, 1.05e-9, 0.05, 0.05), 1_263_723_317_174_506),
+        ],
+        ids=["2**53", "threshold-cap", "wobble"],
+    )
+    def test_limits(self, args, expected):
+        design = PassiveDesign(*args)
+        if isinstance(expected, int):
+            assert min_contest_size(design).contest_size == expected
+        else:
+            with pytest.raises(Infeasible, match=re.escape(expected)):
+                min_contest_size(design)
+
+    def test_bounds_save_the_published_climb(self, solver_calls):
+        """On the 60 published-grid cells the climb on exact searches made
+        26,954 Poisson tails and 6,335 steps."""
+        cells = list(published_cases())
+        for budget, margin, d, b, expected in cells:
+            design = PassiveDesign(margin, d, b, budget, budget)
+            assert min_contest_size(design, "published").contest_size == expected
+        assert len(cells) == 60
+        # ~16,400 tails and ~570 exact steps; fewer than one tail per cell
+        # would mean the wrappers missed the binding the solver calls
+        assert 60 <= solver_calls["poisson_tail"] <= 17_000
+        assert solver_calls["_smallest_fn_ok"] <= 1_000
