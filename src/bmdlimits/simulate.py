@@ -72,7 +72,18 @@ from .transactions import TransactionDistribution, _as_points, distribution_from
 
 CHUNK_TRIALS = 4096  # fixed; never dependent on the worker count
 
-MAX_TRIALS = 2**30  # 2**18 chunks; the memory this bounds is in ``SimScenario``
+MAX_TRIALS = 2**30  # 2**18 chunks; what this bounds is in ``SimScenario``
+
+#: Most tests a tester runs per trial.  A chunk's memory does not grow with
+#: the count (it draws in blocks of ``BLOCK_CELLS``), but its time does: a run
+#: draws ``trials * test_count`` uniforms per trigger array and the flips.
+MAX_TEST_COUNT = 2**30
+
+#: Tasks each worker of a pool receives: a run hands the pool at most
+#: ``BATCHES_PER_WORKER * workers`` runs of consecutive chunks, whatever its
+#: trials.  Fixed, and the results come back in chunk order, so it never
+#: changes a report.
+BATCHES_PER_WORKER = 8
 
 #: ``run_estimation_study`` keeps one float64 L1 value per trial: 128 MB and
 #: 4,096 chunks at this limit.
@@ -127,7 +138,8 @@ class MalloryStrategy:
 
 @dataclass(frozen=True)
 class PatStrategy:
-    """Tester behavior: where test transactions come from and how many."""
+    """Tester behavior: where test transactions come from and how many
+    (``test_count``, at most ``MAX_TEST_COUNT``, 2**30, per trial)."""
 
     mode: Literal["uniform", "distribution", "script"]
     test_count: int
@@ -137,6 +149,10 @@ class PatStrategy:
     def __post_init__(self) -> None:
         if self.test_count < 0:
             raise DomainError("test_count must be >= 0")
+        if self.test_count > MAX_TEST_COUNT:
+            raise DomainError(
+                f"test_count must be at most 2**30 ({MAX_TEST_COUNT:,}), got {self.test_count:,}"
+            )
         if self.mode == "distribution" and self.distribution is None:
             raise DomainError("distribution mode requires a distribution")
         if self.mode == "script":
@@ -163,11 +179,13 @@ class PassiveParams:
 class SimScenario:
     """Full specification of one attacker-vs-tester Monte Carlo experiment.
 
-    ``trials`` is at most ``MAX_TRIALS`` (2**30).  A run lists every chunk of
-    ``CHUNK_TRIALS`` before its first draw, and with more than one worker the
-    process pool holds a pending future per chunk, so the limit of 2**18
-    chunks bounds that bookkeeping at ~80 MB of chunk lists plus ~0.5 GB of
-    futures (~1.9 KB each, measured on CPython 3.11).
+    ``trials`` is at most ``MAX_TRIALS`` (2**30), 2**18 chunks of
+    ``CHUNK_TRIALS``.  A run lists no chunks before its first draw: a chunk's
+    trials follow from its index, and with more than one worker the process
+    pool holds one pending future per batch of consecutive chunks, at most
+    ``BATCHES_PER_WORKER`` (8) per worker, whatever ``trials`` is.  What
+    grows with ``trials`` is the list of chunk results, a tuple of a few
+    integers each: ~26 MB at the limit (tracemalloc, CPython 3.11).
     """
 
     space: TransactionSpace
@@ -401,10 +419,6 @@ def _in_runs(u: np.ndarray, ends: np.ndarray, guide: np.ndarray | None) -> np.nd
     return hit
 
 
-def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
-
-
 def _chunk_seq(seed: int, stream: int, chunk: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(stream, chunk))
 
@@ -421,36 +435,44 @@ def _array_rngs(
     return [np.random.Generator(np.random.PCG64(seq).advance(j * cells)) for j in range(arrays)]
 
 
-#: A worker process's ``(chunk_fn, args)``, set once by ``_set_worker_job``.
+#: A worker process's ``(chunk_fn, args, trials)``, set once by ``_set_worker_job``.
 _worker_job: tuple = ()
 
 
-def _set_worker_job(chunk_fn, args: tuple) -> None:
+def _set_worker_job(chunk_fn, args: tuple, trials: int) -> None:
     global _worker_job
-    _worker_job = chunk_fn, args
+    _worker_job = chunk_fn, args, trials
 
 
-def _worker_chunk(chunk: int, lo: int, hi: int):
-    chunk_fn, args = _worker_job
-    return chunk_fn(*args, chunk, lo, hi)
+def _chunk(chunk_fn, args: tuple, trials: int, chunk: int):
+    """``chunk_fn`` on chunk ``chunk`` of ``trials`` replications."""
+    lo = chunk * CHUNK_TRIALS
+    return chunk_fn(*args, chunk, lo, min(lo + CHUNK_TRIALS, trials))
+
+
+def _worker_chunks(chunks: range) -> list:
+    return [_chunk(*_worker_job, chunk) for chunk in chunks]
 
 
 def _run_chunks(chunk_fn, trials: int, workers: int, *args) -> list:
     """``chunk_fn(*args, chunk, lo, hi)`` for each chunk of ``trials``
     replications, in chunk order, spread over at most one process per chunk.
 
-    A worker receives ``chunk_fn`` and ``args`` once, from the pool's
-    initializer, so each chunk task carries only ``(chunk, lo, hi)``.
+    A worker receives ``chunk_fn``, ``args`` and ``trials`` once, from the
+    pool's initializer, and then a few tasks, each a ``range`` of
+    consecutive chunk indices: at most ``BATCHES_PER_WORKER`` per worker.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    tasks = [(c, lo, hi) for c, (lo, hi) in enumerate(_chunk_bounds(trials))]
-    workers = min(workers, len(tasks))  # fork starts every worker at once
+    job = chunk_fn, args, trials
+    chunks = range(-(-trials // CHUNK_TRIALS))
+    workers = min(workers, len(chunks))  # fork starts every worker at once
     if workers > 1:
-        pool = ProcessPoolExecutor(workers, initializer=_set_worker_job, initargs=(chunk_fn, args))
-        with pool:
-            return list(pool.map(_worker_chunk, *zip(*tasks)))
-    return [chunk_fn(*args, *task) for task in tasks]
+        step = -(-len(chunks) // (workers * BATCHES_PER_WORKER))
+        batches = (chunks[c : c + step] for c in range(0, len(chunks), step))
+        with ProcessPoolExecutor(workers, initializer=_set_worker_job, initargs=job) as pool:
+            return [out for batch in pool.map(_worker_chunks, batches) for out in batch]
+    return [_chunk(*job, chunk) for chunk in chunks]
 
 
 def _report(

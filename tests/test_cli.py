@@ -624,6 +624,79 @@ class TestNumericFlagSweep:
         assert wrong == []
 
 
+#: Two small scenarios whose every field the sweep sets to each edge value: a
+#: passive one, and a parallel one with factored voters and a sparse tester
+SWEEP_SCENARIOS = {
+    "passive": {
+        "kind": "passive",
+        "label": "p",
+        "space": {"attributes": [{"name": "profile", "cardinality": 10}]},
+        "voter_distribution": {"form": "uniform"},
+        "n_voters": 1000,
+        "mallory": {"trigger": {"profile": [0]}, "flip_prob": 1.0, "label": "m"},
+        "pat": {"mode": "uniform", "test_count": 0},
+        "passive": {"detect_rate": 0.25, "base_rate": 0.005, "alarm_threshold": 8},
+        "trials": 20,
+        "seed": 7,
+    },
+    "parallel": {
+        "kind": "parallel",
+        "label": "q",
+        "space": {"attributes": [{"name": "profile", "cardinality": 4},
+                                 {"name": "review", "cardinality": 2}]},
+        "voter_distribution": {"form": "factored",
+                               "weights": {"profile": [0.4, 0.3, 0.2, 0.1], "review": [0.5, 0.5]}},
+        "n_voters": 1000,
+        "mallory": {"trigger": {"profile": [1, 2]}, "flip_prob": 0.5},
+        "pat": {"mode": "distribution", "test_count": 3,
+                "distribution": {"form": "sparse", "support": [[0, 0], [1, 1], [3, 0]],
+                                 "weights": [0.5, 0.25, 0.25]}},
+        "trials": 20,
+        "seed": 7,
+    },
+}
+
+
+def _fields(node, path=()):
+    """Path of every leaf of a JSON tree: the keys and list indices to it."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _fields(child, (*path, key))
+    else:
+        yield path
+
+
+class TestScenarioFieldSweep:
+    """Every field of a scenario file, one at a time, over the edge values,
+    null and true: each run answers (exit 0) or ends in one ``error:`` line
+    (exit 1), never in a traceback."""
+
+    @pytest.mark.parametrize(
+        "kind,path",
+        [(kind, path) for kind, cfg in SWEEP_SCENARIOS.items() for path in _fields(cfg)],
+        ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else x,
+    )
+    def test_edge_values(self, tmp_path, kind, path):
+        # pat.test_count of 1e20 or 2**63 was accepted and never ended
+        file = tmp_path / "scenario.json"
+        wrong = []
+        for value in (*SWEEP_VALUES, None, True):
+            cfg = json.loads(json.dumps(SWEEP_SCENARIOS[kind]))
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            file.write_text(json.dumps(cfg))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(["simulate", "--scenario", str(file)], out)
+            lines = err.getvalue().splitlines()
+            ok = code == 0 or (code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+            if not ok or "Traceback" in err.getvalue():
+                wrong.append((value, code, err.getvalue()))
+        assert wrong == []
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["bmdlimits", "bmdlimits.cli"])
     def test_python_dash_m(self, module):

@@ -2,9 +2,11 @@
 closed-form predictions, and degenerate scenarios with known outcomes."""
 
 import dataclasses
+import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import pickle
@@ -17,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmdlimits import simulate
+from bmdlimits import cli, simulate
 
 from bmdlimits.errors import DomainError
 from bmdlimits.simulate import (
     CHUNK_TRIALS,
+    MAX_TEST_COUNT,
     MAX_TRIALS,
     MalloryStrategy,
     PassiveParams,
@@ -79,7 +82,7 @@ def inline_pool(monkeypatch) -> dict[str, list]:
     """Swap the simulator's ``ProcessPoolExecutor`` for a stand-in that runs
     in this process, so no process starts, and record what a real pool would
     send: each pool's size and the ``initargs`` every one of its workers
-    receives once, then each chunk task."""
+    receives once, then each task, a ``range`` of chunk indices."""
     sent: dict[str, list] = {"pools": [], "initargs": [], "tasks": []}
 
     class InlinePool:
@@ -94,14 +97,27 @@ def inline_pool(monkeypatch) -> dict[str, list]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *columns):
-            tasks = list(zip(*columns))
+        def map(self, fn, tasks):
+            tasks = list(tasks)  # a real pool submits every task before the first result
             sent["tasks"].extend(tasks)
-            return [fn(*task) for task in tasks]
+            return [fn(task) for task in tasks]
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(simulate, "_worker_job", ())  # restored after the test
     return sent
+
+
+def chunk_size(chunk: int, lo: int, hi: int) -> int:
+    return hi - lo
+
+
+def fail_on_chunk_3(*args):
+    """A chunk function, with any leading arguments, that fails in a worker;
+    module level, so it pickles."""
+    chunk, lo, hi = args[-3:]
+    if chunk == 3:
+        raise DomainError(f"chunk {chunk} failed")
+    return 0, hi - lo
 
 
 def scenario(**overrides) -> SimScenario:
@@ -203,20 +219,55 @@ class TestWorkerInvariance:
         assert simulate._run_chunks(echo, trials, 64, "x") == want
         assert sent["pools"] == [3]
         # the shared arguments go to each worker once, not with every task
-        assert sent["initargs"] == [(echo, ("x",))]
-        assert sent["tasks"] == [job[1:] for job in want]
+        assert sent["initargs"] == [(echo, ("x",), trials)]
+        # a task is a run of chunk indices; each chunk's trials follow from it
+        assert sent["tasks"] == [range(0, 1), range(1, 2), range(2, 3)]
         assert simulate._run_chunks(echo, 5, 64, "x") == [("x", 0, 0, 5)]
         assert sent["pools"] == [3]  # one chunk runs in this process
         s = scenario(trials=100)
         assert run_parallel_sim(s, workers=1000).to_json() == run_parallel_sim(s).to_json()
         assert sent["pools"] == [3]
 
+    @pytest.mark.parametrize("workers", [2, 3, 64])
+    @pytest.mark.parametrize("trials", [MAX_TRIALS, MAX_TRIALS - 1])
+    def test_tasks_bounded_at_max_trials(self, monkeypatch, workers, trials):
+        # one task per chunk once meant 2**18 pending futures (~0.5 GB)
+        sent = inline_pool(monkeypatch)
+        sizes = simulate._run_chunks(chunk_size, trials, workers)
+        assert len(sent["tasks"]) <= simulate.BATCHES_PER_WORKER * workers
+        assert all(isinstance(task, range) for task in sent["tasks"])
+        chunks = -(-trials // CHUNK_TRIALS)
+        assert list(itertools.chain(*sent["tasks"])) == list(range(chunks))
+        assert len(sizes) == chunks and sum(sizes) == trials
+        assert sizes[-1] == trials - (chunks - 1) * CHUNK_TRIALS
+
+    def test_chunk_error_reaches_caller(self):
+        # real worker processes: the chunk's own exception, and none left running
+        with pytest.raises(DomainError, match="chunk 3 failed"):
+            simulate._run_chunks(fail_on_chunk_3, 40 * CHUNK_TRIALS, 2, "x")
+        assert multiprocessing.active_children() == []
+
+    def test_chunk_error_is_one_cli_line(self, monkeypatch, scenario_dir, capsys):
+        monkeypatch.setattr(simulate, "_parallel_chunk", fail_on_chunk_3)
+        path = str(scenario_dir / "subpopulation_attack.json")
+        assert cli.run(["simulate", "--scenario", path, "--workers", "2"], io.StringIO()) == 1
+        assert capsys.readouterr().err == "error: chunk 3 failed\n"
+        assert multiprocessing.active_children() == []
+
     def test_trials_limit(self, monkeypatch):
-        # checked when the scenario is built: no chunk list is ever made
-        monkeypatch.setattr(simulate, "_chunk_bounds", None)
+        # checked when the scenario is built: no chunk ever runs
+        monkeypatch.setattr(simulate, "_chunk", None)
         assert scenario(trials=MAX_TRIALS).trials == 2**30
         with pytest.raises(DomainError, match=r"trials must be at most 2\*\*30 \(1,073,741,824\)"):
             scenario(trials=MAX_TRIALS + 1)
+
+    def test_test_count_limit(self):
+        # 10**20 tests per trial once ran in bounded memory but never ended
+        assert PatStrategy("uniform", MAX_TEST_COUNT).test_count == 2**30
+        for count in (MAX_TEST_COUNT + 1, 10**20, 2**63):
+            message = rf"test_count must be at most 2\*\*30 \(1,073,741,824\), got {count:,}$"
+            with pytest.raises(DomainError, match=message):
+                PatStrategy("uniform", count)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_rejected(self, workers):
@@ -364,10 +415,10 @@ class TestEstimationStudy:
             run_estimation_study(SPACE, d, 100, 100, 1)
 
     def test_trials_limit(self, monkeypatch):
-        def no_chunks(*args):  # the limit is checked before any chunk is listed
-            raise AssertionError("chunks listed")
+        def no_chunks(*args):  # the limit is checked before any chunk runs
+            raise AssertionError("chunk ran")
 
-        monkeypatch.setattr(simulate, "_chunk_bounds", no_chunks)
+        monkeypatch.setattr(simulate, "_chunk", no_chunks)
         d = TransactionDistribution.sparse(SPACE, [(0, 0)], [1.0])
         with pytest.raises(DomainError, match=r"at most 2\*\*24 \(16,777,216\), got 16,777,217"):
             run_estimation_study(SPACE, d, 100, 2**24 + 1, 1)
@@ -996,9 +1047,10 @@ class TestChunkJobs:
         sent = inline_pool(monkeypatch)
         s = dataclasses.replace(pin_scenario("tester"), voter_dist=random_sparse(18, 150))
         run(s, workers=2)
-        assert len(sent["tasks"]) == 3
+        assert sent["tasks"] == [range(0, 1), range(1, 2), range(2, 3)]
         # what a worker receives is pickled: the sparse laws stay in this process
-        [(_, args)] = sent["initargs"]
+        [(_, args, trials)] = sent["initargs"]
+        assert trials == s.trials
         for arg in itertools.chain(args, *sent["tasks"]):
             assert not isinstance(arg, (SimScenario, TransactionDistribution))
 
@@ -1028,7 +1080,7 @@ class TestChunkJobs:
             d = TransactionDistribution.sparse(space, np.arange(size)[:, None], np.full(size, 1 / size))
             run_estimation_study(space, d, 100, CHUNK_TRIALS + 1, 5, workers=2)
             # the weights reach each worker once, with the pool's initializer
-            [(_, (weights, *_))] = sent["initargs"]
+            [(_, (weights, *_), _)] = sent["initargs"]
             assert len(weights) == size
             task_sizes[size] = [len(pickle.dumps(task)) for task in sent["tasks"]]
         assert len(task_sizes[10]) == 2
