@@ -17,9 +17,7 @@ what its answer needs: an answer that needs only ``math`` loads no numpy.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict, replace
 from typing import Sequence
 
 from .errors import DomainError
@@ -45,6 +43,8 @@ def emit(rows: Sequence[dict], fmt: str, out=None) -> None:
         return
     keys = list(rows[0].keys())
     if fmt == "json-lines":
+        import json  # here, so that CSV and markdown output load no json
+
         for row in rows:
             out.write(json.dumps(row) + "\n")
         return
@@ -102,7 +102,7 @@ def _cmd_passive(args) -> list[dict]:
                 "margin": margins[0],
                 "detect_rate": detect_rates[0],
                 "base_rate": base_rates[0],
-                **asdict(sol),
+                **sol._asdict(),
             }
         ]
     if args.fp != args.fn:
@@ -126,7 +126,7 @@ def _cmd_parallel(args) -> list[dict]:
         if a.capacity is None or a.altered_fraction is None:
             raise DomainError("--tests-per-day needs --capacity and --altered-fraction")
         q = BudgetedTestQuery(a.tests_per_day, a.capacity, a.altered_fraction, a.confidence)
-        return [asdict(min_electorate_for_budget(q, a.sampling))]
+        return [min_electorate_for_budget(q, a.sampling)._asdict()]
     if "p" not in args:
         raise DomainError("need either --p or --tests-per-day")
     if "tests" in args:
@@ -148,7 +148,7 @@ def _cmd_oracle(args) -> list[dict]:
     from .parallel import OracleBoundQuery, oracle_min_samples
 
     q = OracleBoundQuery(args.population, args.flawed, args.confidence)
-    return [{**asdict(q), "min_samples": oracle_min_samples(q)}]
+    return [{**q._asdict(), "min_samples": oracle_min_samples(q)}]
 
 
 def _cmd_minimax(args) -> list[dict]:
@@ -190,7 +190,8 @@ def _cmd_simulate(args) -> list[dict]:
 
     kind, scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        # ``_replace`` skips the checks; building the record anew runs them
+        scenario = type(scenario)(*scenario._replace(seed=args.seed))
     run = run_passive_sim if kind == "passive" else run_parallel_sim
     report = run(scenario, workers=args.workers)
     return [report.to_dict()]
@@ -216,7 +217,7 @@ def _cmd_feasibility(args) -> list[dict]:
         from .passive import PassiveDesign
 
         design = PassiveDesign(a.margin, a.detect_rate, a.base_rate, a.fp, a.fn)
-        metrics.update(asdict(passive_feasibility_join(records, design)))
+        metrics.update(passive_feasibility_join(records, design)._asdict())
     return [{"metric": k, "value": v} for k, v in metrics.items()]
 
 

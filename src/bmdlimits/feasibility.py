@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError
 
@@ -25,19 +24,21 @@ if TYPE_CHECKING:
 _COLUMNS = ("state", "jurisdiction", "turnout")
 
 
-@dataclass(frozen=True)
-class JurisdictionRecord:
+class _JurisdictionRecord(NamedTuple):
     state: str
     jurisdiction: str
     turnout: int
 
-    def __post_init__(self) -> None:
+
+class JurisdictionRecord(_JurisdictionRecord):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.turnout < 0:
             raise DomainError("turnout must be >= 0")
 
 
-@dataclass(frozen=True)
-class FeasibilitySummary:
+class FeasibilitySummary(NamedTuple):
     """Size-distribution summary of a turnout dataset.
 
     ``median_turnout`` is the lower median for even counts (integer-voter
@@ -144,8 +145,7 @@ def summarize(
     )
 
 
-@dataclass(frozen=True)
-class JoinResult:
+class JoinResult(NamedTuple):
     required_contest_size: int
     fraction_infeasible: float
     states_where_majority_infeasible: int

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import copysign, erfc, exp, log1p, sqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 
@@ -108,13 +107,16 @@ def upper_normal_point(p: float) -> float:
 # ``PoissonModel`` and ``poisson_sf`` have no caller in the library; they stay
 # only because perfbench/run.py and perfbench/tracer.py import them by name
 # (ROADMAP item 3).
-@dataclass(frozen=True)
-class PoissonModel:
-    """Poisson count model with a known mean; mean = 0 is a point mass at zero."""
-
+class _PoissonModel(NamedTuple):
     mean: float
 
-    def __post_init__(self) -> None:
+
+class PoissonModel(_PoissonModel):
+    """Poisson count model with a known mean; mean = 0 is a point mass at zero."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if not math.isfinite(self.mean) or self.mean < 0:
             raise DomainError(f"Poisson mean must be finite and >= 0, got {self.mean}")
 

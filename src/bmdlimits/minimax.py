@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, ClassVar, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, Infeasible
 from .kernels import check_float_range, smallest_int_where
@@ -52,15 +51,18 @@ def _log_grid(start: float, stop: float, size: int) -> Callable[[int], float]:
 _ZETA_GRID = _log_grid(math.log(0.01), math.log(1.0), 1000)
 
 
-@dataclass(frozen=True)
-class FixedZeta:
+class _FixedZeta(NamedTuple):
+    value: float = 1.0
+
+
+class FixedZeta(_FixedZeta):
     """Evaluate the bound at one slack value (default 1, the weakest bound,
     hence the most optimistic minimum sample size)."""
 
-    value: float = 1.0
-    size: ClassVar[int] = 1
+    __slots__ = ()
+    size = 1
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if not 0.0 < self.value <= 1.0:
             raise DomainError(f"zeta must be in (0, 1], got {self.value}")
 
@@ -68,12 +70,11 @@ class FixedZeta:
         return self.value
 
 
-@dataclass(frozen=True)
-class GridZeta:
+class GridZeta(NamedTuple):
     """Maximize the bound over 1,000 log-spaced slack values in [0.01, 1]
-    (strongest bound)."""
+    (strongest bound).  It has no fields, so it is falsy."""
 
-    size: ClassVar[int] = 1000
+    size = 1000
 
     def at(self, i: int) -> float:
         return _ZETA_GRID(i)
@@ -85,8 +86,16 @@ class GridZeta:
 ZetaStrategy = Union[FixedZeta, GridZeta]
 
 
-@dataclass(frozen=True)
-class MinimaxQuery:
+class _MinimaxQuery(NamedTuple):
+    r: float
+    alpha: float
+    T: int | None = None
+    S: int = DEFAULT_SUPPORT_SIZE
+    beta: float | None = None
+    zeta: ZetaStrategy = FixedZeta()
+
+
+class MinimaxQuery(_MinimaxQuery):
     """Inputs of one training-sample lower-bound problem.
 
     r      fraction of transactions the attacker alters
@@ -98,14 +107,9 @@ class MinimaxQuery:
            i.e. the most favorable split the tester could choose
     """
 
-    r: float
-    alpha: float
-    T: int | None = None
-    S: int = DEFAULT_SUPPORT_SIZE
-    beta: float | None = None
-    zeta: ZetaStrategy = field(default_factory=FixedZeta)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if not 0.0 < self.r < 1.0:
             raise DomainError(f"r must be in (0, 1), got {self.r}")
         if not 0.0 < self.alpha < 1.0:
@@ -122,8 +126,7 @@ class MinimaxQuery:
                 raise DomainError("beta must satisfy 0 < beta < alpha")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Solved minimum training-sample size with its certificate values."""
 
     min_training_n: int
@@ -350,7 +353,8 @@ def table_lower_bounds(
     with its published value and the ratio to it."""
     from .repro import PUBLISHED_TRAINING_BOUNDS_MILLIONS
 
-    zeta = zeta or FixedZeta()
+    if zeta is None:  # not ``zeta or``: a GridZeta is falsy
+        zeta = FixedZeta()
     rows = []
     for (T, conf, r), published in PUBLISHED_TRAINING_BOUNDS_MILLIONS.items():
         row = bound_row(conf, MinimaxQuery(r=r, alpha=1.0 - conf, T=T, S=S, zeta=zeta))

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import DomainError, Infeasible
 from .kernels import (
@@ -19,15 +18,18 @@ from .kernels import (
 Sampling = Literal["with_replacement", "without_replacement"]
 
 
-@dataclass(frozen=True)
-class OracleBoundQuery:
-    """How many printouts must an error oracle inspect to find a flaw?"""
-
+class _OracleBoundQuery(NamedTuple):
     population: int  # cast BMD printouts (V)
     flawed: int  # printouts with errors (F)
     confidence: float  # required detection probability
 
-    def __post_init__(self) -> None:
+
+class OracleBoundQuery(_OracleBoundQuery):
+    """How many printouts must an error oracle inspect to find a flaw?"""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.population < 1:
             raise DomainError("population must be >= 1")
         if self.population > _LGAMMA_LIMIT:
@@ -38,16 +40,19 @@ class OracleBoundQuery:
             raise DomainError("confidence must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class BudgetedTestQuery:
-    """How large must an electorate be for a fixed per-machine test budget?"""
-
+class _BudgetedTestQuery(NamedTuple):
     tests_per_bmd_per_day: int
     bmd_daily_capacity: int  # transactions a machine can handle in a day
     altered_fraction: float  # fraction r of transactions the attacker alters
     confidence: float
 
-    def __post_init__(self) -> None:
+
+class BudgetedTestQuery(_BudgetedTestQuery):
+    """How large must an electorate be for a fixed per-machine test budget?"""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.tests_per_bmd_per_day < 1 or self.bmd_daily_capacity < 1:
             raise DomainError("test budget and capacity must be >= 1")
         if self.tests_per_bmd_per_day > self.bmd_daily_capacity:
@@ -59,8 +64,7 @@ class BudgetedTestQuery:
             raise DomainError("confidence must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class ElectorateResult:
+class ElectorateResult(NamedTuple):
     """Solved electorate size plus the sampling model that produced it."""
 
     bmds: int

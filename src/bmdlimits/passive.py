@@ -36,8 +36,7 @@ test whose false-alarm rate can exceed fp_budget, so step 1 does not hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 from .errors import DomainError, Infeasible
 from .kernels import (
@@ -57,8 +56,15 @@ _THRESHOLD_FLOOR = {"published": 2, "strict": 1}
 _THRESHOLD_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class PassiveDesign:
+class _PassiveDesign(NamedTuple):
+    margin: float
+    detect_rate: float
+    base_rate: float
+    fp_budget: float
+    fn_budget: float
+
+
+class PassiveDesign(_PassiveDesign):
     """Inputs of one passive-testing design problem.
 
     margin        winner-minus-runner-up fraction of valid votes
@@ -68,14 +74,10 @@ class PassiveDesign:
     fn_budget     max false-negative probability
     """
 
-    margin: float
-    detect_rate: float
-    base_rate: float
-    fp_budget: float
-    fn_budget: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("margin", "detect_rate", "base_rate", "fp_budget", "fn_budget"):
+    def __init__(self, *args, **kwargs) -> None:
+        for name in self._fields:
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise DomainError(f"{name} must be in (0, 1), got {v}")
@@ -91,8 +93,7 @@ class PassiveDesign:
         return self.margin / 2.0 * self.detect_rate
 
 
-@dataclass(frozen=True)
-class PassiveSolution:
+class PassiveSolution(NamedTuple):
     """Solved minimum contest size with its alarm threshold and certificates."""
 
     contest_size: int

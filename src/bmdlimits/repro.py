@@ -13,7 +13,7 @@ through a single tolerance:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Minimum contest sizes published for 5% false-positive/false-negative
 #: budgets: (margin, detect_rate) -> sizes at base rates 0.5%, 1%, 1.5%.
@@ -75,8 +75,7 @@ PUBLISHED_TRAINING_BOUNDS_MILLIONS = {
 TRAINING_BOUND_DIFF_CELL = (2000, 0.99, 0.005)
 
 
-@dataclass(frozen=True)
-class ManifestRow:
+class ManifestRow(NamedTuple):
     artifact: str
     classification: str  # MATCH-EXACT | MATCH-TOL | MATCH-FACTOR | DOCUMENTED-DIFF
     actual: float

@@ -44,12 +44,10 @@ attacker's trigger and whose independent flip event fires is a catch.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +60,7 @@ from .space import (
     as_int,
     get_int,
     get_number,
+    get_str,
     list_of,
     lists_by_name,
     load_config,
@@ -100,8 +99,13 @@ _STREAM_PASSIVE_ATTACKED = 2
 _STREAM_ESTIMATION = 3
 
 
-@dataclass(frozen=True)
-class MalloryStrategy:
+class _MalloryStrategy(NamedTuple):
+    trigger: tuple[tuple[str, tuple[int, ...]], ...]
+    flip_prob: float
+    label: str = ""
+
+
+class MalloryStrategy(_MalloryStrategy):
     """Attacker behavior: a conjunctive trigger plus a per-transaction flip
     probability.
 
@@ -110,11 +114,9 @@ class MalloryStrategy:
     altered with probability ``flip_prob``, independently per transaction.
     """
 
-    trigger: tuple[tuple[str, tuple[int, ...]], ...]
-    flip_prob: float
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if not 0.0 <= self.flip_prob <= 1.0:
             raise DomainError("flip_prob must be in [0, 1]")
 
@@ -136,17 +138,20 @@ class MalloryStrategy:
                     raise DomainError(f"trigger value {v} out of range for {name!r}")
 
 
-@dataclass(frozen=True)
-class PatStrategy:
-    """Tester behavior: where test transactions come from and how many
-    (``test_count``, at most ``MAX_TEST_COUNT``, 2**30, per trial)."""
-
+class _PatStrategy(NamedTuple):
     mode: Literal["uniform", "distribution", "script"]
     test_count: int
     distribution: TransactionDistribution | None = None
     scripts: tuple[Transaction, ...] | None = None
 
-    def __post_init__(self) -> None:
+
+class PatStrategy(_PatStrategy):
+    """Tester behavior: where test transactions come from and how many
+    (``test_count``, at most ``MAX_TEST_COUNT``, 2**30, per trial)."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.test_count < 0:
             raise DomainError("test_count must be >= 0")
         if self.test_count > MAX_TEST_COUNT:
@@ -162,21 +167,35 @@ class PatStrategy:
                 raise DomainError("script mode: test_count must equal len(scripts)")
 
 
-@dataclass(frozen=True)
-class PassiveParams:
+class _PassiveParams(NamedTuple):
     detect_rate: float
     base_rate: float
     alarm_threshold: int
 
-    def __post_init__(self) -> None:
+
+class PassiveParams(_PassiveParams):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if not 0.0 <= self.detect_rate <= 1.0 or not 0.0 <= self.base_rate <= 1.0:
             raise DomainError("rates must be in [0, 1]")
         if self.alarm_threshold < 1:
             raise DomainError("alarm_threshold must be >= 1")
 
 
-@dataclass(frozen=True)
-class SimScenario:
+class _SimScenario(NamedTuple):
+    space: TransactionSpace
+    voter_dist: TransactionDistribution
+    n_voters: int
+    mallory: MalloryStrategy
+    pat: PatStrategy
+    trials: int
+    seed: int
+    passive: PassiveParams | None = None
+    label: str = ""
+
+
+class SimScenario(_SimScenario):
     """Full specification of one attacker-vs-tester Monte Carlo experiment.
 
     ``trials`` is at most ``MAX_TRIALS`` (2**30), 2**18 chunks of
@@ -188,17 +207,9 @@ class SimScenario:
     integers each: ~26 MB at the limit (tracemalloc, CPython 3.11).
     """
 
-    space: TransactionSpace
-    voter_dist: TransactionDistribution
-    n_voters: int
-    mallory: MalloryStrategy
-    pat: PatStrategy
-    trials: int
-    seed: int
-    passive: PassiveParams | None = None
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if self.n_voters < 1:
             raise DomainError("n_voters must be >= 1")
         if self.n_voters >= 2**63:
@@ -217,8 +228,7 @@ class SimScenario:
             _as_points(self.space, [tx.coordinates for tx in self.pat.scripts])
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A Monte Carlo estimate with its standard error and trial count."""
 
     value: float
@@ -226,8 +236,7 @@ class Estimate:
     trials: int
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     label: str
     trials: int
     seed: int
@@ -238,7 +247,8 @@ class SimReport:
     analytic: Mapping[str, float] | None = None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The report's fields by name, each ``Estimate`` a dict of its own."""
+        return {k: v._asdict() if isinstance(v, Estimate) else v for k, v in self._asdict().items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -279,8 +289,7 @@ def _hit_mass(weights: np.ndarray, hit: np.ndarray) -> float:
     return float(np.cumsum(hits)[-1]) if len(hits) else 0.0
 
 
-@dataclass(frozen=True)
-class _TestDraw:
+class _TestDraw(NamedTuple):
     """How a chunk draws which of its ``count`` tests match the trigger,
     resolved once per scenario: a script's ``hit`` row, or the sorted ends
     of the allowed ``runs`` of each uniform array the tests read (one per
@@ -585,8 +594,7 @@ def run_passive_sim(s: SimScenario, workers: int = 1) -> SimReport:
 # -- plug-in estimation study ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimationReport:
+class EstimationReport(NamedTuple):
     n_train: int
     trials: int
     seed: int
@@ -598,7 +606,7 @@ class EstimationReport:
     lower_bound_at_n: float
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=False)
+        return json.dumps(self._asdict(), sort_keys=False)
 
 
 def _estimation_chunk(
@@ -676,7 +684,7 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
     mallory_cfg = require(cfg, "mallory", "scenario")
     flip_prob = get_number(mallory_cfg, "flip_prob", "mallory")
     trigger = lists_by_name(mallory_cfg.get("trigger", {}), as_int, "mallory 'trigger'")
-    mallory = MalloryStrategy.from_mapping(trigger, flip_prob, mallory_cfg.get("label", ""))
+    mallory = MalloryStrategy.from_mapping(trigger, flip_prob, get_str(mallory_cfg, "label", "mallory"))
     pat_cfg = require(cfg, "pat", "scenario")
     mode = require(pat_cfg, "mode", "pat")
     if mode not in ("uniform", "distribution", "script"):
@@ -716,7 +724,7 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
         trials=get_int(cfg, "trials", "scenario"),
         seed=get_int(cfg, "seed", "scenario"),
         passive=passive,
-        label=cfg.get("label", ""),
+        label=get_str(cfg, "label", "scenario"),
     )
 
 

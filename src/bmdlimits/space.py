@@ -14,35 +14,39 @@ in ``transactions``.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import DomainError, ParseError
 
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class AttributeSpec:
-    """One attribute of a voting transaction and how many values it can take."""
-
+class _AttributeSpec(NamedTuple):
     name: str
     cardinality: int
 
-    def __post_init__(self) -> None:
+
+class AttributeSpec(_AttributeSpec):
+    """One attribute of a voting transaction and how many values it can take."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.cardinality < 1:
             raise DomainError(f"cardinality of {self.name!r} must be >= 1")
 
 
-@dataclass(frozen=True)
-class TransactionSpace:
-    """Ordered product of attributes; a transaction is one point in it."""
-
+class _TransactionSpace(NamedTuple):
     attributes: tuple[AttributeSpec, ...]
 
-    def __post_init__(self) -> None:
+
+class TransactionSpace(_TransactionSpace):
+    """Ordered product of attributes; a transaction is one point in it."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if not self.attributes:
             raise DomainError("a transaction space needs at least one attribute")
         names = [a.name for a in self.attributes]
@@ -69,8 +73,7 @@ class TransactionSpace:
                 raise DomainError(f"coordinate {c} out of range for {a.name!r}")
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     """A single voting transaction: one value index per attribute."""
 
     coordinates: tuple[int, ...]
@@ -186,12 +189,23 @@ def get_number(cfg: Mapping, key: str, where: str) -> float:
     return as_number(require(cfg, key, where), f"{where} {key!r}")
 
 
+def get_str(cfg: Mapping, key: str, where: str) -> str:
+    """``cfg[key]``, which must be a JSON string, or ``""`` if ``key`` is
+    missing; anything else is a ``ParseError``."""
+    value = cfg.get(key, "")
+    if not isinstance(value, str):
+        raise ParseError(f"{where} {key!r} must be a string, got {value!r}")
+    return value
+
+
 def load_config(path: str, parse: Callable[[Mapping], _T]) -> _T:
     """``parse`` applied to the JSON in the file at ``path``.
 
     A file that is not UTF-8 JSON, and any ``ParseError`` from ``parse``,
     raise a ``ParseError`` that names the file.
     """
+    import json  # here, so that a call that reads no file loads no json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)

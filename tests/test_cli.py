@@ -669,7 +669,8 @@ def _fields(node, path=()):
 class TestScenarioFieldSweep:
     """Every field of a scenario file, one at a time, over the edge values,
     null and true: each run answers (exit 0) or ends in one ``error:`` line
-    (exit 1), never in a traceback."""
+    (exit 1), never in a traceback.  A label is a JSON string: any other
+    value ends in an ``error:`` line that names it."""
 
     @pytest.mark.parametrize(
         "kind,path",
@@ -692,6 +693,9 @@ class TestScenarioFieldSweep:
                 code = run(["simulate", "--scenario", str(file)], out)
             lines = err.getvalue().splitlines()
             ok = code == 0 or (code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+            if path[-1] == "label" and not isinstance(value, str):
+                where = path[0] if len(path) > 1 else "scenario"
+                ok = ok and code == 1 and f"{where} 'label' must be a string" in lines[0]
             if not ok or "Traceback" in err.getvalue():
                 wrong.append((value, code, err.getvalue()))
         assert wrong == []

@@ -1,14 +1,14 @@
-"""Import footprint: no module of the package imports scipy, ``minimax``
-imports no numpy, ``import bmdlimits`` and ``import bmdlimits.cli`` load no
-numpy, each subcommand loads only what its answer needs, and every exported
-name still resolves.  The library's sources hold no ``assert``."""
+"""Import footprint: no module of the package imports scipy or
+``dataclasses``, ``minimax`` imports no numpy, ``import bmdlimits`` and
+``import bmdlimits.cli`` load no numpy, each subcommand loads only what its
+answer needs, and every exported name still resolves.  The library's sources
+hold no ``assert``."""
 
 import ast
+import importlib.util
 import json
 import os
 import pathlib
-import re
-import shlex
 import subprocess
 import sys
 
@@ -34,16 +34,11 @@ LOADS = {
 }
 
 
-def readme_examples() -> list[list[str]]:
-    """Argument lists of the ``bmdlimits ...`` lines in README's command-line
-    block, continuation lines joined."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    joined = re.sub(r"\\\n\s*", "", block)
-    return [shlex.split(line)[1:] for line in joined.splitlines() if line.startswith("bmdlimits ")]
+spec = importlib.util.spec_from_file_location("pin_cli_examples", ROOT / "scripts" / "pin_cli_examples.py")
+pins = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pins)
 
-
-EXAMPLES = readme_examples()
+EXAMPLES = pins.readme_examples()
 
 
 def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -112,6 +107,12 @@ def test_no_module_imports_scipy():
     assert importers("scipy", sorted((ROOT / "src" / "bmdlimits").glob("*.py"))) == []
 
 
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples: ``dataclasses`` loads ``inspect``, and its
+    code generation costs each fresh process about a millisecond a class."""
+    assert importers("dataclasses", sorted((ROOT / "src" / "bmdlimits").glob("*.py"))) == []
+
+
 def test_minimax_imports_no_numpy():
     assert importers("numpy", [ROOT / "src" / "bmdlimits" / "minimax.py"]) == []
 
@@ -137,16 +138,22 @@ def test_subcommand_loads(argv, tmp_path):
     if "--workers" in argv:  # keep the test's process count small
         argv[argv.index("--workers") + 1] = "2"
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from bmdlimits.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = run(sys.argv[1:])\n"
-        "print(json.dumps([code, 'numpy' in sys.modules, 'scipy' in sys.modules]))\n"
+        "loaded = sorted(m for m in ('numpy', 'scipy', 'dataclasses', 'inspect', 'json') if m in sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, loaded]))\n"
     )
-    exit_code, numpy, scipy = json.loads(run_python(code, *argv).stdout)
+    exit_code, loaded = json.loads(run_python(code, *argv).stdout)
     key = "feasibility --margin" if argv[0] == "feasibility" and "--margin" in argv else argv[0]
     assert exit_code == 0
-    assert (numpy, scipy) == LOADS[key]
+    assert ("numpy" in loaded, "scipy" in loaded) == LOADS[key]
+    if key != "simulate":  # numpy imports inspect itself
+        assert "dataclasses" not in loaded and "inspect" not in loaded
+    if key == "passive":  # json loads only to read a file or write json-lines
+        assert "json" not in loaded
 
 
 def test_every_export_resolves():

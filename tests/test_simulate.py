@@ -1,7 +1,6 @@
 """Monte Carlo engine tests: worker-count invariance, agreement with the
 closed-form predictions, and degenerate scenarios with known outcomes."""
 
-import dataclasses
 import io
 import itertools
 import json
@@ -1012,7 +1011,7 @@ class TestResolvedOnce:
         calls = Counter()
         tester_rows = []
         # a sparse voter law and a sparse tester: both read the predicate
-        base = dataclasses.replace(pin_scenario("tester"), voter_dist=random_sparse(18, 150))
+        base = pin_scenario("tester")._replace(voter_dist=random_sparse(18, 150))
 
         def counted(name):
             fn = getattr(simulate, name)
@@ -1031,7 +1030,7 @@ class TestResolvedOnce:
         for chunks in (1, 5):
             calls.clear()
             tester_rows.clear()
-            run(dataclasses.replace(base, trials=chunks * CHUNK_TRIALS))
+            run(base._replace(trials=chunks * CHUNK_TRIALS))
             seen.append(dict(calls))
             # one hit table serves the tests' draw and their analytic trigger mass
             assert len(tester_rows) == (run is run_parallel_sim)
@@ -1045,7 +1044,7 @@ class TestChunkJobs:
     @pytest.mark.parametrize("run", [run_parallel_sim, run_passive_sim])
     def test_jobs_hold_no_scenario(self, monkeypatch, run):
         sent = inline_pool(monkeypatch)
-        s = dataclasses.replace(pin_scenario("tester"), voter_dist=random_sparse(18, 150))
+        s = pin_scenario("tester")._replace(voter_dist=random_sparse(18, 150))
         run(s, workers=2)
         assert sent["tasks"] == [range(0, 1), range(1, 2), range(2, 3)]
         # what a worker receives is pickled: the sparse laws stay in this process
