@@ -21,11 +21,11 @@ import sys
 from typing import Sequence
 
 from .errors import DomainError
-from .space import DEFAULT_SUPPORT_SIZE, PRESETS
 
 FORMATS = ("csv", "markdown", "json-lines")
 
-PRESET_NAMES = tuple(sorted(PRESETS))
+#: ``sorted(space.PRESETS)``, spelled out so that parsing loads no ``space``.
+PRESET_NAMES = ("optimistic", "realistic")
 
 
 def _format_value(v) -> str:
@@ -152,7 +152,7 @@ def _cmd_oracle(args) -> list[dict]:
 
 
 def _cmd_minimax(args) -> list[dict]:
-    from .minimax import FixedZeta, GridZeta, MinimaxQuery, bound_row, table_lower_bounds
+    from .minimax import DEFAULT_SUPPORT_SIZE, FixedZeta, GridZeta, MinimaxQuery, bound_row, table_lower_bounds
 
     cell = "altered_fraction" in args
     reads = dict(support_size=DEFAULT_SUPPORT_SIZE, zeta=1.0, zeta_grid=False)
@@ -174,7 +174,7 @@ def _cmd_minimax(args) -> list[dict]:
 
 
 def _cmd_cardinality(args) -> list[dict]:
-    from .space import load_space
+    from .space import PRESETS, load_space
 
     if args.space:
         space = load_space(args.space)

@@ -3,7 +3,7 @@
 Poisson tails P{Pois(m) >= k} are regularized incomplete gamma functions
 P(k, m), evaluated on the standard library by ``poisson_tail``: pmf sums below
 k = 50 and Temme's uniform asymptotic expansion from there on, at every mean.
-Searches start from closed-form normal guesses on ``statistics.NormalDist``.
+Searches start from closed-form normal guesses (``upper_normal_point``).
 """
 
 from __future__ import annotations
@@ -97,11 +97,19 @@ def _pmf_tail(mean: float, k: int) -> float:
 
 @lru_cache(maxsize=64)
 def upper_normal_point(p: float) -> float:
-    """z with P{Z > z} = p for a standard normal Z; the searches' seeds ask
-    for a few budgets many times, and ``statistics`` loads on the first call."""
-    from statistics import NormalDist
+    """z with P{Z > z} = p for a standard normal Z, 0 < p < 1 (callers check
+    p); the searches' seeds ask for a few budgets many times.
 
-    return -NormalDist().inv_cdf(p)
+    It calls the C function that ``NormalDist.inv_cdf`` runs on CPython, so
+    that no ``statistics`` (with ``fractions``, ``decimal`` and ``random``)
+    loads, and ``NormalDist`` itself where that function is missing."""
+    try:
+        from _statistics import _normal_dist_inv_cdf
+    except ImportError:
+        from statistics import NormalDist
+
+        return -NormalDist().inv_cdf(p)
+    return -_normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 # ``PoissonModel`` and ``poisson_sf`` have no caller in the library; they stay

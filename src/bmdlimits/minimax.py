@@ -22,7 +22,10 @@ from typing import Callable, NamedTuple, Union
 from .errors import DomainError, Infeasible
 from .kernels import check_float_range, smallest_int_where
 from .parallel import epsilon_budget
-from .space import DEFAULT_SUPPORT_SIZE
+
+#: Distinct transactions S that the training-sample bounds assume by default,
+#: the paper's support size.
+DEFAULT_SUPPORT_SIZE = 6_140_000
 
 #: Largest training size the solver certifies: past it n and n - 1 can share
 #: a float, so ``bound(n) <= threshold < bound(n - 1)`` says nothing about n.

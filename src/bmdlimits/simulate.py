@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -83,6 +82,17 @@ MAX_TEST_COUNT = 2**30
 #: trials.  Fixed, and the results come back in chunk order, so it never
 #: changes a report.
 BATCHES_PER_WORKER = 8
+
+#: A run's work, in uniform draws, from which ``_run_chunks`` starts a process
+#: pool; below it one process is as fast or faster, whatever ``workers`` is.
+#: On a 2-vCPU Xeon (CPython 3.11, numpy 2.4), one warm process and a 2-worker
+#: pool break even between 8 and 16 M draws (median of 7 runs each, at 5-7 ns
+#: a draw, README); a fresh process also pays ~13 ms to import the pool.
+POOL_MIN_DRAWS = 2**24
+
+#: Uniform draws one binomial variate counts as in a run's work: the same
+#: measurements put a binomial at 14-16 uniform draws.
+BINOMIAL_DRAWS = 16
 
 #: ``run_estimation_study`` keeps one float64 L1 value per trial: 128 MB and
 #: 4,096 chunks at this limit.
@@ -200,11 +210,11 @@ class SimScenario(_SimScenario):
 
     ``trials`` is at most ``MAX_TRIALS`` (2**30), 2**18 chunks of
     ``CHUNK_TRIALS``.  A run lists no chunks before its first draw: a chunk's
-    trials follow from its index, and with more than one worker the process
-    pool holds one pending future per batch of consecutive chunks, at most
-    ``BATCHES_PER_WORKER`` (8) per worker, whatever ``trials`` is.  What
-    grows with ``trials`` is the list of chunk results, a tuple of a few
-    integers each: ~26 MB at the limit (tracemalloc, CPython 3.11).
+    trials follow from its index, and a process pool holds one pending future
+    per batch of consecutive chunks, at most ``BATCHES_PER_WORKER`` (8) per
+    worker, whatever ``trials`` is.  What grows with ``trials`` is the list
+    of chunk results, a tuple of a few integers each: ~26 MB at the limit
+    (tracemalloc, CPython 3.11).
     """
 
     __slots__ = ()
@@ -463,20 +473,27 @@ def _worker_chunks(chunks: range) -> list:
     return [_chunk(*_worker_job, chunk) for chunk in chunks]
 
 
-def _run_chunks(chunk_fn, trials: int, workers: int, *args) -> list:
+def _run_chunks(chunk_fn, trials: int, draws_per_trial: int, workers: int, *args) -> list:
     """``chunk_fn(*args, chunk, lo, hi)`` for each chunk of ``trials``
-    replications, in chunk order, spread over at most one process per chunk.
+    replications, in chunk order.
 
-    A worker receives ``chunk_fn``, ``args`` and ``trials`` once, from the
-    pool's initializer, and then a few tasks, each a ``range`` of
-    consecutive chunk indices: at most ``BATCHES_PER_WORKER`` per worker.
+    ``workers`` is an upper bound.  The chunks go to a pool of up to
+    ``workers`` processes, never more than one per chunk, only when the
+    run's work, ``trials * draws_per_trial`` uniform draws, reaches
+    ``POOL_MIN_DRAWS``; below it they run in this process, which then loads
+    no ``concurrent.futures``.  Either way gives the same results.  A worker
+    receives ``chunk_fn``, ``args`` and ``trials`` once, from the pool's
+    initializer, and then a few tasks, each a ``range`` of consecutive chunk
+    indices: at most ``BATCHES_PER_WORKER`` per worker.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     job = chunk_fn, args, trials
     chunks = range(-(-trials // CHUNK_TRIALS))
     workers = min(workers, len(chunks))  # fork starts every worker at once
-    if workers > 1:
+    if workers > 1 and trials * draws_per_trial >= POOL_MIN_DRAWS:
+        from concurrent.futures import ProcessPoolExecutor
+
         step = -(-len(chunks) // (workers * BATCHES_PER_WORKER))
         batches = (chunks[c : c + step] for c in range(0, len(chunks), step))
         with ProcessPoolExecutor(workers, initializer=_set_worker_job, initargs=job) as pool:
@@ -538,8 +555,10 @@ def run_parallel_sim(s: SimScenario, workers: int = 1) -> SimReport:
     """Empirical detection rate of the tester against the configured attack."""
     p_voter = trigger_mass(s.mallory, s.voter_dist)
     tests, analytic = _resolve_tests(s)
+    # each test reads a uniform per trigger array and a flip; then a binomial
+    draws = tests.count * (len(tests.runs) + 1) + BINOMIAL_DRAWS
     detected, altered = map(sum, zip(*_run_chunks(
-        _parallel_chunk, s.trials, workers, s.seed, s.n_voters, s.mallory.flip_prob, p_voter, tests
+        _parallel_chunk, s.trials, draws, workers, s.seed, s.n_voters, s.mallory.flip_prob, p_voter, tests
     )))
     return _report(s, p_voter, altered, analytic, detection=detected / s.trials)
 
@@ -576,8 +595,10 @@ def run_passive_sim(s: SimScenario, workers: int = 1) -> SimReport:
     if s.passive is None:
         raise DomainError("scenario has no passive parameters")
     p_voter = trigger_mass(s.mallory, s.voter_dist)
+    # a trial draws four binomials: the null spoils, then three under attack
     alarms0, alarms1, altered = map(sum, zip(*_run_chunks(
-        _passive_chunk, s.trials, workers, s.seed, s.n_voters, s.mallory.flip_prob, p_voter, s.passive
+        _passive_chunk, s.trials, 4 * BINOMIAL_DRAWS, workers,
+        s.seed, s.n_voters, s.mallory.flip_prob, p_voter, s.passive,
     )))
     b = s.passive.base_rate
     k = s.passive.alarm_threshold
@@ -656,7 +677,9 @@ def run_estimation_study(
     weights = weights[weights > 0]
     support_size = len(weights)
 
-    l1 = np.concatenate(_run_chunks(_estimation_chunk, trials, workers, weights, n_train, seed))
+    # a trial's multinomial draws up to one binomial per support point
+    draws = support_size * BINOMIAL_DRAWS
+    l1 = np.concatenate(_run_chunks(_estimation_chunk, trials, draws, workers, weights, n_train, seed))
     bound = (
         hjw_lower_bound(n_train, support_size, 1.0) if support_size >= 2 else float("-inf")
     )

@@ -125,11 +125,6 @@ def realistic_preset() -> TransactionSpace:
 
 PRESETS = {"optimistic": optimistic_preset, "realistic": realistic_preset}
 
-#: Distinct transactions S that the training-sample bounds (``minimax``)
-#: assume by default, the paper's support size.  It lives here so that the
-#: CLI can name it without loading the solver.
-DEFAULT_SUPPORT_SIZE = 6_140_000
-
 
 # -- declarative config ----------------------------------------------------
 

@@ -18,6 +18,15 @@ def scenario_dir() -> pathlib.Path:
     return SCENARIO_DIR
 
 
+@pytest.fixture
+def pool_forced(monkeypatch):
+    """The simulator starts its process pool at any work: a run with more
+    than one worker and more than one chunk goes to worker processes."""
+    from bmdlimits import simulate
+
+    monkeypatch.setattr(simulate, "POOL_MIN_DRAWS", 0)
+
+
 @pytest.fixture(scope="session")
 def turnout_script():
     """``scripts/make_turnout_fixture.py``, the county fixture's builder, as a module."""

@@ -314,6 +314,7 @@ def test_09_passive_sim_vs_poisson(scenario_dir):
     assert ok
 
 
+@pytest.mark.usefixtures("pool_forced")
 def test_10_worker_determinism(scenario_dir):
     _, s = load_scenario(str(scenario_dir / "whole_space_flip.json"))
     reports = {run_parallel_sim(s, workers=w).to_json() for w in (1, 2, 4)}

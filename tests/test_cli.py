@@ -874,6 +874,7 @@ class TestAgreementWithLibrary:
         row = json.loads(text)
         assert abs(row["empirical_detection"]["value"] - 0.96875) < 0.006
 
+    @pytest.mark.usefixtures("pool_forced")
     def test_simulate_worker_invariance(self, scenario_dir):
         args = ["simulate", "--scenario", str(scenario_dir / "whole_space_flip.json")]
         _, a = invoke(args + ["--workers", "1"])

@@ -1,8 +1,9 @@
 """Import footprint: no module of the package imports scipy or
 ``dataclasses``, ``minimax`` imports no numpy, ``import bmdlimits`` and
 ``import bmdlimits.cli`` load no numpy, each subcommand loads only what its
-answer needs, and every exported name still resolves.  The library's sources
-hold no ``assert``."""
+answer needs (no ``statistics``, and a simulation below the pool's break-even
+no ``multiprocessing``), and every exported name still resolves.  The
+library's sources hold no ``assert``."""
 
 import ast
 import importlib.util
@@ -128,6 +129,28 @@ def test_library_has_no_assert():
     assert found == []
 
 
+#: Modules whose loading ``test_subcommand_loads`` checks.
+WATCHED = (
+    "numpy", "scipy", "dataclasses", "inspect", "json", "statistics", "bmdlimits.space",
+    "concurrent.futures", "multiprocessing",
+)
+
+
+def loaded_by(*argv: str) -> tuple[int, list[str]]:
+    """Exit code of a CLI call in a fresh interpreter, and which of ``WATCHED`` it loaded."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from bmdlimits.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run(sys.argv[1:])\n"
+        f"loaded = sorted(m for m in {WATCHED!r} if m in sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, loaded]))\n"
+    )
+    exit_code, loaded = json.loads(run_python(code, *argv).stdout)
+    return exit_code, loaded
+
+
 @pytest.mark.parametrize("argv", EXAMPLES, ids=[" ".join(a) for a in EXAMPLES])
 def test_subcommand_loads(argv, tmp_path):
     argv = list(argv)
@@ -137,16 +160,7 @@ def test_subcommand_loads(argv, tmp_path):
         argv[argv.index("--space") + 1] = str(space)
     if "--workers" in argv:  # keep the test's process count small
         argv[argv.index("--workers") + 1] = "2"
-    code = (
-        "import contextlib, io, sys\n"
-        "from bmdlimits.cli import run\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = run(sys.argv[1:])\n"
-        "loaded = sorted(m for m in ('numpy', 'scipy', 'dataclasses', 'inspect', 'json') if m in sys.modules)\n"
-        "import json\n"
-        "print(json.dumps([code, loaded]))\n"
-    )
-    exit_code, loaded = json.loads(run_python(code, *argv).stdout)
+    exit_code, loaded = loaded_by(*argv)
     key = "feasibility --margin" if argv[0] == "feasibility" and "--margin" in argv else argv[0]
     assert exit_code == 0
     assert ("numpy" in loaded, "scipy" in loaded) == LOADS[key]
@@ -154,6 +168,18 @@ def test_subcommand_loads(argv, tmp_path):
         assert "dataclasses" not in loaded and "inspect" not in loaded
     if key == "passive":  # json loads only to read a file or write json-lines
         assert "json" not in loaded
+    # the normal seeds call the C function under statistics.NormalDist
+    assert "statistics" not in loaded
+    if key not in ("cardinality", "simulate", "repro"):  # which read spaces
+        assert "bmdlimits.space" not in loaded
+    # whole_space_flip.json is below the pool's break-even, even at 2 workers
+    assert "concurrent.futures" not in loaded and "multiprocessing" not in loaded
+
+
+def test_simulate_at_one_worker_loads_no_pool():
+    exit_code, loaded = loaded_by("simulate", "--scenario", "scenarios/subpopulation_attack.json", "--workers", "1")
+    assert exit_code == 0
+    assert "concurrent.futures" not in loaded and "multiprocessing" not in loaded
 
 
 def test_every_export_resolves():

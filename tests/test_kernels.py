@@ -4,18 +4,22 @@ High-precision oracles use mpmath at 50 digits; small hypergeometric cases
 use exact rational arithmetic.
 """
 
+import ast
 import math
 import pathlib
 import re
+import statistics
 import subprocess
 import sys
 from fractions import Fraction
+from statistics import NormalDist
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bmdlimits import kernels, passive
 from bmdlimits.errors import DomainError
 from bmdlimits.kernels import (
     TAIL_ABS_TOL,
@@ -25,7 +29,9 @@ from bmdlimits.kernels import (
     poisson_tail,
     poisson_upper_quantile,
     smallest_int_where,
+    upper_normal_point,
 )
+from bmdlimits.passive import PassiveDesign
 
 mpmath.mp.dps = 50
 
@@ -398,3 +404,83 @@ class TestSmallestIntWhere:
             assert smallest_int_where(pred, guess=guess) == answer
             # ceil(log2(d + 1)) == d.bit_length(): 2 calls for an exact guess
             assert len(calls) <= 2 * abs(guess - answer).bit_length() + 2, guess
+
+
+#: The fp and fn budgets of the published tables, then the ends of (0, 1).
+NORMAL_POINTS = (0.05, 0.01, 1e-300, 1e-16, 0.5, 1 - 2**-53)
+
+
+def same_float(a: float, b: float) -> bool:
+    """``a == b`` with the sign of zero too."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.fixture
+def fresh_normal_points():
+    """``upper_normal_point``'s cache emptied before and after the test."""
+    upper_normal_point.cache_clear()
+    yield
+    upper_normal_point.cache_clear()
+
+
+class TestUpperNormalPoint:
+    """``-NormalDist().inv_cdf(p)`` bit for bit, from the C function under it
+    or, where that is missing, from ``NormalDist`` itself."""
+
+    @pytest.mark.parametrize("p", NORMAL_POINTS)
+    def test_points(self, p):
+        assert same_float(upper_normal_point(p), -NormalDist().inv_cdf(p))
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(0.5)
+    def test_any_probability(self, p):
+        assert same_float(upper_normal_point(p), -NormalDist().inv_cdf(p))
+
+    def test_fallback_without_the_c_function(self, monkeypatch, fresh_normal_points):
+        calls = []
+
+        class CountingNormalDist(NormalDist):
+            def inv_cdf(self, p):
+                calls.append(p)
+                return super().inv_cdf(p)
+
+        monkeypatch.setitem(sys.modules, "_statistics", None)  # a failed import
+        monkeypatch.setattr(statistics, "NormalDist", CountingNormalDist)
+        for p in NORMAL_POINTS:
+            assert same_float(upper_normal_point(p), -NormalDist().inv_cdf(p))
+        assert calls == list(NORMAL_POINTS)
+
+    def test_out_of_range_p_never_reaches_it(self, monkeypatch):
+        # outside (0, 1) the C function raises ValueError and NormalDist
+        # StatisticsError: its callers reject such a p first
+        def unreachable(p):
+            raise AssertionError(f"upper_normal_point({p}) was called")
+
+        monkeypatch.setattr(kernels, "upper_normal_point", unreachable)
+        monkeypatch.setattr(passive, "upper_normal_point", unreachable)
+        for p in (0.0, 1.0, -1e-300, 1.5, math.inf, math.nan):
+            with pytest.raises(DomainError, match="alpha must be in"):
+                poisson_upper_quantile(10.0, p)
+            with pytest.raises(DomainError, match="fp_budget must be in"):
+                PassiveDesign(0.03, 0.07, 0.005, p, 0.05)
+            with pytest.raises(DomainError, match="fn_budget must be in"):
+                PassiveDesign(0.03, 0.07, 0.005, 0.05, p)
+
+    def test_every_caller_passes_a_checked_probability(self):
+        # alpha is checked by poisson_upper_quantile, a design's budgets when it is built
+        calls = set()
+        for path in sorted((ROOT / "src" / "bmdlimits").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for scope in ast.walk(tree):
+                if not isinstance(scope, ast.FunctionDef):
+                    continue
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "upper_normal_point":
+                        calls.add((path.name, scope.name, ast.unparse(node.args[0])))
+        assert calls == {
+            ("kernels.py", "poisson_upper_quantile", "alpha"),
+            ("passive.py", "_certified_start", "design.fp_budget"),
+            ("passive.py", "_certified_start", "design.fn_budget"),
+            ("passive.py", "_fn_guess", "design.fn_budget"),
+            ("passive.py", "_step", "design.fp_budget"),
+        }

@@ -3,6 +3,7 @@ bound, threshold arithmetic, solver certificates, and a frozen golden table."""
 
 import math
 import operator
+import random
 
 import mpmath
 import numpy as np
@@ -421,6 +422,53 @@ class TestGridArgmax:
         beta_counts = [c for size, c in sizes if size == 4001]
         assert len(zeta_counts) == 5 and max(zeta_counts) <= 64
         assert len(beta_counts) == 2 and max(beta_counts) <= 200
+
+
+def np_resolved_bound(ns: np.ndarray, S: int, zetas) -> np.ndarray:
+    """``ref_resolved_bound``'s values at every n of ``ns``, in numpy: the
+    four-term bound's maximum over ``zetas``.  numpy's ``exp`` and ``sqrt``
+    may round an ulp away from ``math``'s."""
+    best = np.full(len(ns), -np.inf)
+    n = ns.astype(float)
+    log_s = math.log(S)
+    for z in zetas:
+        x = (1.0 + z) * n / S
+        first = np.where(x > math.e / 16.0, 0.125 * np.sqrt(math.e * S / ((1.0 + z) * n)), np.exp(-2.0 * x))
+        penalty = 12.0 * math.exp(-z * z * S / (32.0 * log_s * log_s))
+        np.maximum(best, first - np.exp(-z * z * n / 24.0) - penalty, out=best)
+    return best
+
+
+def small_query(seed: int) -> MinimaxQuery:
+    """A seeded query with S <= 10**5; every fourth on the slack grid."""
+    rnd = random.Random(seed)
+    S = round(10 ** rnd.uniform(3.5, 5))
+    r = 10 ** rnd.uniform(-2, -0.5)
+    alpha = rnd.uniform(0.01, 0.3)
+    T = rnd.choice([None, rnd.randint(10, 5000)])
+    zeta = GridZeta() if seed % 4 == 0 else FixedZeta(rnd.uniform(0.3, 1.0))
+    return MinimaxQuery(r=r, alpha=alpha, T=T, S=S, zeta=zeta)
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_bound_stays_below_threshold_from_n_on(seed):
+    """Brute force for the claim that the bound *stays* at or below the
+    threshold from n on, which ``bound(n) <= threshold < bound(n - 1)`` does
+    not certify: the bound rises before its peak.  Every n' in [n, 4n + 1000)
+    is scanned; an n' whose numpy value lies within 1e-12 of the threshold is
+    checked again by ``ref_resolved_bound``."""
+    q = small_query(seed)
+    report = min_training_sample(q)
+    n = report.min_training_n
+    bound = ref_resolved_bound(q)
+    ns = np.arange(n, 4 * n + 1000)
+    zetas = [q.zeta.value] if isinstance(q.zeta, FixedZeta) else ZETA_GRID
+    approx = np_resolved_bound(ns, q.S, zetas)
+    assert approx[0] == pytest.approx(bound(n)[0], rel=0, abs=1e-14)
+    near = ns[approx > report.threshold - 1e-12]
+    assert all(bound(int(m))[0] <= report.threshold for m in near)
+    if n > 1:
+        assert bound(n - 1)[0] > report.threshold
 
 
 class TestCertifiableLimit:

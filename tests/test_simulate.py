@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: worker-count invariance, agreement with the
 closed-form predictions, and degenerate scenarios with known outcomes."""
 
+import concurrent.futures
 import io
 import itertools
 import json
@@ -25,6 +26,7 @@ from bmdlimits.simulate import (
     CHUNK_TRIALS,
     MAX_TEST_COUNT,
     MAX_TRIALS,
+    POOL_MIN_DRAWS,
     MalloryStrategy,
     PassiveParams,
     PatStrategy,
@@ -78,10 +80,11 @@ def drawn_each_way(s: SimScenario, seed: int, n_rep: int) -> list[np.ndarray]:
 
 
 def inline_pool(monkeypatch) -> dict[str, list]:
-    """Swap the simulator's ``ProcessPoolExecutor`` for a stand-in that runs
-    in this process, so no process starts, and record what a real pool would
-    send: each pool's size and the ``initargs`` every one of its workers
-    receives once, then each task, a ``range`` of chunk indices."""
+    """Swap the ``ProcessPoolExecutor`` that the simulator imports when it
+    starts a pool for a stand-in that runs in this process, so no process
+    starts, and record what a real pool would send: each pool's size and the
+    ``initargs`` every one of its workers receives once, then each task, a
+    ``range`` of chunk indices."""
     sent: dict[str, list] = {"pools": [], "initargs": [], "tasks": []}
 
     class InlinePool:
@@ -101,7 +104,7 @@ def inline_pool(monkeypatch) -> dict[str, list]:
             sent["tasks"].extend(tasks)
             return [fn(task) for task in tasks]
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(simulate, "_worker_job", ())  # restored after the test
     return sent
 
@@ -188,6 +191,7 @@ class TestTriggerMass:
         assert trigger_mass(small, uniform) == pytest.approx(2 / 13, abs=1e-15)
 
 
+@pytest.mark.usefixtures("pool_forced")
 class TestWorkerInvariance:
     def test_parallel_byte_identical(self):
         s = scenario()
@@ -215,13 +219,13 @@ class TestWorkerInvariance:
 
         trials = 2 * CHUNK_TRIALS + 1
         want = [("x", 0, 0, CHUNK_TRIALS), ("x", 1, CHUNK_TRIALS, trials - 1), ("x", 2, trials - 1, trials)]
-        assert simulate._run_chunks(echo, trials, 64, "x") == want
+        assert simulate._run_chunks(echo, trials, 1, 64, "x") == want
         assert sent["pools"] == [3]
         # the shared arguments go to each worker once, not with every task
         assert sent["initargs"] == [(echo, ("x",), trials)]
         # a task is a run of chunk indices; each chunk's trials follow from it
         assert sent["tasks"] == [range(0, 1), range(1, 2), range(2, 3)]
-        assert simulate._run_chunks(echo, 5, 64, "x") == [("x", 0, 0, 5)]
+        assert simulate._run_chunks(echo, 5, 1, 64, "x") == [("x", 0, 0, 5)]
         assert sent["pools"] == [3]  # one chunk runs in this process
         s = scenario(trials=100)
         assert run_parallel_sim(s, workers=1000).to_json() == run_parallel_sim(s).to_json()
@@ -232,7 +236,7 @@ class TestWorkerInvariance:
     def test_tasks_bounded_at_max_trials(self, monkeypatch, workers, trials):
         # one task per chunk once meant 2**18 pending futures (~0.5 GB)
         sent = inline_pool(monkeypatch)
-        sizes = simulate._run_chunks(chunk_size, trials, workers)
+        sizes = simulate._run_chunks(chunk_size, trials, 1, workers)
         assert len(sent["tasks"]) <= simulate.BATCHES_PER_WORKER * workers
         assert all(isinstance(task, range) for task in sent["tasks"])
         chunks = -(-trials // CHUNK_TRIALS)
@@ -243,7 +247,7 @@ class TestWorkerInvariance:
     def test_chunk_error_reaches_caller(self):
         # real worker processes: the chunk's own exception, and none left running
         with pytest.raises(DomainError, match="chunk 3 failed"):
-            simulate._run_chunks(fail_on_chunk_3, 40 * CHUNK_TRIALS, 2, "x")
+            simulate._run_chunks(fail_on_chunk_3, 40 * CHUNK_TRIALS, 1, 2, "x")
         assert multiprocessing.active_children() == []
 
     def test_chunk_error_is_one_cli_line(self, monkeypatch, scenario_dir, capsys):
@@ -286,6 +290,50 @@ class TestWorkerInvariance:
         a = run_parallel_sim(scenario(seed=1))
         b = run_parallel_sim(scenario(seed=2))
         assert a.empirical_detection.value != b.empirical_detection.value
+
+
+def cli_stdout(scenario_dir, name: str, workers: int) -> str:
+    out = io.StringIO()
+    argv = ["simulate", "--scenario", str(scenario_dir / f"{name}.json"), "--workers", str(workers)]
+    assert cli.run(argv, out) == 0
+    return out.getvalue()
+
+
+class TestPoolBreakEven:
+    """``--workers`` is an upper bound: a run starts a pool only once its
+    work reaches ``POOL_MIN_DRAWS`` uniform draws."""
+
+    def test_pool_from_the_break_even_on(self, monkeypatch):
+        sent = inline_pool(monkeypatch)
+        trials = 2 * CHUNK_TRIALS
+        draws = -(-POOL_MIN_DRAWS // trials)  # the fewest draws a trial that reach it
+        assert simulate._run_chunks(chunk_size, trials, draws - 1, 4) == [CHUNK_TRIALS] * 2
+        assert sent["pools"] == []
+        assert simulate._run_chunks(chunk_size, trials, draws, 4) == [CHUNK_TRIALS] * 2
+        assert sent["pools"] == [2]
+
+    def test_readme_example_builds_no_pool(self, monkeypatch, scenario_dir):
+        # whole_space_flip: 25 chunks of 5 tests and a binomial a trial, 2.1 M draws
+        sent = inline_pool(monkeypatch)
+        assert cli_stdout(scenario_dir, "whole_space_flip", 4) == cli_stdout(scenario_dir, "whole_space_flip", 1)
+        assert sent["pools"] == []
+
+    @pytest.mark.parametrize("name, pools", [
+        ("passive_poisson_gap", []),  # 100,000 trials of four binomials: 6.4 M draws
+        ("subpopulation_attack", [2]),  # 299 tests of one trigger array: 61.4 M draws
+    ])
+    def test_shipped_scenarios(self, monkeypatch, scenario_dir, name, pools):
+        sent = inline_pool(monkeypatch)
+        cli_stdout(scenario_dir, name, 2)
+        assert sent["pools"] == pools
+
+    @pytest.mark.usefixtures("pool_forced")
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("name", ["passive_poisson_gap", "subpopulation_attack", "whole_space_flip"])
+    def test_forced_pool_keeps_the_bytes(self, scenario_dir, name, workers):
+        # real worker processes
+        assert cli_stdout(scenario_dir, name, workers) == cli_stdout(scenario_dir, name, 1)
+        assert multiprocessing.active_children() == []
 
 
 class TestParallelSim:
@@ -891,6 +939,7 @@ MANY_RUNS_PINNED = (
 
 
 class TestManyRunsPin:
+    @pytest.mark.usefixtures("pool_forced")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("blocks", ["rows", "columns"])
     def test_parallel(self, monkeypatch, blocks, workers):
@@ -958,12 +1007,14 @@ FACTORED_PINNED = {
 
 
 class TestFactoredPins:
+    @pytest.mark.usefixtures("pool_forced")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_subpopulation_attack(self, scenario_dir, workers):
         _, s = load_scenario(str(scenario_dir / "subpopulation_attack.json"))
         report = run_parallel_sim(s, workers=workers)
         assert report.to_json() == FACTORED_PINNED["subpopulation_attack"]
 
+    @pytest.mark.usefixtures("pool_forced")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_factored_multi_run_trigger(self, workers):
         report = run_parallel_sim(factored_pin_scenario(), workers=workers)
@@ -1000,6 +1051,7 @@ SCRIPT_PINNED = (
 
 
 class TestScriptPins:
+    @pytest.mark.usefixtures("pool_forced")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parallel(self, workers):
         assert run_parallel_sim(script_pin_scenario(), workers=workers).to_json() == SCRIPT_PINNED
@@ -1038,6 +1090,7 @@ class TestResolvedOnce:
         assert set(seen[0]) == {"trigger_mass", "_rows_match"}
 
 
+@pytest.mark.usefixtures("pool_forced")
 class TestChunkJobs:
     """What a run sends to its worker processes, recorded by ``inline_pool``."""
 
@@ -1162,6 +1215,7 @@ MULTI_BLOCK_PINNED = {
 
 
 class TestMultiBlockPins:
+    @pytest.mark.usefixtures("pool_forced")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("tester", ["uniform", "sparse"])
     def test_parallel(self, tester, workers):
