@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import copysign, erfc, exp, log1p, sqrt
 from typing import Callable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, Infeasible
 
 #: Absolute tolerance documented for tail probabilities.
 TAIL_ABS_TOL = 1e-12
@@ -147,7 +147,8 @@ def poisson_upper_quantile(mean: float, alpha: float) -> int:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     z = upper_normal_point(alpha)
     guess = math.ceil(mean + z * math.sqrt(mean) + (z * z + 2.0) / 6.0)
-    return smallest_int_where(lambda k: poisson_tail(mean, k) <= alpha, guess=guess)
+    # past 2**53 ``poisson_tail`` subtracts exactly, so thresholds stay certified
+    return smallest_int_where(lambda k: poisson_tail(mean, k) <= alpha, guess=guess, hi_limit=None)
 
 
 #: Largest population the solvers pass to ``log_no_replacement_miss_prob``:
@@ -156,13 +157,21 @@ def poisson_upper_quantile(mean: float, alpha: float) -> int:
 _LGAMMA_LIMIT = 2.5e305
 
 
+#: Most factors ``log_no_replacement_miss_prob`` sums one by one.
+_FEW_FACTORS = 64
+
+
 def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> float:
     """Natural log of the probability that a simple random sample of ``draws``
     units misses every flawed one (``-inf`` when it is zero).
 
     The probability is prod_{i=0}^{draws-1} (population - flawed - i) / (population - i),
-    i.e. C(population - flawed, draws) / C(population, draws).  Past
-    ``_LGAMMA_LIMIT`` the population overflows ``math.lgamma``.
+    i.e. C(population - flawed, draws) / C(population, draws), which is
+    C(population - draws, flawed) / C(population, flawed).  With at most
+    ``_FEW_FACTORS`` flawed or drawn units it is an ``fsum`` of those few log
+    factors, each within a few ulps at any population V; otherwise a
+    difference of ``lgamma`` values, off by about 4 * 2**-53 * V ln V in the
+    log.  Past ``_LGAMMA_LIMIT`` the population overflows ``math.lgamma``.
     """
     if population < 1:
         raise DomainError(f"population must be >= 1, got {population}")
@@ -174,6 +183,12 @@ def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> fl
         return 0.0
     if draws > population - flawed:
         return -math.inf  # the sample cannot avoid every flawed unit
+    few, many = sorted((flawed, draws))
+    if few <= _FEW_FACTORS:
+        tops = range(population - few + 1, population + 1)  # each above many
+        if 2 * many < population - few:  # every many / top is below 1/2
+            return math.fsum([log1p(-many / top) for top in tops])
+        return math.fsum([math.log((top - many) / top) for top in tops])
     good = population - flawed
     return (
         math.lgamma(good + 1)
@@ -184,17 +199,19 @@ def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> fl
 
 
 def smallest_int_where(
-    pred: Callable[[int], bool], guess: int = 1, hi_limit: int | None = None
+    pred: Callable[[int], bool], guess: float = 1, hi_limit: int | None = 2**53, what: str = "units"
 ) -> int:
     """Smallest integer n >= 1 with ``pred(n)`` true, for predicates that are
     monotone (false below the answer, true at and above it).
 
     Gallops from ``guess`` by doubling steps, down while ``pred`` holds and up
     while it fails, then bisects the bracket: an exact guess costs 2
-    evaluations and a guess d off at most 2 * ceil(log2(d + 1)) + 2.
-    """
+    evaluations and a guess d off at most 2 * ceil(log2(d + 1)) + 2.  A guess
+    below 1 starts at 1, NaN or one at or past ``hi_limit`` at the limit.  A
+    float tells n from n - 1 only up to 2**53, the default limit: where
+    ``pred`` fails there, ``Infeasible("more than 2**53 {what} needed")``."""
     limit = math.inf if hi_limit is None else hi_limit
-    hi = max(1, min(guess, limit))
+    hi = math.ceil(max(guess, 1)) if guess < limit else limit  # NaN starts at the limit
     lo, step = hi, 1
     if pred(hi):
         # the answer is >= 1, so pred(0) counts as false
@@ -204,7 +221,7 @@ def smallest_int_where(
         while lo < limit and not pred(hi := min(lo + step, limit)):
             lo, step = hi, step * 2
         if lo >= limit:
-            raise DomainError(f"no satisfying integer found below {hi_limit}")
+            raise Infeasible(f"more than {'2**53' if limit == 2**53 else limit} {what} needed")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if pred(mid):

@@ -27,10 +27,6 @@ from .parallel import epsilon_budget
 #: the paper's support size.
 DEFAULT_SUPPORT_SIZE = 6_140_000
 
-#: Largest training size the solver certifies: past it n and n - 1 can share
-#: a float, so ``bound(n) <= threshold < bound(n - 1)`` says nothing about n.
-_MAX_CERTIFIABLE_N = 2**53
-
 #: Relative margin below the best score within which ``_first_argmax`` still
 #: splits an interval.  Its interval bounds hold up to a few ulps of rounding,
 #: and of ``exp`` or ``pow`` stepping against the grain; the margin covers
@@ -267,7 +263,7 @@ def _resolved_bound(q: MinimaxQuery, threshold: float):
     the score on [i, j].  Each slack value and its penalty, which do not
     depend on n, are computed once per query.
 
-    ``seed``, clamped to [1, 2**53], is the smallest n at which the bound
+    ``seed``, a float, is the smallest n at which the bound
     without its ``-exp(-zeta^2 n / 24)`` term falls to ``threshold`` at every
     slack value.  That term only lowers the bound, so the descending crossing
     lies at or just below the seed.
@@ -312,7 +308,7 @@ def _resolved_bound(q: MinimaxQuery, threshold: float):
     if seed_terms(zeta.size - 1)[2] == 0.0:
         return bound, 1
     n, _ = _first_argmax(zeta.size, seed_terms, operator.mul)
-    return bound, max(1, math.ceil(min(n, _MAX_CERTIFIABLE_N)))
+    return bound, n
 
 
 def min_training_sample(q: MinimaxQuery) -> BoundReport:
@@ -325,7 +321,7 @@ def min_training_sample(q: MinimaxQuery) -> BoundReport:
     search gallops from the bound's closed-form inverse (``_resolved_bound``),
     a few units from the crossing.  A bound that never exceeds the threshold
     is vacuous: n = 1 with no bound below.  No n past 2**53 is certified: if
-    the bound at 2**53 is still above the threshold, ``DomainError``.
+    the bound at 2**53 is still above the threshold, ``Infeasible``.
     """
     threshold, beta_used = detection_threshold(q)
     if threshold <= 0.0:
@@ -333,12 +329,7 @@ def min_training_sample(q: MinimaxQuery) -> BoundReport:
             "detection threshold is nonpositive: no training-sample size helps"
         )
     bound, seed = _resolved_bound(q, threshold)
-    try:
-        n = smallest_int_where(
-            lambda n: bound(n)[0] <= threshold, guess=seed, hi_limit=_MAX_CERTIFIABLE_N
-        )
-    except DomainError:
-        raise DomainError("no training size past 2**53 can be certified") from None
+    n = smallest_int_where(lambda n: bound(n)[0] <= threshold, guess=seed, what="training draws")
     b_at, z_at = bound(n)
     if n == 1:
         return BoundReport(1, z_at, threshold, b_at, None, beta_used)

@@ -101,28 +101,18 @@ def min_tests_iid(p: float, confidence: float) -> int:
         raise Infeasible("an attack that touches no transactions cannot be detected")
     if not p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p}")
-    guess = _closed_form_count(math.log1p(-confidence), math.log1p(-p), f"p = {p}")
-    return smallest_int_where(lambda t: detection_prob_iid(p, t) >= confidence, guess=guess)
-
-
-def _closed_form_count(target: float, log_step: float, what: str) -> int:
-    """max(1, ceil(target / log_step)) for a negative per-test log factor.
-
-    Beyond 2**53 tests a float cannot tell t from t - 1, so no count there
-    can be certified minimal; such counts are rejected.
-    """
-    if not log_step < 0.0 or target / log_step > 2**53:
-        raise DomainError(f"{what}: more than 2**53 tests needed")
-    return max(1, math.ceil(target / log_step))
+    return smallest_int_where(
+        lambda t: detection_prob_iid(p, t) >= confidence,
+        guess=math.log1p(-confidence) / math.log1p(-p),
+        what="tests",
+    )
 
 
 def oracle_min_samples(q: OracleBoundQuery) -> int:
     """Smallest sample of printouts an error oracle needs for the target
-    detection probability, sampling without replacement.
-
-    Beyond 2**53 a float cannot tell n from n - 1, so no larger sample can be
-    certified minimal; needing one is a ``DomainError``.
-    """
+    detection probability, sampling without replacement.  Every sample
+    above population - flawed finds a flaw, so the search ends there or at
+    2**53, past which ``smallest_int_where`` certifies no sample."""
     if q.flawed == 0:
         raise Infeasible("no flawed printouts: nothing is detectable")
     log_alpha = math.log1p(-q.confidence)
@@ -130,10 +120,7 @@ def oracle_min_samples(q: OracleBoundQuery) -> int:
     def ok(n: int) -> bool:
         return log_no_replacement_miss_prob(q.population, q.flawed, n) <= log_alpha
 
-    try:
-        return smallest_int_where(ok, hi_limit=min(q.population + 1, 2**53))
-    except DomainError:
-        raise DomainError("more than 2**53 printouts needed") from None
+    return smallest_int_where(ok, what="printouts")
 
 
 def min_electorate_for_budget(

@@ -36,7 +36,7 @@ test whose false-alarm rate can exceed fp_budget, so step 1 does not hold.
 from __future__ import annotations
 
 import math
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import DomainError, Infeasible
 from .kernels import (
@@ -173,16 +173,6 @@ def _np_miss(N: int, design: PassiveDesign) -> tuple[float, float]:
     return fn, slack
 
 
-def _smallest_size(ok: Callable[[int], bool], guess: float, rate: float) -> int:
-    """Smallest N with ``ok(N)``, searched from ``guess``.  Beyond 2**53 a float
-    cannot tell N from N - 1, so the search stops there and raises past it."""
-    guess = math.ceil(max(guess, 1.0)) if guess <= 2**53 else 2**53  # also catches +-inf, nan
-    try:
-        return smallest_int_where(ok, guess=guess, hi_limit=2**53)
-    except DomainError:  # no size up to 2**53 passes
-        raise Infeasible(f"spoil rate {rate:g} per voter: more than 2**53 voters needed") from None
-
-
 def _certified_start(design: PassiveDesign) -> int:
     """Smallest size N0 whose Neyman-Pearson miss could meet the fn budget.
 
@@ -201,7 +191,7 @@ def _certified_start(design: PassiveDesign) -> int:
         fn, slack = _np_miss(N, design)
         return fn <= design.fn_budget + slack
 
-    return _smallest_size(ok, root * root, b + a)
+    return smallest_int_where(ok, guess=root * root, what="voters")
 
 
 def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
@@ -210,9 +200,9 @@ def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
     P{Pois(m) < j} = P{Gamma(j) > m} falls with N.  The search starts at
     ``_fn_guess`` and certifies the answer by exact tails.
     """
-    rate = design.base_rate + design.attack_rate
-    guess = _fn_guess(design, j)
-    return _smallest_size(lambda N: _miss(N, design, j) <= design.fn_budget, guess, rate)
+    return smallest_int_where(
+        lambda N: _miss(N, design, j) <= design.fn_budget, guess=_fn_guess(design, j), what="voters"
+    )
 
 
 def _fn_guess(design: PassiveDesign, j: int) -> float:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from typing import Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -478,8 +479,8 @@ def _run_chunks(chunk_fn, trials: int, draws_per_trial: int, workers: int, *args
     replications, in chunk order.
 
     ``workers`` is an upper bound.  The chunks go to a pool of up to
-    ``workers`` processes, never more than one per chunk, only when the
-    run's work, ``trials * draws_per_trial`` uniform draws, reaches
+    ``workers`` processes, never more than one per chunk or per CPU, only
+    when the run's work, ``trials * draws_per_trial`` uniform draws, reaches
     ``POOL_MIN_DRAWS``; below it they run in this process, which then loads
     no ``concurrent.futures``.  Either way gives the same results.  A worker
     receives ``chunk_fn``, ``args`` and ``trials`` once, from the pool's
@@ -490,7 +491,7 @@ def _run_chunks(chunk_fn, trials: int, draws_per_trial: int, workers: int, *args
         raise DomainError(f"workers must be >= 1, got {workers}")
     job = chunk_fn, args, trials
     chunks = range(-(-trials // CHUNK_TRIALS))
-    workers = min(workers, len(chunks))  # fork starts every worker at once
+    workers = min(workers, len(chunks), os.cpu_count() or 1)  # fork starts every worker at once
     if workers > 1 and trials * draws_per_trial >= POOL_MIN_DRAWS:
         from concurrent.futures import ProcessPoolExecutor
 

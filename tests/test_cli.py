@@ -186,6 +186,25 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
 
+    @pytest.mark.parametrize(
+        "argv,noun",
+        [
+            (["parallel", "--p", "1e-300"], "tests"),
+            (["passive", "--margin", "1e-200", "--detect-rate", "1e-5", "--base-rate", "1e-200"], "voters"),
+            (["passive", "--convention", "strict", "--margin", "1e-200", "--detect-rate", "1e-5",
+              "--base-rate", "1e-200"], "voters"),
+            (["minimax", "--confidence", "0.99", "--test-limit", "2000", "--altered-fraction", "0.005",
+              "--support-size", str(10**20)], "training draws"),
+            (["oracle", "--population", str(10**18), "--flawed", "15"], "printouts"),
+        ],
+        ids=["parallel", "passive", "passive-strict", "minimax", "oracle"],
+    )
+    def test_need_past_2_53_names_its_unit(self, capsys, argv, noun):
+        # one search certifies every count, and one error says what it counted
+        code, out = invoke(argv)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: more than 2**53 {noun} needed\n"
+
     @pytest.mark.parametrize("fraction", ["1", "0.9999999999999999"])
     @pytest.mark.parametrize("sampling", ["with_replacement", "without_replacement"])
     def test_every_voter_altered(self, fraction, sampling):

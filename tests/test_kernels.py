@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmdlimits import kernels, passive
-from bmdlimits.errors import DomainError
+from bmdlimits.errors import DomainError, Infeasible
 from bmdlimits.kernels import (
     TAIL_ABS_TOL,
     PoissonModel,
@@ -279,7 +279,7 @@ class TestPoissonQuantile:
     @example(mean=1e16, alpha=0.9)
     @settings(max_examples=200)
     def test_seed_does_not_change_answer(self, mean, alpha):
-        unseeded = smallest_int_where(lambda k: poisson_tail(mean, k) <= alpha)
+        unseeded = smallest_int_where(lambda k: poisson_tail(mean, k) <= alpha, hi_limit=None)
         assert poisson_upper_quantile(mean, alpha) == unseeded
 
     def test_alpha_domain(self):
@@ -338,6 +338,22 @@ class TestNoReplacementMiss:
             assert got == pytest.approx(float(miss_prob_exact(population, flawed, draws)), rel=1e-12)
 
     @given(
+        population=st.integers(min_value=130, max_value=10**4),
+        flawed=st.floats(0.0, 1.0),
+        draws=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_many_factors_within_the_lgamma_bound(self, population, flawed, draws):
+        # above 64 flawed and drawn units the log is an lgamma difference,
+        # off by about 4 * 2**-53 * V ln V
+        flawed = 65 + int(flawed * (population // 2 - 65))
+        draws = 65 + int(draws * (population - flawed - 65))
+        exact = Fraction(math.comb(population - flawed, draws), math.comb(population, draws))
+        got = log_no_replacement_miss_prob(population, flawed, draws)
+        want = math.log(exact.numerator) - math.log(exact.denominator)
+        assert abs(got - want) <= 4 * 2**-53 * population * math.log(population) + 1e-12 * abs(want)
+
+    @given(
         population=st.integers(min_value=2, max_value=500),
         flawed=st.integers(min_value=1, max_value=20),
         draws=st.integers(min_value=0, max_value=100),
@@ -385,6 +401,25 @@ class TestSmallestIntWhere:
         if answer > 1:
             with pytest.raises(DomainError):
                 smallest_int_where(pred, guess=guess, hi_limit=max(1, answer - below))
+
+    @given(
+        answer=st.integers(min_value=1, max_value=2**53 + 2),
+        guess=st.sampled_from([math.nan, math.inf, -math.inf, -5, 0.3, 2.0**60]),
+    )
+    @example(answer=2**53, guess=math.nan)
+    @example(answer=2**53 + 1, guess=-math.inf)
+    @settings(max_examples=100)
+    def test_any_guess_gives_the_exact_guess_answer(self, answer, guess):
+        # a guess below 1 starts at 1; NaN, +inf and one past 2**53 at 2**53
+        def solve(guess):
+            try:
+                return smallest_int_where(lambda n: n >= answer, guess=guess, what="draws")
+            except Infeasible as exc:
+                return str(exc)
+
+        want = answer if answer <= 2**53 else "more than 2**53 draws needed"
+        assert solve(answer) == want
+        assert solve(guess) == want
 
     @pytest.mark.parametrize("answer", [1, 2, 3, 100, 777, 4097, 65_536, 10**6])
     def test_evaluations_grow_with_log_distance(self, answer):

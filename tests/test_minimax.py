@@ -93,7 +93,7 @@ def ref_min_training_sample(q: MinimaxQuery) -> BoundReport:
     hi = min(max(16, int(math.e * q.S / (128.0 * threshold * threshold))), 2**53)
     while bound(hi)[0] > threshold:
         if hi == 2**53:
-            raise DomainError("no training size past 2**53 can be certified")
+            raise Infeasible("more than 2**53 training draws needed")
         hi = min(2 * hi, 2**53)
     lo = hi // 2
     while lo >= 1 and bound(lo)[0] <= threshold:

@@ -4,6 +4,7 @@ algebraic identities, and the published worked examples."""
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +131,21 @@ class TestOracleMinSamples:
             oracle_min_samples(OracleBoundQuery(largest, 15, 0.95))
         with pytest.raises(DomainError, match="population is too large"):
             OracleBoundQuery(largest + 1, 15, 0.95)
+
+    @pytest.mark.parametrize("flawed", [1, 15, 64])
+    @pytest.mark.parametrize("population", [10**8, 3 * 10**8, 10**9, 10**12, 10**15])
+    def test_certified_by_a_50_digit_product(self, population, flawed):
+        # the lgamma difference once printed 54,310,871 at 3e8 and 15 flawed,
+        # whose miss is 0.0500000290: too few printouts
+        n = oracle_min_samples(OracleBoundQuery(population, flawed, 0.95))
+        with mpmath.workdps(50):
+            alpha = 1 - mpmath.mpf(0.95)  # the float the solver reads
+
+            def miss(n):
+                # C(V - n, F) / C(V, F): F factors
+                return mpmath.fprod(1 - mpmath.mpf(n) / (population - i) for i in range(flawed))
+
+            assert miss(n) <= alpha < miss(n - 1)
 
     @given(
         population=st.integers(min_value=2, max_value=200),

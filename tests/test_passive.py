@@ -394,7 +394,7 @@ class TestSizeSearch:
     @settings(max_examples=200, deadline=None)
     def test_fn_search_matches_unseeded_search(self, margin, d, b, fn, j):
         design = PassiveDesign(margin, d, b, 0.05, fn)
-        unseeded = smallest_int_where(lambda N: _miss(N, design, j) <= fn)
+        unseeded = smallest_int_where(lambda N: _miss(N, design, j) <= fn, hi_limit=None)
         if unseeded <= 2**53:
             assert _smallest_fn_ok(design, j) == unseeded
         else:

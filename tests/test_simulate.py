@@ -79,13 +79,15 @@ def drawn_each_way(s: SimScenario, seed: int, n_rep: int) -> list[np.ndarray]:
     return out
 
 
-def inline_pool(monkeypatch) -> dict[str, list]:
+def inline_pool(monkeypatch, cpus: int | None = 64) -> dict[str, list]:
     """Swap the ``ProcessPoolExecutor`` that the simulator imports when it
     starts a pool for a stand-in that runs in this process, so no process
     starts, and record what a real pool would send: each pool's size and the
     ``initargs`` every one of its workers receives once, then each task, a
-    ``range`` of chunk indices."""
+    ``range`` of chunk indices.  ``os.cpu_count`` reads ``cpus``, so pool
+    sizes do not depend on the machine."""
     sent: dict[str, list] = {"pools": [], "initargs": [], "tasks": []}
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
     class InlinePool:
         def __init__(self, max_workers, initializer, initargs):
@@ -230,6 +232,16 @@ class TestWorkerInvariance:
         s = scenario(trials=100)
         assert run_parallel_sim(s, workers=1000).to_json() == run_parallel_sim(s).to_json()
         assert sent["pools"] == [3]
+
+    @pytest.mark.parametrize("cpus, pools", [(4, [4]), (1, []), (None, [])])
+    def test_pool_never_outnumbers_cpus(self, monkeypatch, cpus, pools):
+        # once bounded only by the chunk count: --workers 100000 would have
+        # forked one process per chunk, up to 2**18
+        sent = inline_pool(monkeypatch, cpus)
+        trials = 40 * CHUNK_TRIALS
+        sizes = simulate._run_chunks(chunk_size, trials, POOL_MIN_DRAWS, 10**5)
+        assert sizes == [CHUNK_TRIALS] * 40
+        assert sent["pools"] == pools
 
     @pytest.mark.parametrize("workers", [2, 3, 64])
     @pytest.mark.parametrize("trials", [MAX_TRIALS, MAX_TRIALS - 1])
