@@ -190,8 +190,7 @@ def _cmd_simulate(args) -> list[dict]:
 
     kind, scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        # ``_replace`` skips the checks; building the record anew runs them
-        scenario = type(scenario)(*scenario._replace(seed=args.seed))
+        scenario = scenario._replace(seed=args.seed)
     run = run_passive_sim if kind == "passive" else run_parallel_sim
     report = run(scenario, workers=args.workers)
     return [report.to_dict()]

@@ -16,7 +16,7 @@ import csv
 import io
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, validated
 
 if TYPE_CHECKING:
     from .passive import PassiveDesign
@@ -24,16 +24,13 @@ if TYPE_CHECKING:
 _COLUMNS = ("state", "jurisdiction", "turnout")
 
 
-class _JurisdictionRecord(NamedTuple):
+@validated
+class JurisdictionRecord(NamedTuple):
     state: str
     jurisdiction: str
     turnout: int
 
-
-class JurisdictionRecord(_JurisdictionRecord):
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if self.turnout < 0:
             raise DomainError("turnout must be >= 0")
 

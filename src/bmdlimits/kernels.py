@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import copysign, erfc, exp, log1p, sqrt
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, Infeasible
+from .errors import DomainError, Infeasible, validated
 
 #: Absolute tolerance documented for tail probabilities.
 TAIL_ABS_TOL = 1e-12
@@ -115,16 +115,13 @@ def upper_normal_point(p: float) -> float:
 # ``PoissonModel`` and ``poisson_sf`` have no caller in the library; they stay
 # only because perfbench/run.py and perfbench/tracer.py import them by name
 # (ROADMAP item 3).
-class _PoissonModel(NamedTuple):
-    mean: float
-
-
-class PoissonModel(_PoissonModel):
+@validated
+class PoissonModel(NamedTuple):
     """Poisson count model with a known mean; mean = 0 is a point mass at zero."""
 
-    __slots__ = ()
+    mean: float
 
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if not math.isfinite(self.mean) or self.mean < 0:
             raise DomainError(f"Poisson mean must be finite and >= 0, got {self.mean}")
 

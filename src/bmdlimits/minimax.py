@@ -19,7 +19,7 @@ import operator
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Union
 
-from .errors import DomainError, Infeasible
+from .errors import DomainError, Infeasible, validated
 from .kernels import check_float_range, smallest_int_where
 from .parallel import epsilon_budget
 
@@ -50,18 +50,15 @@ def _log_grid(start: float, stop: float, size: int) -> Callable[[int], float]:
 _ZETA_GRID = _log_grid(math.log(0.01), math.log(1.0), 1000)
 
 
-class _FixedZeta(NamedTuple):
-    value: float = 1.0
-
-
-class FixedZeta(_FixedZeta):
+@validated
+class FixedZeta(NamedTuple):
     """Evaluate the bound at one slack value (default 1, the weakest bound,
     hence the most optimistic minimum sample size)."""
 
-    __slots__ = ()
+    value: float = 1.0
     size = 1
 
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.value <= 1.0:
             raise DomainError(f"zeta must be in (0, 1], got {self.value}")
 
@@ -85,16 +82,8 @@ class GridZeta(NamedTuple):
 ZetaStrategy = Union[FixedZeta, GridZeta]
 
 
-class _MinimaxQuery(NamedTuple):
-    r: float
-    alpha: float
-    T: int | None = None
-    S: int = DEFAULT_SUPPORT_SIZE
-    beta: float | None = None
-    zeta: ZetaStrategy = FixedZeta()
-
-
-class MinimaxQuery(_MinimaxQuery):
+@validated
+class MinimaxQuery(NamedTuple):
     """Inputs of one training-sample lower-bound problem.
 
     r      fraction of transactions the attacker alters
@@ -106,9 +95,14 @@ class MinimaxQuery(_MinimaxQuery):
            i.e. the most favorable split the tester could choose
     """
 
-    __slots__ = ()
+    r: float
+    alpha: float
+    T: int | None = None
+    S: int = DEFAULT_SUPPORT_SIZE
+    beta: float | None = None
+    zeta: ZetaStrategy = FixedZeta()
 
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.r < 1.0:
             raise DomainError(f"r must be in (0, 1), got {self.r}")
         if not 0.0 < self.alpha < 1.0:
@@ -340,15 +334,13 @@ def min_training_sample(q: MinimaxQuery) -> BoundReport:
 
 
 def table_lower_bounds(
-    S: int = DEFAULT_SUPPORT_SIZE, zeta: ZetaStrategy | None = None
+    S: int = DEFAULT_SUPPORT_SIZE, zeta: ZetaStrategy = FixedZeta()
 ) -> list[dict]:
     """Training-sample lower bounds over the published 16-row grid layout
     (finite budgets first, then unbounded; higher confidence first), each
     with its published value and the ratio to it."""
     from .repro import PUBLISHED_TRAINING_BOUNDS_MILLIONS
 
-    if zeta is None:  # not ``zeta or``: a GridZeta is falsy
-        zeta = FixedZeta()
     rows = []
     for (T, conf, r), published in PUBLISHED_TRAINING_BOUNDS_MILLIONS.items():
         row = bound_row(conf, MinimaxQuery(r=r, alpha=1.0 - conf, T=T, S=S, zeta=zeta))

@@ -7,7 +7,7 @@ import math
 import sys
 from typing import Literal, NamedTuple, Sequence
 
-from .errors import DomainError, Infeasible
+from .errors import DomainError, Infeasible, validated
 from .kernels import (
     _LGAMMA_LIMIT,
     check_float_range,
@@ -18,18 +18,15 @@ from .kernels import (
 Sampling = Literal["with_replacement", "without_replacement"]
 
 
-class _OracleBoundQuery(NamedTuple):
+@validated
+class OracleBoundQuery(NamedTuple):
+    """How many printouts must an error oracle inspect to find a flaw?"""
+
     population: int  # cast BMD printouts (V)
     flawed: int  # printouts with errors (F)
     confidence: float  # required detection probability
 
-
-class OracleBoundQuery(_OracleBoundQuery):
-    """How many printouts must an error oracle inspect to find a flaw?"""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if self.population < 1:
             raise DomainError("population must be >= 1")
         if self.population > _LGAMMA_LIMIT:
@@ -40,19 +37,16 @@ class OracleBoundQuery(_OracleBoundQuery):
             raise DomainError("confidence must be in (0, 1)")
 
 
-class _BudgetedTestQuery(NamedTuple):
+@validated
+class BudgetedTestQuery(NamedTuple):
+    """How large must an electorate be for a fixed per-machine test budget?"""
+
     tests_per_bmd_per_day: int
     bmd_daily_capacity: int  # transactions a machine can handle in a day
     altered_fraction: float  # fraction r of transactions the attacker alters
     confidence: float
 
-
-class BudgetedTestQuery(_BudgetedTestQuery):
-    """How large must an electorate be for a fixed per-machine test budget?"""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if self.tests_per_bmd_per_day < 1 or self.bmd_daily_capacity < 1:
             raise DomainError("test budget and capacity must be >= 1")
         if self.tests_per_bmd_per_day > self.bmd_daily_capacity:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import Literal, NamedTuple, Sequence
 
-from .errors import DomainError, Infeasible
+from .errors import DomainError, Infeasible, validated
 from .kernels import (
     TAIL_ABS_TOL,
     poisson_tail,
@@ -56,15 +56,8 @@ _THRESHOLD_FLOOR = {"published": 2, "strict": 1}
 _THRESHOLD_CAP = 10**7
 
 
-class _PassiveDesign(NamedTuple):
-    margin: float
-    detect_rate: float
-    base_rate: float
-    fp_budget: float
-    fn_budget: float
-
-
-class PassiveDesign(_PassiveDesign):
+@validated
+class PassiveDesign(NamedTuple):
     """Inputs of one passive-testing design problem.
 
     margin        winner-minus-runner-up fraction of valid votes
@@ -74,9 +67,13 @@ class PassiveDesign(_PassiveDesign):
     fn_budget     max false-negative probability
     """
 
-    __slots__ = ()
+    margin: float
+    detect_rate: float
+    base_rate: float
+    fp_budget: float
+    fn_budget: float
 
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         for name in self._fields:
             v = getattr(self, name)
             if not (0.0 < v < 1.0):

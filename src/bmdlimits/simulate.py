@@ -51,7 +51,7 @@ from typing import Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, validated
 from .kernels import poisson_tail
 from .parallel import detection_prob_iid
 from .space import (
@@ -110,13 +110,8 @@ _STREAM_PASSIVE_ATTACKED = 2
 _STREAM_ESTIMATION = 3
 
 
-class _MalloryStrategy(NamedTuple):
-    trigger: tuple[tuple[str, tuple[int, ...]], ...]
-    flip_prob: float
-    label: str = ""
-
-
-class MalloryStrategy(_MalloryStrategy):
+@validated
+class MalloryStrategy(NamedTuple):
     """Attacker behavior: a conjunctive trigger plus a per-transaction flip
     probability.
 
@@ -125,9 +120,11 @@ class MalloryStrategy(_MalloryStrategy):
     altered with probability ``flip_prob``, independently per transaction.
     """
 
-    __slots__ = ()
+    trigger: tuple[tuple[str, tuple[int, ...]], ...]
+    flip_prob: float
+    label: str = ""
 
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.flip_prob <= 1.0:
             raise DomainError("flip_prob must be in [0, 1]")
 
@@ -149,20 +146,17 @@ class MalloryStrategy(_MalloryStrategy):
                     raise DomainError(f"trigger value {v} out of range for {name!r}")
 
 
-class _PatStrategy(NamedTuple):
+@validated
+class PatStrategy(NamedTuple):
+    """Tester behavior: where test transactions come from and how many
+    (``test_count``, at most ``MAX_TEST_COUNT``, 2**30, per trial)."""
+
     mode: Literal["uniform", "distribution", "script"]
     test_count: int
     distribution: TransactionDistribution | None = None
     scripts: tuple[Transaction, ...] | None = None
 
-
-class PatStrategy(_PatStrategy):
-    """Tester behavior: where test transactions come from and how many
-    (``test_count``, at most ``MAX_TEST_COUNT``, 2**30, per trial)."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if self.test_count < 0:
             raise DomainError("test_count must be >= 0")
         if self.test_count > MAX_TEST_COUNT:
@@ -178,35 +172,21 @@ class PatStrategy(_PatStrategy):
                 raise DomainError("script mode: test_count must equal len(scripts)")
 
 
-class _PassiveParams(NamedTuple):
+@validated
+class PassiveParams(NamedTuple):
     detect_rate: float
     base_rate: float
     alarm_threshold: int
 
-
-class PassiveParams(_PassiveParams):
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.detect_rate <= 1.0 or not 0.0 <= self.base_rate <= 1.0:
             raise DomainError("rates must be in [0, 1]")
         if self.alarm_threshold < 1:
             raise DomainError("alarm_threshold must be >= 1")
 
 
-class _SimScenario(NamedTuple):
-    space: TransactionSpace
-    voter_dist: TransactionDistribution
-    n_voters: int
-    mallory: MalloryStrategy
-    pat: PatStrategy
-    trials: int
-    seed: int
-    passive: PassiveParams | None = None
-    label: str = ""
-
-
-class SimScenario(_SimScenario):
+@validated
+class SimScenario(NamedTuple):
     """Full specification of one attacker-vs-tester Monte Carlo experiment.
 
     ``trials`` is at most ``MAX_TRIALS`` (2**30), 2**18 chunks of
@@ -218,9 +198,17 @@ class SimScenario(_SimScenario):
     (tracemalloc, CPython 3.11).
     """
 
-    __slots__ = ()
+    space: TransactionSpace
+    voter_dist: TransactionDistribution
+    n_voters: int
+    mallory: MalloryStrategy
+    pat: PatStrategy
+    trials: int
+    seed: int
+    passive: PassiveParams | None = None
+    label: str = ""
 
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if self.n_voters < 1:
             raise DomainError("n_voters must be >= 1")
         if self.n_voters >= 2**63:

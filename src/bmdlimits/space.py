@@ -15,38 +15,34 @@ in ``transactions``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Mapping, NamedTuple, TypeVar
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, validated
 
 _T = TypeVar("_T")
 
 
-class _AttributeSpec(NamedTuple):
+@validated
+class AttributeSpec(NamedTuple):
+    """One attribute of a voting transaction and how many values it can take."""
+
     name: str
     cardinality: int
 
-
-class AttributeSpec(_AttributeSpec):
-    """One attribute of a voting transaction and how many values it can take."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
+        if not isinstance(self.name, str):
+            raise DomainError(f"attribute name must be a string, got {self.name!r}")
         if self.cardinality < 1:
             raise DomainError(f"cardinality of {self.name!r} must be >= 1")
 
 
-class _TransactionSpace(NamedTuple):
-    attributes: tuple[AttributeSpec, ...]
-
-
-class TransactionSpace(_TransactionSpace):
+@validated
+class TransactionSpace(NamedTuple):
     """Ordered product of attributes; a transaction is one point in it."""
 
-    __slots__ = ()
+    attributes: tuple[AttributeSpec, ...]
 
-    def __init__(self, *args, **kwargs) -> None:
+    def _check(self) -> None:
         if not self.attributes:
             raise DomainError("a transaction space needs at least one attribute")
         names = [a.name for a in self.attributes]
@@ -62,15 +58,6 @@ class TransactionSpace(_TransactionSpace):
             if a.name == name:
                 return i
         raise DomainError(f"no attribute named {name!r}")
-
-    def validate_coordinates(self, coords: Sequence[int]) -> None:
-        if len(coords) != len(self.attributes):
-            raise DomainError(
-                f"expected {len(self.attributes)} coordinates, got {len(coords)}"
-            )
-        for c, a in zip(coords, self.attributes):
-            if not 0 <= c < a.cardinality:
-                raise DomainError(f"coordinate {c} out of range for {a.name!r}")
 
 
 class Transaction(NamedTuple):
@@ -218,7 +205,7 @@ def space_from_config(cfg: Mapping) -> TransactionSpace:
         raise ParseError("space config must be a JSON object")
     if "preset" in cfg:
         name = cfg["preset"]
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ParseError(f"unknown preset {name!r}")
         return PRESETS[name]()
     if "attributes" in cfg:

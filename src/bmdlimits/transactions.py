@@ -64,8 +64,10 @@ def _as_points(space: TransactionSpace, points) -> np.ndarray:
     )
     # the clamp can flag a legal coordinate; the exact check below decides
     flagged = ((arr < 0) | (arr >= cards)).any(axis=1)
-    for row in arr[flagged]:
-        space.validate_coordinates(tuple(int(c) for c in row))
+    for row in arr[flagged].tolist():
+        for c, a in zip(row, space.attributes):
+            if not 0 <= c < a.cardinality:
+                raise DomainError(f"coordinate {c} out of range for {a.name!r}")
     return arr
 
 

@@ -262,6 +262,22 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("error: ") and flag in err
 
     @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["parallel"], "need either --p or --tests-per-day"),
+            (["parallel", "--tests-per-day", "13"], "--tests-per-day needs --capacity and --altered-fraction"),
+            # margin / 2 * detect_rate underflows to 0
+            (["passive", "--margin", "5e-324", "--detect-rate", "0.5", "--base-rate", "0.005"],
+             "attack is statistically invisible (margin * detect_rate = 0)"),
+        ],
+        ids=["parallel-alone", "parallel-tests-per-day-alone", "passive-attack-rate-underflows"],
+    )
+    def test_missing_or_invisible_input_is_one(self, capsys, argv, line):
+        code, out = invoke(argv)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    @pytest.mark.parametrize(
         "argv,flags",
         [
             (["parallel", "--p", "0.5", "--tests", "5", "--confidence", "0.5"], ["--confidence"]),
@@ -550,6 +566,20 @@ class TestMalformedConfig:
         assert (scenario.trials, scenario.pat.test_count) == (5, 3)
         assert type(scenario.trials) is int and type(scenario.pat.test_count) is int
 
+    def test_space_preset_not_a_string(self, tmp_path, capsys):
+        # once "TypeError: unhashable type: 'list'"
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"preset": [1]}))
+        self.fails_cleanly(["cardinality", "--space", str(path)], capsys, str(path), "unknown preset [1]")
+
+    @pytest.mark.parametrize("name", [["x"], None, 3])
+    def test_space_attribute_name_not_a_string(self, tmp_path, capsys, name):
+        # a list was once "TypeError: unhashable type: 'list'"; null and 3 were accepted
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"attributes": [{"name": name, "cardinality": 3}]}))
+        self.fails_cleanly(["cardinality", "--space", str(path)], capsys,
+                           f"attribute name must be a string, got {name!r}")
+
     def test_space_cardinality_not_a_number(self, tmp_path, capsys):
         path = tmp_path / "space.json"
         path.write_text(json.dumps({"attributes": [{"name": "x", "cardinality": "three"}]}))
@@ -687,7 +717,7 @@ def _fields(node, path=()):
 
 class TestScenarioFieldSweep:
     """Every field of a scenario file, one at a time, over the edge values,
-    null and true: each run answers (exit 0) or ends in one ``error:`` line
+    null, true, an array and an object: each run answers (exit 0) or ends in one ``error:`` line
     (exit 1), never in a traceback.  A label is a JSON string: any other
     value ends in an ``error:`` line that names it."""
 
@@ -700,7 +730,7 @@ class TestScenarioFieldSweep:
         # pat.test_count of 1e20 or 2**63 was accepted and never ended
         file = tmp_path / "scenario.json"
         wrong = []
-        for value in (*SWEEP_VALUES, None, True):
+        for value in (*SWEEP_VALUES, None, True, [0], {}):
             cfg = json.loads(json.dumps(SWEEP_SCENARIOS[kind]))
             node = cfg
             for key in path[:-1]:
