@@ -16,7 +16,7 @@ import csv
 import io
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .errors import DomainError, ParseError, validated
+from .errors import DomainError, ParseError, read_input, validated
 
 if TYPE_CHECKING:
     from .passive import PassiveDesign
@@ -51,19 +51,9 @@ class FeasibilitySummary(NamedTuple):
 
 
 def load_turnout(path: str) -> list[JurisdictionRecord]:
-    """Records from a UTF-8 CSV file; a malformed file is a ``ParseError``
-    that names the file and the line."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}: line {line}: not valid UTF-8") from None
-    try:
-        return parse_turnout(io.StringIO(text, newline=""))
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    """Records from a UTF-8 CSV file, read by ``read_input``: a malformed file
+    is a ``ParseError`` that names the file and the line."""
+    return read_input(path, lambda text: parse_turnout(io.StringIO(text, newline="")))
 
 
 def parse_turnout(fh) -> list[JurisdictionRecord]:
@@ -95,6 +85,8 @@ def parse_turnout(fh) -> list[JurisdictionRecord]:
             raise ParseError(f"line {lineno}: duplicate jurisdiction {key!r}")
         seen.add(key)
         records.append(JurisdictionRecord(state, jurisdiction, turnout))
+    if not records:
+        raise ParseError("no jurisdiction rows after the header")
     return records
 
 

@@ -157,19 +157,21 @@ class PatStrategy(NamedTuple):
     scripts: tuple[Transaction, ...] | None = None
 
     def _check(self) -> None:
+        if self.mode not in ("uniform", "distribution", "script"):
+            raise DomainError(f"unknown tester mode {self.mode!r}")
         if self.test_count < 0:
             raise DomainError("test_count must be >= 0")
         if self.test_count > MAX_TEST_COUNT:
             raise DomainError(
                 f"test_count must be at most 2**30 ({MAX_TEST_COUNT:,}), got {self.test_count:,}"
             )
-        if self.mode == "distribution" and self.distribution is None:
-            raise DomainError("distribution mode requires a distribution")
-        if self.mode == "script":
-            if self.scripts is None:
-                raise DomainError("script mode requires scripts")
-            if len(self.scripts) != self.test_count:
-                raise DomainError("script mode: test_count must equal len(scripts)")
+        # each mode reads exactly its own field
+        for field, mode in (("distribution", "distribution"), ("scripts", "script")):
+            given = getattr(self, field) is not None
+            if given != (self.mode == mode):
+                raise DomainError(f"{self.mode} mode {'reads no' if given else 'requires'} {field}")
+        if self.mode == "script" and len(self.scripts) != self.test_count:
+            raise DomainError("script mode: test_count must equal len(scripts)")
 
 
 @validated
@@ -211,8 +213,9 @@ class SimScenario(NamedTuple):
     def _check(self) -> None:
         if self.n_voters < 1:
             raise DomainError("n_voters must be >= 1")
-        if self.n_voters >= 2**63:
-            raise DomainError("n_voters must be below 2**63")
+        if self.n_voters >= 2**51:
+            # a chunk sums CHUNK_TRIALS (2**12) altered counts in int64
+            raise DomainError("n_voters must be below 2**51")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if self.trials > MAX_TRIALS:
@@ -699,8 +702,6 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
     mallory = MalloryStrategy.from_mapping(trigger, flip_prob, get_str(mallory_cfg, "label", "mallory"))
     pat_cfg = require(cfg, "pat", "scenario")
     mode = require(pat_cfg, "mode", "pat")
-    if mode not in ("uniform", "distribution", "script"):
-        raise ParseError(f"unknown tester mode {mode!r}")
     dist = None
     scripts = None
     if mode == "distribution":

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, NamedTuple, TypeVar
 
-from .errors import DomainError, ParseError, validated
+from .errors import DomainError, ParseError, read_input, validated
 
 _T = TypeVar("_T")
 
@@ -181,22 +181,17 @@ def get_str(cfg: Mapping, key: str, where: str) -> str:
 
 
 def load_config(path: str, parse: Callable[[Mapping], _T]) -> _T:
-    """``parse`` applied to the JSON in the file at ``path``.
-
-    A file that is not UTF-8 JSON, and any ``ParseError`` from ``parse``,
-    raise a ``ParseError`` that names the file.
-    """
+    """``parse`` applied to the JSON in the file at ``path`` (``read_input``)."""
     import json  # here, so that a call that reads no file loads no json
 
-    with open(path, "r", encoding="utf-8") as fh:
+    def parse_json(text: str) -> _T:
         try:
-            cfg = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParseError(f"{path}: not valid UTF-8 JSON ({exc})") from None
-    try:
+            cfg = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+            raise ParseError(f"not valid JSON ({exc})") from None
         return parse(cfg)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+
+    return read_input(path, parse_json)
 
 
 def space_from_config(cfg: Mapping) -> TransactionSpace:

@@ -140,7 +140,8 @@ class TestExitCodes:
         code, out = invoke(["simulate", "--scenario", str(path), "--seed", "-1"])
         err = capsys.readouterr().err
         assert (code, out) == (1, "")
-        assert err.count("\n") == 1 and err.startswith("error: ") and "seed" in err
+        # the flag is no file's value, so the line names no file
+        assert err == "error: seed must be >= 0, got -1\n"
 
     def test_trigger_on_huge_uniform_attribute_is_one(self, scenario_dir, tmp_path, capsys):
         # 5**20 values: once numpy's _ArrayMemoryError traceback (694 TiB)
@@ -522,7 +523,7 @@ class TestMalformedConfig:
         cfg["voter_distribution"] = dist
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
-        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, "sum to nan")
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, f"error: {path}: ", "sum to nan")
 
     @pytest.mark.parametrize("value", [5.7, True, "5"])
     @pytest.mark.parametrize("section,key", [(None, "trials"), ("pat", "test_count")])
@@ -541,11 +542,13 @@ class TestMalformedConfig:
         "key,value,needle",
         [
             ("seed", -1, "seed must be >= 0"),
-            ("n_voters", 10**20, "n_voters must be below 2**63"),
+            ("n_voters", 10**20, "n_voters must be below 2**51"),
+            # once exit 0 with a negative altered fraction: a chunk's int64 sum wrapped
+            ("n_voters", 2**62, "n_voters must be below 2**51"),
             # once listed 2.4e8 chunk bounds and ended in a MemoryError
             ("trials", 10**12, "trials must be at most 2**30"),
         ],
-        ids=["negative-seed", "huge-n_voters", "huge-trials"],
+        ids=["negative-seed", "huge-n_voters", "n_voters-2**62", "huge-trials"],
     )
     def test_scenario_value_out_of_range(
         self, scenario_dir, tmp_path, capsys, key, value, needle
@@ -555,7 +558,7 @@ class TestMalformedConfig:
         cfg[key] = value
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
-        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, needle)
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, f"error: {path}: {needle}")
 
     def test_scenario_integral_float_accepted(self, scenario_dir, tmp_path):
         cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())
@@ -578,13 +581,64 @@ class TestMalformedConfig:
         path = tmp_path / "space.json"
         path.write_text(json.dumps({"attributes": [{"name": name, "cardinality": 3}]}))
         self.fails_cleanly(["cardinality", "--space", str(path)], capsys,
-                           f"attribute name must be a string, got {name!r}")
+                           f"error: {path}: attribute name must be a string, got {name!r}")
 
     def test_space_cardinality_not_a_number(self, tmp_path, capsys):
         path = tmp_path / "space.json"
         path.write_text(json.dumps({"attributes": [{"name": "x", "cardinality": "three"}]}))
         self.fails_cleanly(
             ["cardinality", "--space", str(path)], capsys, str(path), "'cardinality'", "'three'"
+        )
+
+    @pytest.mark.parametrize(
+        "space,message",
+        [
+            ({"attributes": [{"name": "x", "cardinality": 0}]}, "cardinality of 'x' must be >= 1"),
+            ({"attributes": []}, "a transaction space needs at least one attribute"),
+        ],
+        ids=["cardinality-0", "no-attributes"],
+    )
+    def test_space_record_rejects(self, scenario_dir, tmp_path, capsys, space, message):
+        # once printed without the file: the record's check, not the reader, raised
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space))
+        self.fails_cleanly(["cardinality", "--space", str(path)], capsys, f"error: {path}: {message}\n")
+        cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())
+        cfg["space"] = space
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda c: c["mallory"].update(trigger={"nowhere": [0]}), "no attribute named 'nowhere'"),
+            (lambda c: c.update(trials=0), "trials must be >= 1"),
+            # once ran as a uniform tester
+            (lambda c: c["pat"].update(mode="bogus"), "unknown tester mode 'bogus'"),
+        ],
+        ids=["unknown-trigger-attribute", "zero-trials", "unknown-tester-mode"],
+    )
+    def test_scenario_record_rejects(self, scenario_dir, tmp_path, capsys, edit, message):
+        cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())
+        edit(cfg)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        self.fails_cleanly(["simulate", "--scenario", str(path)], capsys, f"error: {path}: {message}\n")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_bytes(b'{"attributes": [\n{"name": "caf\xe9", "cardinality": 2}]}')
+        self.fails_cleanly(
+            ["cardinality", "--space", str(path)], capsys, f"error: {path}: line 2: not valid UTF-8\n"
+        )
+
+    def test_turnout_without_rows(self, tmp_path, capsys):
+        # once "error: cannot summarize an empty dataset", without the file
+        path = tmp_path / "turnout.csv"
+        path.write_text("state,jurisdiction,turnout\n")
+        self.fails_cleanly(
+            ["feasibility", "--data", str(path)], capsys, f"error: {path}: no jurisdiction rows after the header\n"
         )
 
     def test_turnout_not_utf8(self, tmp_path, capsys):

@@ -35,6 +35,12 @@ class TestParsing:
         with pytest.raises(ParseError, match="empty file"):
             parse("")
 
+    def test_header_without_rows(self):
+        # once parsed to [], and only summarize's "empty dataset" error, which
+        # names no file, stopped it
+        with pytest.raises(ParseError, match="no jurisdiction rows"):
+            parse("state,jurisdiction,turnout\n\n")
+
     def test_bad_header(self):
         with pytest.raises(ParseError, match="bad header"):
             parse("st,county,votes\nAA,C1,100\n")

@@ -12,7 +12,7 @@ from bmdlimits.minimax import FixedZeta, GridZeta, MinimaxQuery
 from bmdlimits.parallel import BudgetedTestQuery, OracleBoundQuery
 from bmdlimits.passive import PassiveDesign
 from bmdlimits.simulate import MalloryStrategy, PassiveParams, PatStrategy, SimScenario
-from bmdlimits.space import AttributeSpec, TransactionSpace
+from bmdlimits.space import AttributeSpec, Transaction, TransactionSpace
 from bmdlimits.transactions import TransactionDistribution
 
 SPACE = TransactionSpace((AttributeSpec("language", 3), AttributeSpec("review", 2)))
@@ -31,6 +31,11 @@ CASES = [
     (JurisdictionRecord("AA", "C1", 100), "turnout", -1),
     (MALLORY, "flip_prob", 1.5),
     (PatStrategy("uniform", 30), "test_count", -1),
+    # a tester mode that does not exist, or a field its mode does not read
+    (PatStrategy("uniform", 30), "mode", "bogus"),
+    (PatStrategy("uniform", 1), "scripts", (Transaction((0, 0)),)),
+    (PatStrategy("script", 1, scripts=(Transaction((0, 0)),)), "distribution",
+     TransactionDistribution.uniform(SPACE)),
     (PassiveParams(0.3, 0.01, 12), "alarm_threshold", 0),
     (
         SimScenario(SPACE, TransactionDistribution.uniform(SPACE), 100, MALLORY,
@@ -41,7 +46,14 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("record,field,bad", CASES, ids=[type(r).__name__ for r, _, _ in CASES])
+# the record's class, then the field for a class's later cases
+IDS: list[str] = []
+for record, field, _ in CASES:
+    name = type(record).__name__
+    IDS.append(f"{name}-{field}" if name in IDS else name)
+
+
+@pytest.mark.parametrize("record,field,bad", CASES, ids=IDS)
 def test_every_construction_path_checks(record, field, bad):
     # ``_make`` and ``_replace`` once skipped the checks that ``X(...)`` ran
     cls = type(record)

@@ -1297,13 +1297,26 @@ class TestScenarioFiles:
 
     @pytest.mark.parametrize(
         "overrides,needle",
-        [({"seed": -1}, "seed"), ({"n_voters": 2**63}, "n_voters")],
+        [({"seed": -1}, "seed"), ({"n_voters": 2**51}, "n_voters"), ({"n_voters": 2**62}, "n_voters")],
     )
     def test_scenario_domain(self, overrides, needle):
-        # numpy would raise its own ValueError or OverflowError for these
+        # numpy would raise its own ValueError or OverflowError for these, and
+        # a chunk's int64 sum of altered counts wraps past 2**63 / CHUNK_TRIALS
         with pytest.raises(DomainError, match=needle):
             scenario(**overrides)
-        scenario(n_voters=2**63 - 1, seed=0)
+        scenario(n_voters=2**51 - 1, seed=0)
+
+    @pytest.mark.parametrize("run", [run_parallel_sim, run_passive_sim])
+    def test_every_voter_altered_at_the_largest_electorate(self, run):
+        # a chunk sums CHUNK_TRIALS counts of 2**51 - 1: 2**63 - 4096, still an
+        # int64; at 2**62 voters the sum once wrapped to a negative fraction
+        s = scenario(
+            n_voters=2**51 - 1,
+            mallory=MalloryStrategy.from_mapping({}, 1.0),
+            trials=CHUNK_TRIALS,
+            passive=PassiveParams(0.25, 0.005, 1),
+        )
+        assert run(s).empirical_altered_fraction.value == 1.0
 
     @pytest.mark.parametrize(
         "overrides,needle",
