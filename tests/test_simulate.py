@@ -62,10 +62,14 @@ def ref_matches(m: MalloryStrategy, tx: Transaction, space: TransactionSpace) ->
 
 def drawn_tests(s: SimScenario, rng: np.random.Generator, n_rep: int) -> np.ndarray:
     """The simulator's trigger matrix of ``n_rep`` replications of the tests,
-    each uniform array read from its own generator on the stream of ``rng``."""
+    each uniform array read from its own generator on the stream of ``rng``:
+    the tests it alters when every flip fires."""
     tests = simulate._resolve_tests(s)[0]
-    rngs = simulate._array_rngs(rng.bit_generator.seed_seq, len(tests.runs), n_rep * tests.count)
-    return simulate._triggered_tests(tests, rngs, n_rep, slice(0, tests.count))
+    cells = n_rep * tests.count
+    rngs = simulate._array_rngs(rng.bit_generator.seed_seq, len(tests.runs) + 1, cells)
+    out = np.zeros(cells, dtype=bool)
+    out[simulate._triggered_tests(tests, rngs, 1.0, n_rep, slice(0, tests.count))] = True
+    return out.reshape(n_rep, tests.count)
 
 
 def drawn_each_way(s: SimScenario, seed: int, n_rep: int) -> list[np.ndarray]:
@@ -330,9 +334,22 @@ class TestPoolBreakEven:
         assert cli_stdout(scenario_dir, "whole_space_flip", 4) == cli_stdout(scenario_dir, "whole_space_flip", 1)
         assert sent["pools"] == []
 
+    def test_rare_flips_count_their_jumps(self, monkeypatch):
+        # 1,000 tests of a 10 %-mass trigger array at a flip probability of 1e-4:
+        # a trial reads the flips in full and jumps to a tenth of a trigger cell
+        s = scenario(mallory=MalloryStrategy.from_mapping({"profile": [3]}, 1e-4), pat=PatStrategy("uniform", 1000))
+        assert simulate._draws_per_test(simulate._resolve_tests(s)[0], 1e-4) == 1 + 1e-4 * simulate._JUMP_DRAWS
+        sent = inline_pool(monkeypatch)
+        run_parallel_sim(s, workers=4)  # 12,288 trials of 1,052 draws: 12.9 M
+        assert sent["pools"] == []
+        # at 0.5, both arrays are read in full: 12,288 trials of 2,016 draws, 24.8 M
+        run_parallel_sim(s._replace(mallory=s.mallory._replace(flip_prob=0.5)), workers=4)
+        assert sent["pools"] == [3]
+
     @pytest.mark.parametrize("name, pools", [
         ("passive_poisson_gap", []),  # 100,000 trials of four binomials: 6.4 M draws
-        ("subpopulation_attack", [2]),  # 299 tests of one trigger array: 61.4 M draws
+        ("subpopulation_attack", [2]),  # 299 tests of one trigger array, flips certain: 31.5 M draws
+        ("rare_flip_attack", [2]),  # 1,000 flips and 2 trigger cells jumped to: 34.7 M draws
     ])
     def test_shipped_scenarios(self, monkeypatch, scenario_dir, name, pools):
         sent = inline_pool(monkeypatch)
@@ -341,7 +358,9 @@ class TestPoolBreakEven:
 
     @pytest.mark.usefixtures("pool_forced")
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("name", ["passive_poisson_gap", "subpopulation_attack", "whole_space_flip"])
+    @pytest.mark.parametrize(
+        "name", ["passive_poisson_gap", "subpopulation_attack", "whole_space_flip", "rare_flip_attack"]
+    )
     def test_forced_pool_keeps_the_bytes(self, scenario_dir, name, workers):
         # real worker processes
         assert cli_stdout(scenario_dir, name, workers) == cli_stdout(scenario_dir, name, 1)
@@ -1244,13 +1263,15 @@ class TestMultiBlockPins:
 
 
 #: A chunk of ``{tests}`` tests and ``{trials}`` trials on two triggered
-#: attributes; prints the peak resident set of its process in MB.
+#: attributes, its blocks read as the lines ``{regime}`` set; prints the peak
+#: resident set of its process in MB.
 PEAK_RSS_RUN = """
 import resource, sys
+from bmdlimits import simulate
 from bmdlimits.simulate import MalloryStrategy, PatStrategy, SimScenario, run_parallel_sim
 from bmdlimits.space import AttributeSpec, TransactionSpace
 from bmdlimits.transactions import TransactionDistribution
-
+{regime}
 space = TransactionSpace((AttributeSpec("profile", 40), AttributeSpec("language", 5)))
 run_parallel_sim(SimScenario(
     space=space,
@@ -1267,13 +1288,14 @@ print(peak / (2**20 if sys.platform == "darwin" else 2**10))
 
 
 class TestBoundedMemory:
-    @staticmethod
-    def peak_rss_mb(tests: int, trials: int) -> float:
+    regime = ""  # Python lines the run's process executes after importing the simulator
+
+    def peak_rss_mb(self, tests: int, trials: int) -> float:
         # a process of its own, so that the test process's memory does not count
         src = pathlib.Path(simulate.__file__).parent.parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_RUN.format(tests=tests, trials=trials)],
+            [sys.executable, "-c", PEAK_RSS_RUN.format(tests=tests, trials=trials, regime=self.regime)],
             capture_output=True, text=True, env=env, timeout=300, check=True,
         )
         return float(proc.stdout)
@@ -1286,6 +1308,121 @@ class TestBoundedMemory:
         # one row of 2**24 tests is 134 MB per float64 array: the row is
         # walked in column blocks
         assert self.peak_rss_mb(2**24, 2) < 200
+
+
+# -- the sparsest array drives each block --------------------------------------
+
+
+#: The report of reading every array of every block in full, byte for byte.
+RARE_FLIP_PINNED = (
+    '{"label": "attack on a 1%-mass voter profile flipping 1 in 500 of its transactions; '
+    '1,000 uniform tests", "trials": 20000, "seed": 20260824, '
+    '"empirical_detection": {"value": 0.0203, "std_error": 0.000997193812656296, "trials": 20000}, '
+    '"empirical_altered_fraction": {"value": 1.977e-05, '
+    '"std_error": 3.144010905443873e-07, "trials": 20000}, '
+    '"empirical_fp": null, "empirical_fn": null, '
+    '"analytic": {"trigger_mass_under_tests": 0.01, "detection": 0.01980152273557366, '
+    '"altered_fraction": 2e-05}}'
+)
+
+
+class TestRareFlipPin:
+    @pytest.mark.usefixtures("pool_forced")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rare_flip_attack(self, scenario_dir, workers):
+        _, s = load_scenario(str(scenario_dir / "rare_flip_attack.json"))
+        assert run_parallel_sim(s, workers=workers).to_json() == RARE_FLIP_PINNED
+
+
+class CountingGenerator:
+    """A ``Generator`` that counts the doubles its ``random`` draws."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.bit_generator = rng.bit_generator
+        self.drawn = 0
+
+    def random(self, size: int) -> np.ndarray:
+        self.drawn += size
+        return self.rng.random(size)
+
+
+class TestReadOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cells=st.integers(1, 2000),
+        data=st.data(),
+        skip=st.integers(0, 40),
+        jump_draws=st.sampled_from([0, simulate._JUMP_DRAWS, 2**62]),
+    )
+    def test_read_at_is_a_full_read(self, cells, data, skip, jump_draws):
+        at = np.array(sorted(data.draw(st.sets(st.integers(0, cells - 1), max_size=200))), dtype=np.intp)
+        full, rng = np.random.default_rng(99), np.random.default_rng(99)
+        full.random(skip)
+        rng.random(skip)
+        want = full.random(cells)[at]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_JUMP_DRAWS", jump_draws)  # 0: every position by a jump
+            got = simulate._read_at(rng, at, cells)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the generator stands where the full read left it
+        assert np.array_equal(rng.random(5), full.random(5))
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_certain_flips_are_not_read(self, q):
+        s = scenario(mallory=MalloryStrategy.from_mapping({"profile": [3]}, q), pat=PatStrategy("uniform", 50))
+        tests = simulate._resolve_tests(s)[0]
+        seq = np.random.SeedSequence(5)
+        rngs = [CountingGenerator(rng) for rng in simulate._array_rngs(seq, 2, 40 * 50)]
+        fired = simulate._triggered_tests(tests, rngs, q, 40, slice(0, 50))
+        # the trigger array read in full unless no flip fires; the flips never
+        assert [rng.drawn for rng in rngs] == [0 if q == 0 else 2000, 0]
+        one_shot = np.random.default_rng(seq)
+        u = one_shot.random(2 * 2000)[:2000]
+        lo, hi = tests.runs[0]
+        want = np.flatnonzero((lo <= u) & (u < hi)) if q == 1 else []
+        assert np.array_equal(fired, want)
+        # both generators stand past the block: the flips' where the binomial starts
+        assert np.array_equal(rngs[1].rng.random(3), one_shot.random(3))
+
+
+# -- every pin again, with each block read another way -------------------------
+
+
+@pytest.mark.usefixtures("read_regime")
+class TestSparsePinsEveryRead(TestSparsePins):
+    pass
+
+
+@pytest.mark.usefixtures("read_regime")
+class TestManyRunsPinEveryRead(TestManyRunsPin):
+    pass
+
+
+@pytest.mark.usefixtures("read_regime")
+class TestFactoredPinsEveryRead(TestFactoredPins):
+    pass
+
+
+@pytest.mark.usefixtures("read_regime")
+class TestScriptPinsEveryRead(TestScriptPins):
+    pass
+
+
+@pytest.mark.usefixtures("read_regime")
+class TestMultiBlockPinsEveryRead(TestMultiBlockPins):
+    pass
+
+
+@pytest.mark.usefixtures("read_regime")
+class TestRareFlipPinEveryRead(TestRareFlipPin):
+    pass
+
+
+class TestBoundedMemoryEveryRead(TestBoundedMemory):
+    @pytest.fixture(autouse=True)
+    def read_in_the_run(self, read_regime):
+        self.regime = read_regime
 
 
 class TestScenarioFiles:
