@@ -9,8 +9,8 @@ call's arguments, then its exact stdout.  The calls are the README's
 command-line examples in order, then ``EXTRA``: the ``json-lines`` output of
 each record-emitting form, one ``markdown`` table and the simulator's
 ``--seed`` override.  ``tests/test_cli_examples.py`` replays every block
-through ``cli.run``, and CI compares the stdout of each numpy-free README
-example, run in a fresh interpreter, with its block.
+through ``cli.run``, and CI compares the stdout of each numpy-free call,
+run in a fresh interpreter, with its block.
 """
 
 import io

@@ -16,9 +16,10 @@ Two accounting conventions for the miss probability are provided:
 
 The solver climbs from N toward need(N), the smallest size meeting the fn
 budget at N's alarm threshold, mostly by jumps to lower bounds of need(N)
-that two Poisson tails certify; the sizes they skip are infeasible, so it
-stops where N <- need(N) does (see ``min_contest_size``).  Under ``strict``
-it starts at a certified size N0 rather than at 1:
+that two Poisson tails certify, one per closed-form guess, plus one more
+for a guess one too high, retried one lower; the sizes they skip are
+infeasible, so it stops where N <- need(N) does (see ``min_contest_size``).
+Under ``strict`` it starts at a certified size N0 rather than at 1:
 
 1. fn_rand(N), the miss of the randomized most powerful level-fp_budget test
    (Neyman-Pearson; Lehmann & Romano, *Testing Statistical Hypotheses*,
@@ -36,7 +37,7 @@ test whose false-alarm rate can exceed fp_budget, so step 1 does not hold.
 from __future__ import annotations
 
 import math
-from typing import Literal, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 from .errors import DomainError, Infeasible, validated
 from .kernels import (
@@ -78,6 +79,13 @@ class PassiveDesign(NamedTuple):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise DomainError(f"{name} must be in (0, 1), got {v}")
+        # a miss is one minus a tail, so one smaller than the tail's error
+        # cannot be told from 0 (fp tails keep their relative accuracy)
+        if self.fn_budget < TAIL_ABS_TOL:
+            raise DomainError(
+                f"fn_budget must be at least {TAIL_ABS_TOL:g}, the Poisson tails' absolute"
+                f" error, got {self.fn_budget}"
+            )
 
     @property
     def attack_rate(self) -> float:
@@ -197,39 +205,70 @@ def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
     P{Pois(m) < j} = P{Gamma(j) > m} falls with N.  The search starts at
     ``_fn_guess`` and certifies the answer by exact tails.
     """
+    rate = design.base_rate + design.attack_rate
+    guess = _fn_guess(j, upper_normal_point(design.fn_budget), rate)  # as in _climb
     return smallest_int_where(
-        lambda N: _miss(N, design, j) <= design.fn_budget, guess=_fn_guess(design, j), what="voters"
+        lambda N: _miss(N, design, j) <= design.fn_budget, guess=guess, what="voters"
     )
 
 
-def _fn_guess(design: PassiveDesign, j: int) -> float:
+def _fn_guess(j: int, z: float, rate: float) -> float:
     """The Wilson-Hilferty quantile j (1 - 1/(9j) + z/(3 sqrt(j)))**3 / rate,
-    with z the normal upper fn_budget point."""
-    z = upper_normal_point(design.fn_budget)
-    rate = design.base_rate + design.attack_rate
+    with z the normal upper fn_budget point and rate the attacked spoil rate."""
     return j * (1.0 - 1.0 / (9 * j) + z / (3.0 * math.sqrt(j))) ** 3 / rate
 
 
-def _step(N: int, design: PassiveDesign, convention: Convention) -> int:
-    """The climb's next size from N: a lower bound of need(N) where two tails
-    certify one above N (see ``min_contest_size``), else need(N) by exact
-    searches, which raise at the 1e7 threshold cap and at 2**53."""
+def _one_lower(fails: Callable[[int], bool], guess: int, least: int) -> int | None:
+    """A certified lower bound, at least ``least``, on the point x0 where
+    ``fails`` turns false (true below x0, false from it on), from a guess >=
+    least: the guess if fails(guess - 1); else guess - 1, which is then x0
+    itself, if fails(guess - 2); else None.  A guess one too high costs one
+    more evaluation instead of an exact search."""
+    if fails(guess - 1):
+        return guess
+    if guess > least and fails(guess - 2):
+        return guess - 1
+    return None
+
+
+def _climb(N: int, design: PassiveDesign, convention: Convention) -> int:
+    """The climb of ``min_contest_size`` from N, below which no size is
+    feasible, to the smallest feasible size.  The design's rates, normal
+    points and Cornish-Fisher term are computed once for all its steps."""
     floor = _THRESHOLD_FLOOR[convention]
-    mean = N * design.base_rate
-    z = upper_normal_point(design.fp_budget)
-    g = max(floor, math.ceil(mean + z * math.sqrt(mean) + (z * z + 2.0) / 6.0))
-    if g <= _THRESHOLD_CAP and (g == floor or poisson_tail(mean, g - 1) > design.fp_budget):
-        j = g - 1 if convention == "published" else g
-        h = _fn_guess(design, j)
-        if N < h <= 2**53 and _miss(math.ceil(h) - 1, design, j) > design.fn_budget:
-            return math.ceil(h)
-    k, j = _threshold(N, design, convention)
-    if k > _THRESHOLD_CAP:
-        raise Infeasible(
-            "no alarm threshold below 1e7 meets both budgets;"
-            " larger thresholds are not searched"
-        )
-    return _smallest_fn_ok(design, j)
+    lag = 1 if convention == "published" else 0  # k - j
+    b, fp, fn = design.base_rate, design.fp_budget, design.fn_budget
+    rate = b + design.attack_rate
+    z_fp, z_fn = upper_normal_point(design.fp_budget), upper_normal_point(design.fn_budget)
+    cornish_fisher = (z_fp * z_fp + 2.0) / 6.0
+
+    def fp_fails(k: int) -> bool:  # k(N) > k, at the current N's mean
+        return k < floor or poisson_tail(mean, k) > fp
+
+    def fn_fails(M: int) -> bool:  # need > M at the current miss index j
+        return _miss(M, design, j) > fn
+
+    while True:
+        mean = N * b
+        g = max(floor, math.ceil(mean + z_fp * math.sqrt(mean) + cornish_fisher))
+        k_lo = _one_lower(fp_fails, g, floor) if g <= _THRESHOLD_CAP else None
+        if k_lo is not None:
+            j = k_lo - lag
+            h = _fn_guess(j, z_fn, rate)
+            if N < h <= 2**53 and (step := _one_lower(fn_fails, math.ceil(h), N + 1)) is not None:
+                N = step
+                continue
+        if k_lo != g - 1:  # k(N) is not pinned: search for it
+            k, j = _threshold(N, design, convention)
+            if k > _THRESHOLD_CAP:
+                raise Infeasible(
+                    "no alarm threshold below 1e7 meets both budgets;"
+                    " larger thresholds are not searched"
+                )
+        need = _smallest_fn_ok(design, j)
+        if need <= N:
+            return N
+        N = need
 
 
 def min_contest_size(
@@ -252,11 +291,15 @@ def min_contest_size(
        L <= need(N): climbing from N = 1 to any such L while N < need(N)
        stops at the smallest feasible size.
 
-    Each step (``_step``) climbs to such an L, certified by one tail per
-    search: k(N) >= g if the fp budget fails at g - 1, and need(N) >= h if
-    the fn budget fails at size h - 1 at threshold g (need is no larger at a
-    lower threshold), with g and h the exact searches' own guesses.  Only an
-    exact step, taken where a bound fails or h <= N, stops the climb.  Where
+    Each step of ``_climb`` climbs to such an L, certified by one tail per
+    guess, with g and c the exact searches' own guesses (c the ceiling of
+    ``_fn_guess``): k(N) >= g if the fp budget fails at g - 1, and need(N)
+    >= c if the fn budget fails at size c - 1 at g's miss index (need is no
+    larger at a lower threshold).  A guess one too high is retried one
+    lower with one more tail: k(N) = g - 1 if the fp budget fails at g - 2,
+    and need(N) >= c - 1 if the fn budget fails at size c - 2.  Only an
+    exact step, taken where a bound fails or would not pass N, stops the
+    climb; where k(N) is pinned it runs the size search alone.  Where
     no size up to 2**53 is feasible, which limit comes first (the 1e7
     threshold cap or 2**53) depends on the path; a bound could in principle
     change it, but none has been seen to.
@@ -277,9 +320,7 @@ def min_contest_size(
         raise DomainError(f"unknown convention {convention!r}")
     if design.attack_rate <= 0.0:
         raise Infeasible("attack is statistically invisible (margin * detect_rate = 0)")
-    N = _certified_start(design) if convention == "strict" else 1
-    while (step := _step(N, design, convention)) > N:
-        N = step
+    N = _climb(_certified_start(design) if convention == "strict" else 1, design, convention)
     # certificates: N is feasible, N - 1 is not
     k, fp, fn = _achieved(N, design, convention)
     if not (fp <= design.fp_budget and fn <= design.fn_budget):  # pragma: no cover

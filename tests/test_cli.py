@@ -126,6 +126,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error: ") and "2**53" in err
 
+    @pytest.mark.parametrize("fn", ["1e-14", "1e-17", "1e-300"])
+    def test_fn_budget_below_the_tail_error_is_one(self, capsys, fn):
+        # once 439,015 at 1e-14 (exact miss 1.0047e-14) and 502,944 with
+        # achieved_fn 0 at 1e-17 and 1e-300 (exact miss 5.26e-17)
+        code, out = invoke(["passive", "--margin", "0.03", "--detect-rate", "0.07",
+                            "--base-rate", "0.005", "--fn", fn])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err == f"error: fn_budget must be at least 1e-12, the Poisson tails' absolute error, got {fn}\n"
+
     def test_colliding_base_rate_columns_is_one(self, capsys):
         # once exit 0 with a single base_rate=0.005 column: one rate's answers dropped
         code, out = invoke(["passive", "--margin", "0.03,0.05", "--detect-rate", "0.07",

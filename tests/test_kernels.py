@@ -516,6 +516,7 @@ class TestUpperNormalPoint:
             ("kernels.py", "poisson_upper_quantile", "alpha"),
             ("passive.py", "_certified_start", "design.fp_budget"),
             ("passive.py", "_certified_start", "design.fn_budget"),
-            ("passive.py", "_fn_guess", "design.fn_budget"),
-            ("passive.py", "_step", "design.fp_budget"),
+            ("passive.py", "_smallest_fn_ok", "design.fn_budget"),
+            ("passive.py", "_climb", "design.fp_budget"),
+            ("passive.py", "_climb", "design.fn_budget"),
         }

@@ -103,6 +103,29 @@ class TestDesign:
         with pytest.raises(DomainError):
             PassiveDesign(0.04, 0.25, 0.005, 0.05, 1.5)
 
+    @pytest.mark.parametrize("fn", [math.nextafter(kernels.TAIL_ABS_TOL, 0.0), 1e-14, 1e-17, 1e-300])
+    def test_fn_budget_below_the_tail_error(self, fn):
+        # a miss is one minus a tail, so below the tail's error it cancels to 0
+        with pytest.raises(DomainError, match="fn_budget must be at least 1e-12, the Poisson tails' absolute"):
+            PassiveDesign(0.03, 0.07, 0.005, 0.05, fn)
+
+    def test_fp_budget_keeps_its_range(self):
+        # the upper tail keeps its relative accuracy down to 1e-300
+        assert PassiveDesign(0.03, 0.07, 0.005, 1e-300, 0.05).fp_budget == 1e-300
+
+    @pytest.mark.parametrize("convention", ["published", "strict"])
+    @pytest.mark.parametrize("fn", [kernels.TAIL_ABS_TOL, 1e-10, 1e-6])
+    def test_small_fn_budgets_are_met(self, fn, convention):
+        design = PassiveDesign(0.03, 0.07, 0.005, 0.05, fn)
+        sol = min_contest_size(design, convention)
+        j = sol.alarm_threshold - 1 if convention == "published" else sol.alarm_threshold
+        N = mpmath.mpf(sol.contest_size)
+        m0 = N * mpmath.mpf(design.base_rate)
+        m1 = N * (mpmath.mpf(design.base_rate) + mpmath.mpf(design.attack_rate))
+        # P{Pois(m) >= k} = P(k, m) and P{Pois(m) < j} = Q(j, m), at 50 digits
+        assert mpmath.gammainc(sol.alarm_threshold, 0, m0, regularized=True) <= design.fp_budget
+        assert mpmath.gammainc(j, m1, mpmath.inf, regularized=True) <= fn
+
 
 class TestPassivePower:
     def test_against_oracle(self):
@@ -511,13 +534,33 @@ class TestBoundedClimb:
 
     def test_bounds_save_the_published_climb(self, solver_calls):
         """On the 60 published-grid cells the climb on exact searches made
-        26,954 Poisson tails and 6,335 steps."""
+        26,954 Poisson tails and 6,335 steps; with one-tail bounds but no
+        one-lower retries, 16,371 tails and 571 exact size searches."""
         cells = list(published_cases())
         for budget, margin, d, b, expected in cells:
             design = PassiveDesign(margin, d, b, budget, budget)
             assert min_contest_size(design, "published").contest_size == expected
         assert len(cells) == 60
-        # ~16,400 tails and ~570 exact steps; fewer than one tail per cell
-        # would mean the wrappers missed the binding the solver calls
-        assert 60 <= solver_calls["poisson_tail"] <= 17_000
-        assert solver_calls["_smallest_fn_ok"] <= 1_000
+        # 13,896 tails and 73 exact size searches; fewer than one tail per
+        # cell would mean the wrappers missed the binding the solver calls
+        assert 60 <= solver_calls["poisson_tail"] <= 14_500
+        assert solver_calls["_smallest_fn_ok"] <= 120
+
+    def test_both_retries_fire_on_the_published_climb(self, monkeypatch):
+        """A guess one too high is retried one lower, for the threshold
+        (``fp_fails``) and for the size (``fn_fails``): each retry certifies
+        at least once on the 60 published-grid cells."""
+        one_lower = passive._one_lower
+        retried = Counter()
+
+        def counted(fails, guess, least):
+            bound = one_lower(fails, guess, least)
+            if bound == guess - 1:
+                retried[fails.__name__] += 1
+            return bound
+
+        monkeypatch.setattr(passive, "_one_lower", counted)
+        for budget, margin, d, b, expected in published_cases():
+            design = PassiveDesign(margin, d, b, budget, budget)
+            assert min_contest_size(design, "published").contest_size == expected
+        assert retried.keys() == {"fp_fails", "fn_fails"}, retried
