@@ -19,19 +19,36 @@ budget at N's alarm threshold, mostly by jumps to lower bounds of need(N)
 that two Poisson tails certify, one per closed-form guess, plus one more
 for a guess one too high, retried one lower; the sizes they skip are
 infeasible, so it stops where N <- need(N) does (see ``min_contest_size``).
-Under ``strict`` it starts at a certified size N0 rather than at 1:
+It starts at a certified size N0, below which no size is feasible
+(``_certified_start``), a few alarm thresholds short of the answer:
 
-1. fn_rand(N), the miss of the randomized most powerful level-fp_budget test
-   (Neyman-Pearson; Lehmann & Romano, *Testing Statistical Hypotheses*,
-   ch. 3), bounds from below the miss of "alarm iff X >= k(N)", itself a
-   level-fp_budget test.
-2. fn_rand does not increase with N: the size-M experiment is a binomial
-   thinning of the size-N one for M < N (Blackwell 1953).
-3. So fn_rand(N0 - 1) > fn_budget makes N0 - 1 and every smaller size
-   infeasible, and the climb from N0 ends where the climb from 1 does.
-
-``published`` still climbs from 1: its miss event X <= k - 2 belongs to a
-test whose false-alarm rate can exceed fp_budget, so step 1 does not hold.
+1. The miss is a test's miss.  Under ``strict`` it is the miss of "alarm
+   iff X >= k(N)", whose level is T0(N, k(N)) = P0{X >= k(N)} <= fp_budget.
+   Under ``published`` P1{X <= k(N) - 2} is the miss of "alarm iff X >=
+   k(N) - 1", whose level T0(N, k(N)) + p0(N, k(N) - 1) is at most
+   fp_budget + TAIL_ABS_TOL plus the benign pmf at k(N) - 1.
+2. The pmf over a segment [lo, hi) of sizes (``_segment_level``).  With
+   x_lo a certified lower bound of k(lo) - 1 (one or two fp tails), and
+   x_lo >= hi*b, p0(N, k(N) - 1) <= p0(hi*b, x_lo): above the mean the pmf
+   falls in x, and below x it rises in the mean.  Otherwise the largest
+   pmf at lo's mean bounds it, since the largest pmf of Pois(m) does not
+   increase with m.  Both are Stirling bounds with an upward rounding
+   margin (``_pmf_bound``); ``strict`` adds no pmf.
+3. Weak duality: with a level bound alpha' for every N of the segment, any
+   threshold c and lam the likelihood ratio P1/P0 at c - 1, every
+   level-alpha' test misses with probability at least P1{X < c} +
+   lam (T0(c) - alpha') (``_np_miss``), and at the best c this is the miss
+   of the randomized most powerful test (Neyman-Pearson; Lehmann & Romano,
+   *Testing Statistical Hypotheses*, ch. 3).  That best miss does not
+   increase with N: the size-M experiment is a binomial thinning of the
+   size-N one for M < N (Blackwell 1953).  So a bound at hi - 1 above the
+   fn budget by its slack makes every size in [lo, hi) infeasible.
+4. Chaining: under ``strict`` the level does not depend on the segment, so
+   one segment [1, N0) suffices; under ``published`` segments are chained
+   from the size below which P1{X < 1} alone exceeds the fn budget toward
+   the normal guess, in O(log answer) bound evaluations
+   (``_published_start``).  The climb from N0 ends where the climb from 1
+   does.
 """
 
 from __future__ import annotations
@@ -144,33 +161,30 @@ def _achieved(N: int, design: PassiveDesign, convention: Convention) -> tuple[in
     return k, poisson_tail(N * design.base_rate, k), _miss(N, design, j)
 
 
-def _np_miss(N: int, design: PassiveDesign) -> tuple[float, float]:
-    """Miss probability of the most powerful level-fp_budget test at size N,
+def _np_miss(N: int, design: PassiveDesign, level: float, c: int) -> tuple[float, float]:
+    """A lower bound on the miss of every level-``level`` test at size N,
     and a bound on the error of its evaluation.
 
-    With k = k(N), c = k - 1, means m0 = N*b and m1 = N*(b + a), and the
-    likelihood ratio lam = P1{X = c} / P0{X = c}, the randomized
-    Neyman-Pearson test misses with probability
+    With means m0 = N*b and m1 = N*(b + a) and the likelihood ratio
+    lam = P1{X = c - 1} / P0{X = c - 1}, weak duality bounds the miss of
+    every level-``level`` test from below by
 
-        fn_rand(N) = P1{X < k} - lam * (alpha - P0{X >= k}),
+        P1{X < c} - lam * (level - P0{X >= c})
 
-    i.e. P1{X < k} - gamma * P1{X = c} with gamma = (alpha - P0{X >= k}) /
-    P0{X = c}.  By weak duality the right-hand side bounds the miss of every
-    level-alpha test from below at any k, as long as lam is the ratio at
-    k - 1; a computed k off by one therefore errs low, never high.
+    at any threshold c >= 1.  At the smallest c with P0{X >= c} <= level
+    it is the miss of the randomized most powerful test (Neyman-Pearson),
+    i.e. P1{X < c} - gamma * P1{X = c - 1} with gamma = (level - P0{X >= c})
+    / P0{X = c - 1}; a c off by one errs low, never high.
     """
-    alpha = design.fp_budget
     m0 = N * design.base_rate
     m1 = N * (design.base_rate + design.attack_rate)
-    k = poisson_upper_quantile(m0, alpha)
-    fp = poisson_tail(m0, k)
     gap = m1 - m0
-    # log lam = c log(m1/m0) - (m1 - m0): the factorials cancel
-    log_ratio = (k - 1) * math.log1p(gap / m0) if k > 1 else 0.0
+    # log lam = (c - 1) log(m1/m0) - (m1 - m0): the factorials cancel
+    log_ratio = (c - 1) * math.log1p(gap / m0) if c > 1 else 0.0
     lam = math.exp(min(log_ratio - gap, 700.0))
-    fn = 1.0 - poisson_tail(m1, k) - lam * (alpha - fp)
+    fn = 1.0 - poisson_tail(m1, c) - lam * (level - poisson_tail(m0, c))
     # Each tail is off by at most TAIL_ABS_TOL: that is (1 + lam) of it here,
-    # once more for the strict miss at any smaller size, and the rest covers
+    # once more for the miss at any smaller size, and the rest covers
     # rounding.  A log lam off by e raises the bound by at most e, and the
     # computed log lam is off by less than 8 * 2**-53 * (log_ratio + gap).
     # Past e**700 the slack exceeds 1, so the clipped ratio certifies nothing.
@@ -178,25 +192,118 @@ def _np_miss(N: int, design: PassiveDesign) -> tuple[float, float]:
     return fn, slack
 
 
-def _certified_start(design: PassiveDesign) -> int:
-    """Smallest size N0 whose Neyman-Pearson miss could meet the fn budget.
+def _pmf_bound(mean: float, x: int) -> float:
+    """An upper bound on P{Pois(mean) = x}, for mean > 0 and x >= 1.
 
-    ``smallest_int_where`` returns an N0 whose predicate at N0 - 1 was
-    computed false, so fn_rand(N0 - 1) exceeds the budget by more than the
-    tail error: the strict miss there, and at every smaller size, fails it.
-    The predicate need not be monotone for this to hold.  The search starts
-    at the normal approximation ((z_a sqrt(b) + z_b sqrt(b + a)) / a)**2.
+    Stirling's x! >= sqrt(2 pi x) (x/e)**x bounds the pmf by
+    exp(-x (r - 1 - log r)) / sqrt(2 pi x) with r = mean / x.  The computed
+    exponent is off by less than 2**-50 * ``terms`` (within an ulp for each
+    log and exp, half an ulp for the rest), so adding 2**-48 * ``terms``
+    keeps the bound above the pmf.  It is at least e**-700, above the
+    subnormals, where exp would lose its relative accuracy.
+    """
+    log_mean, log_x = math.log(mean), math.log(x)
+    exponent = -x * ((mean / x - 1.0) - (log_mean - log_x)) - 0.5 * math.log(2.0 * math.pi * x)
+    terms = mean + x * (2.0 + abs(log_mean) + 2.0 * log_x)
+    return math.exp(min(0.0, max(-700.0, exponent + 2.0**-48 * terms)))
+
+
+def _threshold_guess(mean: float, z: float) -> int:
+    """The continuity-corrected Cornish-Fisher guess of the smallest k with
+    P{Pois(mean) >= k} at most the normal upper-z level, rounded up."""
+    return math.ceil(mean + z * math.sqrt(mean) + (z * z + 2.0) / 6.0)
+
+
+def _segment_level(design: PassiveDesign, lo: int, hi: int, x_lo: int) -> float:
+    """A bound on T0(N, k(N) - 1), the level of the ``published`` test, at
+    every N in [lo, hi): fp_budget + TAIL_ABS_TOL plus a bound on the pmf
+    p0(N, k(N) - 1), given 0 <= x_lo <= k(lo) - 1 (step 2 of the module
+    docstring); 1.0 where neither pmf bound applies."""
+    b = design.base_rate
+    top = hi * b  # no benign mean in [lo, hi) is above it
+    if x_lo >= top:
+        # above its mean the pmf falls in x, and below x it rises in the mean
+        pmf = _pmf_bound(top, x_lo)
+    elif lo * b >= 1.0:
+        # the largest pmf, at floor(m), does not increase with the mean m
+        pmf = _pmf_bound(lo * b, math.floor(lo * b))
+    else:
+        return 1.0
+    return design.fp_budget + TAIL_ABS_TOL + pmf
+
+
+def _segment_miss(design: PassiveDesign, M: int, level: float) -> tuple[float, float]:
+    """``_np_miss`` at size M and a level, at the threshold's Cornish-Fisher
+    guess for that level; (0, 0) at a level of 1 or more, which a test that
+    always alarms meets without a miss."""
+    if level >= 1.0:
+        return 0.0, 0.0
+    c = max(1, _threshold_guess(M * design.base_rate, upper_normal_point(level)))
+    return _np_miss(M, design, level, c)
+
+
+def _certified_start(design: PassiveDesign, convention: Convention) -> int:
+    """A size N0 below which no size is feasible, a few alarm thresholds
+    short of the answer (module docstring).  The level bound is the only
+    convention switch.  Under ``strict`` it is fp_budget at every size, so
+    one segment [1, N0) suffices: ``smallest_int_where``, from the normal
+    approximation ((z_a sqrt(b) + z_b sqrt(b + a)) / a)**2, returns an N0
+    whose bound at N0 - 1 exceeds the fn budget by its slack (the predicate
+    need not be monotone for this).  Under ``published`` the level depends
+    on the segment, and ``_published_start`` chains segments.
     """
     b, a = design.base_rate, design.attack_rate
     z_fp = upper_normal_point(design.fp_budget)
     z_fn = upper_normal_point(design.fn_budget)
     root = (z_fp * math.sqrt(b) + z_fn * math.sqrt(b + a)) / a
+    if convention == "published":
+        return _published_start(design, root * root, z_fp)
 
     def ok(N: int) -> bool:
-        fn, slack = _np_miss(N, design)
+        c = poisson_upper_quantile(N * b, design.fp_budget)
+        fn, slack = _np_miss(N, design, design.fp_budget, c)
         return fn <= design.fn_budget + slack
 
     return smallest_int_where(ok, guess=root * root, what="voters")
+
+
+def _published_start(design: PassiveDesign, guess: float, z_fp: float) -> int:
+    """``_certified_start`` under ``published``: a chain of infeasible
+    segments [lo, hi) toward the normal guess, from floor(-log(fn_budget +
+    2 TAIL_ABS_TOL) / (b + a)), below which P1{X < 1} = exp(-N (b + a))
+    alone exceeds the fn budget by more than the tail error.
+
+    x_lo costs fp tails at lo, spent only where its guess reaches the
+    segment's top mean.  The span doubles after two infeasible segments in
+    a row and halves after one that is not.  The chain stops once the span
+    is below one threshold period (1/b voters), or after four segments per
+    halving of its first span, so its work is O(log answer).  No segment
+    passes 2**53.
+    """
+    b, fp, fn = design.base_rate, design.fp_budget, design.fn_budget
+    lo = -math.log(fn + 2.0 * TAIL_ABS_TOL) / (b + design.attack_rate)
+    lo = max(1, math.floor(lo)) if lo < 2**53 else 2**53
+    span = (math.floor(guess) if guess < 2**53 else 2**53) - lo
+    x_lo = None  # a certified lower bound of k(lo) - 1, once tails are spent on it
+
+    def fp_fails(k: int) -> bool:  # k(lo) > k
+        return k < 2 or poisson_tail(lo * b, k) > fp
+
+    grow = False
+    for _ in range(4 * max(0, math.floor(span * b)).bit_length()):
+        if span < 1.0 / b or lo >= 2**53:
+            break
+        hi = min(lo + span, 2**53)
+        g = max(2, _threshold_guess(lo * b, z_fp))
+        if x_lo is None and g - 1 >= hi * b:
+            k_lo = _one_lower(fp_fails, g, 2)
+            x_lo = 0 if k_lo is None else k_lo - 1
+        miss, slack = _segment_miss(design, hi - 1, _segment_level(design, lo, hi, x_lo or 0))
+        if miss > fn + slack:
+            lo, span, grow, x_lo = hi, 2 * span if grow else span, True, None
+        else:
+            span, grow = span // 2, False
+    return lo
 
 
 def _smallest_fn_ok(design: PassiveDesign, j: int) -> int:
@@ -233,14 +340,13 @@ def _one_lower(fails: Callable[[int], bool], guess: int, least: int) -> int | No
 
 def _climb(N: int, design: PassiveDesign, convention: Convention) -> int:
     """The climb of ``min_contest_size`` from N, below which no size is
-    feasible, to the smallest feasible size.  The design's rates, normal
-    points and Cornish-Fisher term are computed once for all its steps."""
+    feasible, to the smallest feasible size.  The design's rates and normal
+    points are computed once for all its steps."""
     floor = _THRESHOLD_FLOOR[convention]
     lag = 1 if convention == "published" else 0  # k - j
     b, fp, fn = design.base_rate, design.fp_budget, design.fn_budget
     rate = b + design.attack_rate
     z_fp, z_fn = upper_normal_point(design.fp_budget), upper_normal_point(design.fn_budget)
-    cornish_fisher = (z_fp * z_fp + 2.0) / 6.0
 
     def fp_fails(k: int) -> bool:  # k(N) > k, at the current N's mean
         return k < floor or poisson_tail(mean, k) > fp
@@ -250,7 +356,7 @@ def _climb(N: int, design: PassiveDesign, convention: Convention) -> int:
 
     while True:
         mean = N * b
-        g = max(floor, math.ceil(mean + z_fp * math.sqrt(mean) + cornish_fisher))
+        g = max(floor, _threshold_guess(mean, z_fp))
         k_lo = _one_lower(fp_fails, g, floor) if g <= _THRESHOLD_CAP else None
         if k_lo is not None:
             j = k_lo - lag
@@ -305,10 +411,11 @@ def min_contest_size(
     change it, but none has been seen to.
 
     The argument holds from any start below which no size is feasible.
-    Under ``strict`` the climb starts at ``_certified_start``, where the
-    randomized Neyman-Pearson miss one size lower exceeds the fn budget (see
-    the module docstring), a few steps short of the answer; under
-    ``published`` no such bound is known, so it starts at N = 1.
+    The climb starts at ``_certified_start``, a few thresholds short of the
+    answer: every smaller size lies in a segment whose Neyman-Pearson miss
+    bound, at a level that bounds the convention's test there, exceeds the
+    fn budget (see the module docstring).  A start certified at 2**53 ends
+    in the 2**53 error at the climb's first step.
 
     Tolerance: past about 6e14 voters (spoil rates below about 1e-11) the
     computed miss probability wobbles by an ulp between neighbouring sizes,
@@ -320,7 +427,7 @@ def min_contest_size(
         raise DomainError(f"unknown convention {convention!r}")
     if design.attack_rate <= 0.0:
         raise Infeasible("attack is statistically invisible (margin * detect_rate = 0)")
-    N = _climb(_certified_start(design) if convention == "strict" else 1, design, convention)
+    N = _climb(_certified_start(design, convention), design, convention)
     # certificates: N is feasible, N - 1 is not
     k, fp, fn = _achieved(N, design, convention)
     if not (fp <= design.fp_budget and fn <= design.fn_budget):  # pragma: no cover

@@ -784,7 +784,10 @@ def scenario_from_config(cfg: Mapping) -> SimScenario:
     flip_prob = get_number(mallory_cfg, "flip_prob", "mallory")
     trigger = lists_by_name(mallory_cfg.get("trigger", {}), as_int, "mallory 'trigger'")
     mallory = MalloryStrategy.from_mapping(trigger, flip_prob, get_str(mallory_cfg, "label", "mallory"))
-    pat_cfg = require(cfg, "pat", "scenario")
+    if cfg.get("kind") == "passive" and cfg.get("pat") is None:
+        pat_cfg = {"mode": "uniform", "test_count": 0}  # it runs no tests; a block given is still read
+    else:
+        pat_cfg = require(cfg, "pat", "scenario")
     mode = require(pat_cfg, "mode", "pat")
     dist = None
     scripts = None

@@ -16,7 +16,7 @@ from bmdlimits.cli import FORMATS, emit, run
 from bmdlimits.parallel import min_tests_iid
 from bmdlimits.passive import PassiveDesign, min_contest_size
 from bmdlimits.repro import build_manifest, manifest_passes
-from bmdlimits.simulate import load_scenario
+from bmdlimits.simulate import PatStrategy, load_scenario
 
 
 #: ``bmdlimits minimax --zeta-grid`` (csv): the slack and the failure-budget
@@ -439,6 +439,24 @@ class TestMalformedConfig:
             f"error: {path}: kind 'passive' needs a 'passive' block",
         )
 
+    def test_passive_scenario_reads_no_pat_block(self, scenario_dir, tmp_path, capsys):
+        # once "error: ...: scenario needs 'pat'", for a tester the passive kind never runs
+        path = scenario_dir / "passive_poisson_gap.json"
+        cfg = json.loads(path.read_text())
+        assert "pat" not in cfg
+        _, scenario = load_scenario(str(path))
+        assert scenario.pat == PatStrategy(mode="uniform", test_count=0)
+        # a block given is still read, and a parallel scenario still needs one
+        cfg["pat"] = {"mode": "uniform", "test_count": 3}
+        with_pat = tmp_path / "passive.json"
+        with_pat.write_text(json.dumps(cfg))
+        assert load_scenario(str(with_pat))[1].pat.test_count == 3
+        cfg = json.loads((scenario_dir / "whole_space_flip.json").read_text())
+        del cfg["pat"]
+        without_pat = tmp_path / "parallel.json"
+        without_pat.write_text(json.dumps(cfg))
+        self.fails_cleanly(["simulate", "--scenario", str(without_pat)], capsys, str(without_pat), "'pat'")
+
     def test_scenario_not_json(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text('{"kind": "parallel",')
@@ -457,7 +475,9 @@ class TestMalformedConfig:
         ],
     )
     def test_scenario_value_not_a_number(self, scenario_dir, tmp_path, capsys, section, key):
-        cfg = json.loads((scenario_dir / "passive_poisson_gap.json").read_text())
+        # the passive scenario reads no 'pat' block: a parallel one does
+        name = "whole_space_flip.json" if section == "pat" else "passive_poisson_gap.json"
+        cfg = json.loads((scenario_dir / name).read_text())
         (cfg if section is None else cfg[section])[key] = "many"
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))

@@ -502,7 +502,8 @@ class TestUpperNormalPoint:
                 PassiveDesign(0.03, 0.07, 0.005, 0.05, p)
 
     def test_every_caller_passes_a_checked_probability(self):
-        # alpha is checked by poisson_upper_quantile, a design's budgets when it is built
+        # alpha is checked by poisson_upper_quantile, a design's budgets when it
+        # is built, and _segment_miss returns before the call at a level of 1 or more
         calls = set()
         for path in sorted((ROOT / "src" / "bmdlimits").glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -516,6 +517,7 @@ class TestUpperNormalPoint:
             ("kernels.py", "poisson_upper_quantile", "alpha"),
             ("passive.py", "_certified_start", "design.fp_budget"),
             ("passive.py", "_certified_start", "design.fn_budget"),
+            ("passive.py", "_segment_miss", "level"),
             ("passive.py", "_smallest_fn_ok", "design.fn_budget"),
             ("passive.py", "_climb", "design.fp_budget"),
             ("passive.py", "_climb", "design.fn_budget"),

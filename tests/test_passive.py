@@ -8,7 +8,7 @@ from statistics import NormalDist
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bmdlimits import kernels, passive
@@ -21,6 +21,9 @@ from bmdlimits.passive import (
     _certified_start,
     _miss,
     _np_miss,
+    _pmf_bound,
+    _segment_level,
+    _segment_miss,
     _smallest_fn_ok,
     _threshold,
     alarm_threshold,
@@ -350,7 +353,7 @@ class TestCertifiedStart:
     @settings(max_examples=50, deadline=None)
     def test_start_is_below_answer_and_certified(self, margin, d, b, fp, fn):
         design = PassiveDesign(margin, d, b, fp, fn)
-        start = _certified_start(design)
+        start = _certified_start(design, "strict")
         assert start <= min_contest_size(design, "strict").contest_size
         if start > 1:
             assert np_miss_oracle(start - 1, design) > fn
@@ -366,10 +369,10 @@ class TestCertifiedStart:
     )
     def test_np_miss_bounds_strict_miss_and_falls(self, args):
         design = PassiveDesign(*args)
-        start = _certified_start(design)
+        start = _certified_start(design, "strict")
         sizes = range(max(1, start - 100), start + 100)
         assert len({alarm_threshold(N, design) for N in sizes}) > 1  # k steps up in the run
-        misses = [_np_miss(N, design)[0] for N in sizes]
+        misses = [_np_miss(N, design, design.fp_budget, alarm_threshold(N, design))[0] for N in sizes]
         for N, miss in zip(sizes, misses):
             assert miss <= passive_power(N, design, alarm_threshold(N, design))[1]
         assert all(after <= before for before, after in zip(misses, misses[1:]))
@@ -448,7 +451,7 @@ class TestSizeSearch:
         z_fp, z_fn = -NormalDist().inv_cdf(fp), -NormalDist().inv_cdf(fn)
         design = self.at_rate(2 * (z_fp + z_fn * math.sqrt(2)) ** 2 / (scale * 2**53), fp, fn)
         try:
-            assert _certified_start(design) <= 2**53
+            assert _certified_start(design, "strict") <= 2**53
         except Infeasible as exc:
             assert "more than 2**53 voters needed" in str(exc)
 
@@ -464,13 +467,153 @@ class TestSizeSearch:
     @pytest.mark.parametrize("rate", [1e-310, 1e-20], ids=["infinite-guess", "finite-guess"])
     def test_certified_start_past_2_53_is_infeasible(self, rate):
         with pytest.raises(Infeasible, match=r"more than 2\*\*53 voters needed"):
-            _certified_start(self.at_rate(rate, 0.05, 0.05))
+            _certified_start(self.at_rate(rate, 0.05, 0.05), "strict")
+
+
+def t0_oracle(mean, x):
+    """P{Pois(mean) >= x} at 50 digits."""
+    return 1 - mpmath.gammainc(x, mpmath.mpf(mean), regularized=True)
+
+
+def pmf_oracle(mean, x):
+    m = mpmath.mpf(mean)
+    return mpmath.exp(x * mpmath.log(m) - m - mpmath.loggamma(x + 1))
+
+
+@st.composite
+def segments(draw, pmf):
+    """(design, lo, hi, x_lo) with 0 <= x_lo <= k(lo) - 1 and a benign mean
+    at lo from about 1 to 2,000.  Under the threshold pmf x_lo = k(lo) - 1,
+    hi * b <= x_lo, and the segment has at most 200 sizes; under the largest
+    pmf x_lo is 0 or k(lo) - 1, and the segment ends up to 200 sizes past
+    the last size whose benign mean is at most x_lo."""
+    design = PassiveDesign(
+        draw(st.floats(0.001, 0.5)),
+        draw(st.floats(0.05, 0.9)),
+        draw(st.floats(0.05, 0.4)),
+        draw(st.sampled_from([1e-6, 1e-3, 0.01, 0.05, 0.3])),
+        draw(st.sampled_from([1e-3, 0.01, 0.05, 0.3])),
+    )
+    b = design.base_rate
+    lo = math.ceil(draw(log_uniform(1.0, 2000.0)) / b)
+    x_lo = _threshold(lo, design, "published")[0] - 1
+    reach = math.floor(x_lo / b)
+    while reach * b > x_lo:
+        reach -= 1
+    frac = draw(st.floats(0.0, 1.0))
+    if pmf == "mode":
+        return design, lo, max(lo, reach) + 1 + int(frac * 199), draw(st.sampled_from([0, x_lo]))
+    assume(reach > lo)
+    return design, lo, lo + 1 + int(frac * (min(reach, lo + 200) - lo - 1)), x_lo
+
+
+class TestPublishedStart:
+    """The published climb's start: chained segments, each infeasible by a
+    Neyman-Pearson bound at a level that bounds the published test there."""
+
+    @given(
+        b=st.floats(0.001, 0.05),
+        d=st.floats(0.1, 0.9),
+        fp=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+        fn=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+        size=log_uniform(30, 2e5),
+    )
+    @example(b=0.015, d=0.25, fp=0.01, fn=0.01, size=2e5)
+    @settings(max_examples=15, deadline=None)
+    def test_start_is_below_answer_and_certified(self, b, d, fp, fn, size):
+        # the attack rate that puts the normal guess near ``size`` voters
+        z_fp, z_fn = -NormalDist().inv_cdf(fp), -NormalDist().inv_cdf(fn)
+        a = (z_fp + z_fn) * math.sqrt(b / size)
+        assume(2 * a / d < 1)
+        design = PassiveDesign(2 * a / d, d, b, fp, fn)
+        start = _certified_start(design, "published")
+        answer = min_contest_size(design, "published").contest_size
+        assert start <= answer <= 3e5
+        # brute force: every smaller size misses more than the fn budget allows
+        assert all(_achieved(N, design, "published")[2] > fn for N in range(1, start))
+
+    @pytest.mark.parametrize("pmf", ["threshold", "mode"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_segment_level_bounds_the_published_level(self, pmf, data):
+        design, lo, hi, x_lo = data.draw(segments(pmf))
+        level = _segment_level(design, lo, hi, x_lo)
+        assert level > design.fp_budget
+        ks = [_threshold(N, design, "published")[0] for N in range(lo, hi)]
+        # T0(N, k - 1) rises with N while k(N) stays, so the last size of
+        # each run of one threshold bounds the run
+        for N, k, k_next in zip(range(lo, hi), ks, ks[1:] + [None]):
+            if k != k_next:
+                assert level >= t0_oracle(N * design.base_rate, k - 1)
+
+    @pytest.mark.parametrize("pmf", ["threshold", "mode"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_segment_miss_bounds_the_published_miss(self, pmf, data):
+        design, lo, hi, x_lo = data.draw(segments(pmf))
+        bound, slack = _segment_miss(design, hi - 1, _segment_level(design, lo, hi, x_lo))
+        for N in range(lo, hi):
+            assert bound <= _achieved(N, design, "published")[2] + slack
+
+    @given(
+        mean=log_uniform(1e-300, 1e15),
+        t=st.floats(-6.0, 12.0),
+        x=st.one_of(st.none(), st.integers(1, 10**9)),
+    )
+    @example(mean=1.0, t=0.0, x=1)
+    @example(mean=2.5, t=0.0, x=2)
+    @example(mean=4e4, t=2.3, x=None)
+    @example(mean=1e15, t=0.0, x=None)
+    @example(mean=1e-300, t=0.0, x=1)
+    @settings(max_examples=200, deadline=None)
+    def test_pmf_bound_above_a_50_digit_pmf(self, mean, t, x):
+        if x is None:  # near the mean, where the bounds are used
+            x = max(1, math.floor(mean + t * math.sqrt(mean)))
+        bound, exact = _pmf_bound(mean, x), pmf_oracle(mean, x)
+        assert bound >= exact
+        if x <= 10**7 and mean <= 1e8 and exact > 1e-300:
+            # Stirling's remainder is below 1/(12 x); the rounding margin is tiny
+            assert bound <= exact * mpmath.exp(mpmath.mpf(1) / (12 * x) + mpmath.mpf(1e-5))
+
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            # the vanishing rates of tests/test_cli.py: the size guesses overflow
+            ((1e-300, 1e-10, 1e-310, 0.05, 0.05), "more than 2**53 voters needed"),
+            ((1e-200, 1e-5, 1e-200, 0.05, 0.05), "more than 2**53 voters needed"),
+            # answers near and past 2**53
+            ((4e-13, 0.5, 1.1e-9, 0.05, 0.05), "more than 2**53 voters needed"),
+            ((4e-13, 0.5, 1.12e-9, 0.05, 0.05), "larger thresholds are not searched"),
+            ((4.4e-12, 0.5, 1e-9, 0.05, 0.05), 8_947_046_192_750_863),
+            ((0.0001, 0.07, 0.005, 1e-6, 1e-6), "larger thresholds are not searched"),
+        ],
+    )
+    def test_work_bound_on_extreme_designs(self, solver_calls, monkeypatch, args, expected):
+        design = PassiveDesign(*args)
+        segments_tried = Counter()
+        segment_miss = passive._segment_miss
+
+        def counted(*a):
+            segments_tried["segment"] += 1
+            return segment_miss(*a)
+
+        monkeypatch.setattr(passive, "_segment_miss", counted)
+        start = _certified_start(design, "published")
+        assert 1 <= start <= 2**53
+        # four segments per halving of a first span below 2**53 voters
+        assert segments_tried["segment"] <= 4 * 53
+        assert solver_calls["poisson_tail"] <= 1_000
+        if isinstance(expected, int):
+            assert start <= expected == min_contest_size(design).contest_size
+        else:
+            with pytest.raises(Infeasible, match=re.escape(expected)):
+                min_contest_size(design)
 
 
 def exact_climb(design, convention):
     """``min_contest_size`` with both of every step's searches exact:
     N <- need(N), with k(N) from ``_threshold`` and need from ``_smallest_fn_ok``."""
-    N = _certified_start(design) if convention == "strict" else 1
+    N = _certified_start(design, "strict") if convention == "strict" else 1
     while True:
         k, j = _threshold(N, design, convention)
         if k > 10**7:
@@ -533,17 +676,19 @@ class TestBoundedClimb:
                 min_contest_size(design)
 
     def test_bounds_save_the_published_climb(self, solver_calls):
-        """On the 60 published-grid cells the climb on exact searches made
-        26,954 Poisson tails and 6,335 steps; with one-tail bounds but no
-        one-lower retries, 16,371 tails and 571 exact size searches."""
+        """On the 60 published-grid cells the climb from N = 1 on exact
+        searches made 26,954 Poisson tails and 6,335 steps; with one-tail
+        bounds but no one-lower retries, 16,371 tails and 571 exact size
+        searches; with the retries, 13,896 tails and 73 exact size searches."""
         cells = list(published_cases())
         for budget, margin, d, b, expected in cells:
             design = PassiveDesign(margin, d, b, budget, budget)
             assert min_contest_size(design, "published").contest_size == expected
         assert len(cells) == 60
-        # 13,896 tails and 73 exact size searches; fewer than one tail per
-        # cell would mean the wrappers missed the binding the solver calls
-        assert 60 <= solver_calls["poisson_tail"] <= 14_500
+        # 4,982 tails and 61 exact size searches from the certified start;
+        # fewer than one tail per cell would mean the wrappers missed the
+        # binding the solver calls
+        assert 60 <= solver_calls["poisson_tail"] <= 6_000
         assert solver_calls["_smallest_fn_ok"] <= 120
 
     def test_both_retries_fire_on_the_published_climb(self, monkeypatch):
