@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from math import copysign, erfc, exp, log1p, sqrt
 from typing import Callable, NamedTuple
 
@@ -95,21 +94,30 @@ def _pmf_tail(mean: float, k: int) -> float:
     return 1.0 - total
 
 
-@lru_cache(maxsize=64)
+try:  # the C function under ``NormalDist.inv_cdf`` on CPython
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:
+    _normal_dist_inv_cdf = None
+
+
 def upper_normal_point(p: float) -> float:
-    """z with P{Z > z} = p for a standard normal Z, 0 < p < 1 (callers check
-    p); the searches' seeds ask for a few budgets many times.
+    """z with P{Z > z} = p for a standard normal Z, 0 < p < 1 (callers check p).
 
     It calls the C function that ``NormalDist.inv_cdf`` runs on CPython, so
     that no ``statistics`` (with ``fractions``, ``decimal`` and ``random``)
     loads, and ``NormalDist`` itself where that function is missing."""
-    try:
-        from _statistics import _normal_dist_inv_cdf
-    except ImportError:
+    if _normal_dist_inv_cdf is None:
         from statistics import NormalDist
 
         return -NormalDist().inv_cdf(p)
     return -_normal_dist_inv_cdf(p, 0.0, 1.0)
+
+
+def poisson_quantile_guess(mean: float, z: float) -> int:
+    """The continuity-corrected Cornish-Fisher guess of the smallest k with
+    P{Pois(mean) >= k} at most the normal upper-z level, rounded up:
+    ceil(mean + z sqrt(mean) + (z**2 + 2) / 6)."""
+    return math.ceil(mean + z * math.sqrt(mean) + (z * z + 2.0) / 6.0)
 
 
 # ``PoissonModel`` and ``poisson_sf`` have no caller in the library; they stay
@@ -135,15 +143,14 @@ def poisson_upper_quantile(mean: float, alpha: float) -> int:
     """Smallest integer k with ``poisson_tail(mean, k) <= alpha``.
 
     Satisfies ``poisson_tail(mean, k - 1) > alpha`` whenever k > 0.
-    The search starts at the continuity-corrected Cornish-Fisher guess
-    mean + z sqrt(mean) + (z**2 + 2) / 6, with z the normal upper alpha point.
+    The search starts at ``poisson_quantile_guess``, with z the normal upper
+    alpha point.
     """
     if not math.isfinite(mean) or mean < 0:
         raise DomainError(f"Poisson mean must be finite and >= 0, got {mean}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    z = upper_normal_point(alpha)
-    guess = math.ceil(mean + z * math.sqrt(mean) + (z * z + 2.0) / 6.0)
+    guess = poisson_quantile_guess(mean, upper_normal_point(alpha))
     # past 2**53 ``poisson_tail`` subtracts exactly, so thresholds stay certified
     return smallest_int_where(lambda k: poisson_tail(mean, k) <= alpha, guess=guess, hi_limit=None)
 

@@ -33,7 +33,7 @@ It starts at a certified size N0, below which no size is feasible
    falls in x, and below x it rises in the mean.  Otherwise the largest
    pmf at lo's mean bounds it, since the largest pmf of Pois(m) does not
    increase with m.  Both are Stirling bounds with an upward rounding
-   margin (``_pmf_bound``); ``strict`` adds no pmf.
+   margin (``_pmf_bound``); ``strict`` adds no pmf and spends no tails.
 3. Weak duality: with a level bound alpha' for every N of the segment, any
    threshold c and lam the likelihood ratio P1/P0 at c - 1, every
    level-alpha' test misses with probability at least P1{X < c} +
@@ -43,12 +43,11 @@ It starts at a certified size N0, below which no size is feasible
    increase with N: the size-M experiment is a binomial thinning of the
    size-N one for M < N (Blackwell 1953).  So a bound at hi - 1 above the
    fn budget by its slack makes every size in [lo, hi) infeasible.
-4. Chaining: under ``strict`` the level does not depend on the segment, so
-   one segment [1, N0) suffices; under ``published`` segments are chained
-   from the size below which P1{X < 1} alone exceeds the fn budget toward
-   the normal guess, in O(log answer) bound evaluations
-   (``_published_start``).  The climb from N0 ends where the climb from 1
-   does.
+4. Chaining: segments are chained from the size below which P1{X < 1}
+   alone exceeds the fn budget toward the normal guess, in O(log answer)
+   bound evaluations, under either convention: only the level differs,
+   fp_budget on every segment under ``strict`` (``_certified_start``).  The
+   climb from N0 ends where the climb from 1 does.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 from .errors import DomainError, Infeasible, validated
 from .kernels import (
     TAIL_ABS_TOL,
+    poisson_quantile_guess,
     poisson_tail,
     poisson_upper_quantile,
     smallest_int_where,
@@ -67,9 +67,10 @@ from .kernels import (
 
 Convention = Literal["published", "strict"]
 
-# fewest spoils that may alarm: a one-spoil alarm would make the published
-# miss event X <= k - 2 vacuous
-_THRESHOLD_FLOOR = {"published": 2, "strict": 1}
+# (floor, lag) per convention: the fewest spoils that may alarm (a one-spoil
+# alarm would make the published miss event X <= k - 2 vacuous), and k - j,
+# how far the miss index j lies below the alarm threshold k
+_CONVENTIONS = {"published": (2, 1), "strict": (1, 0)}
 # the climb stops once the alarm threshold passes this, to bound its work
 _THRESHOLD_CAP = 10**7
 
@@ -147,8 +148,9 @@ def _threshold(N: int, design: PassiveDesign, convention: Convention) -> tuple[i
     """Alarm threshold k at contest size N, floored per convention, and its
     miss index j: the attack is missed when fewer than j spoils occur, so
     j = k - 1 under ``published`` (X <= k - 2) and j = k under ``strict``."""
-    k = max(_THRESHOLD_FLOOR[convention], alarm_threshold(N, design))
-    return k, k - 1 if convention == "published" else k
+    floor, lag = _CONVENTIONS[convention]
+    k = max(floor, alarm_threshold(N, design))
+    return k, k - lag
 
 
 def _miss(N: int, design: PassiveDesign, j: int) -> float:
@@ -208,12 +210,6 @@ def _pmf_bound(mean: float, x: int) -> float:
     return math.exp(min(0.0, max(-700.0, exponent + 2.0**-48 * terms)))
 
 
-def _threshold_guess(mean: float, z: float) -> int:
-    """The continuity-corrected Cornish-Fisher guess of the smallest k with
-    P{Pois(mean) >= k} at most the normal upper-z level, rounded up."""
-    return math.ceil(mean + z * math.sqrt(mean) + (z * z + 2.0) / 6.0)
-
-
 def _segment_level(design: PassiveDesign, lo: int, hi: int, x_lo: int) -> float:
     """A bound on T0(N, k(N) - 1), the level of the ``published`` test, at
     every N in [lo, hi): fp_budget + TAIL_ABS_TOL plus a bound on the pmf
@@ -238,67 +234,53 @@ def _segment_miss(design: PassiveDesign, M: int, level: float) -> tuple[float, f
     always alarms meets without a miss."""
     if level >= 1.0:
         return 0.0, 0.0
-    c = max(1, _threshold_guess(M * design.base_rate, upper_normal_point(level)))
+    c = max(1, poisson_quantile_guess(M * design.base_rate, upper_normal_point(level)))
     return _np_miss(M, design, level, c)
 
 
 def _certified_start(design: PassiveDesign, convention: Convention) -> int:
     """A size N0 below which no size is feasible, a few alarm thresholds
-    short of the answer (module docstring).  The level bound is the only
-    convention switch.  Under ``strict`` it is fp_budget at every size, so
-    one segment [1, N0) suffices: ``smallest_int_where``, from the normal
-    approximation ((z_a sqrt(b) + z_b sqrt(b + a)) / a)**2, returns an N0
-    whose bound at N0 - 1 exceeds the fn budget by its slack (the predicate
-    need not be monotone for this).  Under ``published`` the level depends
-    on the segment, and ``_published_start`` chains segments.
+    short of the answer (module docstring): a chain of infeasible segments
+    [lo, hi) from floor(-log(fn_budget + 2 TAIL_ABS_TOL) / (b + a)), below
+    which P1{X < 1} = exp(-N (b + a)) alone exceeds the fn budget by more
+    than the tail error, toward the normal guess ((z_fp sqrt(b) + z_fn
+    sqrt(b + a)) / a)**2.
+
+    The segment's level is the only convention switch: fp_budget under
+    ``strict``, ``_segment_level`` under ``published``, whose x_lo costs fp
+    tails at lo, spent only where its guess reaches the segment's top mean.
+    The span doubles after two infeasible segments in a row and halves after
+    one that is not.  The chain stops once the span is below one threshold
+    period (1/b voters), or after four segments per halving of its first
+    span, so its work is O(log answer).  No segment passes 2**53.
     """
+    floor, lag = _CONVENTIONS[convention]
     b, a = design.base_rate, design.attack_rate
+    fp, fn = design.fp_budget, design.fn_budget
     z_fp = upper_normal_point(design.fp_budget)
-    z_fn = upper_normal_point(design.fn_budget)
-    root = (z_fp * math.sqrt(b) + z_fn * math.sqrt(b + a)) / a
-    if convention == "published":
-        return _published_start(design, root * root, z_fp)
-
-    def ok(N: int) -> bool:
-        c = poisson_upper_quantile(N * b, design.fp_budget)
-        fn, slack = _np_miss(N, design, design.fp_budget, c)
-        return fn <= design.fn_budget + slack
-
-    return smallest_int_where(ok, guess=root * root, what="voters")
-
-
-def _published_start(design: PassiveDesign, guess: float, z_fp: float) -> int:
-    """``_certified_start`` under ``published``: a chain of infeasible
-    segments [lo, hi) toward the normal guess, from floor(-log(fn_budget +
-    2 TAIL_ABS_TOL) / (b + a)), below which P1{X < 1} = exp(-N (b + a))
-    alone exceeds the fn budget by more than the tail error.
-
-    x_lo costs fp tails at lo, spent only where its guess reaches the
-    segment's top mean.  The span doubles after two infeasible segments in
-    a row and halves after one that is not.  The chain stops once the span
-    is below one threshold period (1/b voters), or after four segments per
-    halving of its first span, so its work is O(log answer).  No segment
-    passes 2**53.
-    """
-    b, fp, fn = design.base_rate, design.fp_budget, design.fn_budget
-    lo = -math.log(fn + 2.0 * TAIL_ABS_TOL) / (b + design.attack_rate)
+    root = (z_fp * math.sqrt(b) + upper_normal_point(design.fn_budget) * math.sqrt(b + a)) / a
+    guess = root * root  # inf, not OverflowError, past the float range
+    lo = -math.log(fn + 2.0 * TAIL_ABS_TOL) / (b + a)
     lo = max(1, math.floor(lo)) if lo < 2**53 else 2**53
     span = (math.floor(guess) if guess < 2**53 else 2**53) - lo
     x_lo = None  # a certified lower bound of k(lo) - 1, once tails are spent on it
 
     def fp_fails(k: int) -> bool:  # k(lo) > k
-        return k < 2 or poisson_tail(lo * b, k) > fp
+        return k < floor or poisson_tail(lo * b, k) > fp
 
     grow = False
     for _ in range(4 * max(0, math.floor(span * b)).bit_length()):
         if span < 1.0 / b or lo >= 2**53:
             break
         hi = min(lo + span, 2**53)
-        g = max(2, _threshold_guess(lo * b, z_fp))
-        if x_lo is None and g - 1 >= hi * b:
-            k_lo = _one_lower(fp_fails, g, 2)
-            x_lo = 0 if k_lo is None else k_lo - 1
-        miss, slack = _segment_miss(design, hi - 1, _segment_level(design, lo, hi, x_lo or 0))
+        level = fp
+        if lag:  # the test alarms at k(N) - 1: its level adds the pmf there
+            g = max(floor, poisson_quantile_guess(lo * b, z_fp))
+            if x_lo is None and g - 1 >= hi * b:
+                k_lo = _one_lower(fp_fails, g, floor)
+                x_lo = 0 if k_lo is None else k_lo - 1
+            level = _segment_level(design, lo, hi, x_lo or 0)
+        miss, slack = _segment_miss(design, hi - 1, level)
         if miss > fn + slack:
             lo, span, grow, x_lo = hi, 2 * span if grow else span, True, None
         else:
@@ -342,8 +324,7 @@ def _climb(N: int, design: PassiveDesign, convention: Convention) -> int:
     """The climb of ``min_contest_size`` from N, below which no size is
     feasible, to the smallest feasible size.  The design's rates and normal
     points are computed once for all its steps."""
-    floor = _THRESHOLD_FLOOR[convention]
-    lag = 1 if convention == "published" else 0  # k - j
+    floor, lag = _CONVENTIONS[convention]
     b, fp, fn = design.base_rate, design.fp_budget, design.fn_budget
     rate = b + design.attack_rate
     z_fp, z_fn = upper_normal_point(design.fp_budget), upper_normal_point(design.fn_budget)
@@ -356,7 +337,7 @@ def _climb(N: int, design: PassiveDesign, convention: Convention) -> int:
 
     while True:
         mean = N * b
-        g = max(floor, _threshold_guess(mean, z_fp))
+        g = max(floor, poisson_quantile_guess(mean, z_fp))
         k_lo = _one_lower(fp_fails, g, floor) if g <= _THRESHOLD_CAP else None
         if k_lo is not None:
             j = k_lo - lag
@@ -407,8 +388,9 @@ def min_contest_size(
     exact step, taken where a bound fails or would not pass N, stops the
     climb; where k(N) is pinned it runs the size search alone.  Where
     no size up to 2**53 is feasible, which limit comes first (the 1e7
-    threshold cap or 2**53) depends on the path; a bound could in principle
-    change it, but none has been seen to.
+    threshold cap or 2**53) depends on the path, so also on the start: a
+    start the chain certifies short of 2**53 can climb into the cap first.
+    From one start, the bounds have not been seen to change it.
 
     The argument holds from any start below which no size is feasible.
     The climb starts at ``_certified_start``, a few thresholds short of the
@@ -423,7 +405,7 @@ def min_contest_size(
     from another start may stop elsewhere, and both pass the N / N - 1
     certificate.
     """
-    if convention not in _THRESHOLD_FLOOR:
+    if convention not in _CONVENTIONS:
         raise DomainError(f"unknown convention {convention!r}")
     if design.attack_rate <= 0.0:
         raise Infeasible("attack is statistically invisible (margin * detect_rate = 0)")

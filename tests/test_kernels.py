@@ -450,14 +450,6 @@ def same_float(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-@pytest.fixture
-def fresh_normal_points():
-    """``upper_normal_point``'s cache emptied before and after the test."""
-    upper_normal_point.cache_clear()
-    yield
-    upper_normal_point.cache_clear()
-
-
 class TestUpperNormalPoint:
     """``-NormalDist().inv_cdf(p)`` bit for bit, from the C function under it
     or, where that is missing, from ``NormalDist`` itself."""
@@ -471,7 +463,7 @@ class TestUpperNormalPoint:
     def test_any_probability(self, p):
         assert same_float(upper_normal_point(p), -NormalDist().inv_cdf(p))
 
-    def test_fallback_without_the_c_function(self, monkeypatch, fresh_normal_points):
+    def test_fallback_without_the_c_function(self, monkeypatch):
         calls = []
 
         class CountingNormalDist(NormalDist):
@@ -479,7 +471,7 @@ class TestUpperNormalPoint:
                 calls.append(p)
                 return super().inv_cdf(p)
 
-        monkeypatch.setitem(sys.modules, "_statistics", None)  # a failed import
+        monkeypatch.setattr(kernels, "_normal_dist_inv_cdf", None)  # as after a failed import
         monkeypatch.setattr(statistics, "NormalDist", CountingNormalDist)
         for p in NORMAL_POINTS:
             assert same_float(upper_normal_point(p), -NormalDist().inv_cdf(p))

@@ -47,28 +47,6 @@ def poisson_sf_oracle(mean, k):
     return float(1 - mpmath.fsum(mpmath.e ** (-m) * m**i / mpmath.factorial(i) for i in range(k)))
 
 
-def np_miss_oracle(N, design):
-    """Miss probability of the randomized most powerful level-fp_budget test
-    at size N, at 50 digits from its exact threshold."""
-    alpha = mpmath.mpf(design.fp_budget)
-    m0 = mpmath.mpf(N * design.base_rate)
-    m1 = mpmath.mpf(N * (design.base_rate + design.attack_rate))
-
-    def sf(m, k):  # P{Pois(m) >= k}; mpmath's lower-integral series stalls at means ~1e6
-        return 1 - mpmath.gammainc(k, m, regularized=True)
-
-    def pmf(m, x):
-        return mpmath.exp(x * mpmath.log(m) - m - mpmath.loggamma(x + 1))
-
-    k = alarm_threshold(N, design)  # a float search: moved to the exact one below
-    while k > 1 and sf(m0, k - 1) <= alpha:
-        k -= 1
-    while sf(m0, k) > alpha:
-        k += 1
-    gamma = (alpha - sf(m0, k)) / pmf(m0, k - 1)
-    return 1 - sf(m1, k) - gamma * pmf(m1, k - 1)
-
-
 def ref_threshold(N, design, convention):
     """Smallest alarm threshold at size N meeting the fp budget, at least two
     spoils under ``published``; bisection on ``passive_power`` alone."""
@@ -340,23 +318,38 @@ class TestExactness:
         assert not any(ref_feasible(N, design, convention) for N in range(1, sol.contest_size))
 
 
-class TestCertifiedStart:
-    """The strict climb's start: no smaller size can be feasible."""
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
+
+class TestCertifiedStart:
+    """The climb's start under either convention: a chain of segments, each
+    infeasible by a Neyman-Pearson bound at a level that bounds the
+    convention's test there; no smaller size can be feasible."""
+
+    @pytest.mark.parametrize("convention", ["published", "strict"])
     @given(
-        margin=st.floats(0.005, 0.3),
-        d=st.floats(0.25, 0.9),
-        b=st.floats(-4, -1).map(lambda e: 10**e),
-        fp=st.sampled_from([1e-6, 1e-4, 0.01, 0.05, 0.3]),
-        fn=st.sampled_from([1e-6, 1e-4, 0.01, 0.05, 0.3]),
+        b=st.floats(0.001, 0.05),
+        d=st.floats(0.1, 0.9),
+        fp=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+        fn=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+        size=log_uniform(30, 2e5),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_start_is_below_answer_and_certified(self, margin, d, b, fp, fn):
-        design = PassiveDesign(margin, d, b, fp, fn)
-        start = _certified_start(design, "strict")
-        assert start <= min_contest_size(design, "strict").contest_size
-        if start > 1:
-            assert np_miss_oracle(start - 1, design) > fn
+    @example(b=0.015, d=0.25, fp=0.01, fn=0.01, size=2e5)
+    # margin 0.25: P1{X < 1} alone certifies the start, 217, one short of the answer
+    @example(b=0.001, d=0.5, fp=0.3, fn=1e-6, size=7.13)
+    @settings(max_examples=15, deadline=None)
+    def test_start_is_below_answer_and_certified(self, convention, b, d, fp, fn, size):
+        # the attack rate that puts the normal guess near ``size`` voters
+        z_fp, z_fn = -NormalDist().inv_cdf(fp), -NormalDist().inv_cdf(fn)
+        a = (z_fp + z_fn) * math.sqrt(b / size)
+        assume(2 * a / d < 1)
+        design = PassiveDesign(2 * a / d, d, b, fp, fn)
+        start = _certified_start(design, convention)
+        answer = min_contest_size(design, convention).contest_size
+        assert start <= answer <= 3e5
+        # brute force: every smaller size misses more than the fn budget allows
+        assert all(_achieved(N, design, convention)[2] > fn for N in range(1, start))
 
     @pytest.mark.parametrize(
         "args",
@@ -389,14 +382,10 @@ class TestCertifiedStart:
             design = PassiveDesign(margin, d, b, budget, budget)
             min_contest_size(design, "strict")
         assert len(cells) == 60
-        # ~2,400; a count below one tail per cell would mean the wrappers
-        # missed the binding the solver calls
+        # 2,512 from the segment chain; a count below one tail per cell
+        # would mean the wrappers missed the binding the solver calls
         assert 60 <= solver_calls["poisson_tail"] <= 4_000
         assert solver_calls["_smallest_fn_ok"] <= 200
-
-
-def log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
 class TestSizeSearch:
@@ -450,10 +439,7 @@ class TestSizeSearch:
         # the normal guess (z_fp + z_fn sqrt(2))**2 / a, a = rate / 2, is scale * 2**53
         z_fp, z_fn = -NormalDist().inv_cdf(fp), -NormalDist().inv_cdf(fn)
         design = self.at_rate(2 * (z_fp + z_fn * math.sqrt(2)) ** 2 / (scale * 2**53), fp, fn)
-        try:
-            assert _certified_start(design, "strict") <= 2**53
-        except Infeasible as exc:
-            assert "more than 2**53 voters needed" in str(exc)
+        assert _certified_start(design, "strict") <= 2**53
 
     @pytest.mark.parametrize(
         "rate,fn,j",
@@ -466,8 +452,11 @@ class TestSizeSearch:
 
     @pytest.mark.parametrize("rate", [1e-310, 1e-20], ids=["infinite-guess", "finite-guess"])
     def test_certified_start_past_2_53_is_infeasible(self, rate):
+        # the start stops at 2**53, where the climb's first step raises
+        design = self.at_rate(rate, 0.05, 0.05)
+        assert _certified_start(design, "strict") <= 2**53
         with pytest.raises(Infeasible, match=r"more than 2\*\*53 voters needed"):
-            _certified_start(self.at_rate(rate, 0.05, 0.05), "strict")
+            min_contest_size(design, "strict")
 
 
 def t0_oracle(mean, x):
@@ -508,29 +497,8 @@ def segments(draw, pmf):
 
 
 class TestPublishedStart:
-    """The published climb's start: chained segments, each infeasible by a
-    Neyman-Pearson bound at a level that bounds the published test there."""
-
-    @given(
-        b=st.floats(0.001, 0.05),
-        d=st.floats(0.1, 0.9),
-        fp=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
-        fn=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
-        size=log_uniform(30, 2e5),
-    )
-    @example(b=0.015, d=0.25, fp=0.01, fn=0.01, size=2e5)
-    @settings(max_examples=15, deadline=None)
-    def test_start_is_below_answer_and_certified(self, b, d, fp, fn, size):
-        # the attack rate that puts the normal guess near ``size`` voters
-        z_fp, z_fn = -NormalDist().inv_cdf(fp), -NormalDist().inv_cdf(fn)
-        a = (z_fp + z_fn) * math.sqrt(b / size)
-        assume(2 * a / d < 1)
-        design = PassiveDesign(2 * a / d, d, b, fp, fn)
-        start = _certified_start(design, "published")
-        answer = min_contest_size(design, "published").contest_size
-        assert start <= answer <= 3e5
-        # brute force: every smaller size misses more than the fn budget allows
-        assert all(_achieved(N, design, "published")[2] > fn for N in range(1, start))
+    """The published start's segment level: the benign pmf it adds bounds
+    the published test's level, and the chain's work stays O(log answer)."""
 
     @pytest.mark.parametrize("pmf", ["threshold", "mode"])
     @given(data=st.data())
@@ -674,6 +642,13 @@ class TestBoundedClimb:
         else:
             with pytest.raises(Infeasible, match=re.escape(expected)):
                 min_contest_size(design)
+
+    @pytest.mark.parametrize("convention", ["published", "strict"])
+    def test_both_conventions_reach_the_threshold_cap(self, convention):
+        # no size up to 2**53 is feasible; both starts stop short of it and
+        # climb into the cap
+        with pytest.raises(Infeasible, match="larger thresholds are not searched"):
+            min_contest_size(PassiveDesign(1e-5, 0.001, 0.05, 0.05, 0.05), convention)
 
     def test_bounds_save_the_published_climb(self, solver_calls):
         """On the 60 published-grid cells the climb from N = 1 on exact
