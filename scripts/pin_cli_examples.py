@@ -8,8 +8,8 @@ The file holds one block per call: a ``$ bmdlimits ...`` line with the
 call's arguments, then its exact stdout.  The calls are the README's
 command-line examples in order, then ``EXTRA``: the ``json-lines`` output of
 each record-emitting form, one ``markdown`` table, the simulator's
-``--seed`` override and the published grid under ``--convention strict`` at
-both budgets.  ``tests/test_cli_examples.py`` replays every block
+``--seed`` override, a script tester's logic-and-accuracy deck and the
+published grid under ``--convention strict`` at both budgets.  ``tests/test_cli_examples.py`` replays every block
 through ``cli.run``, and CI compares the stdout of each numpy-free call,
 run in a fresh interpreter, with its block.
 """
@@ -42,6 +42,7 @@ EXTRA = [
     ["--format", "json-lines", "simulate", "--scenario", "scenarios/passive_poisson_gap.json"],
     ["--format", "markdown", "minimax", "--zeta-grid"],
     ["simulate", "--scenario", "scenarios/whole_space_flip.json", "--seed", "11"],
+    ["simulate", "--scenario", "scenarios/logic_and_accuracy_scripts.json"],
     ["passive", "--convention", "strict", "--fp", "0.05", "--fn", "0.05", "--margin", "0.01,0.02,0.03,0.04,0.05",
      "--detect-rate", "0.07,0.25", "--base-rate", "0.005,0.01,0.015"],
     ["passive", "--convention", "strict", "--fp", "0.01", "--fn", "0.01", "--margin", "0.01,0.02,0.03,0.04,0.05",

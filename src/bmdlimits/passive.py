@@ -16,9 +16,9 @@ Two accounting conventions for the miss probability are provided:
 
 The solver climbs from N toward need(N), the smallest size meeting the fn
 budget at N's alarm threshold, mostly by jumps to lower bounds of need(N)
-that two Poisson tails certify, one per closed-form guess, plus one more
-for a guess one too high, retried one lower; the sizes they skip are
-infeasible, so it stops where N <- need(N) does (see ``min_contest_size``).
+that two Poisson tails certify, one per closed-form guess; the sizes they
+skip are infeasible, so it stops where N <- need(N) does (see
+``min_contest_size``).
 It starts at a certified size N0, below which no size is feasible
 (``_certified_start``), a few alarm thresholds short of the answer:
 
@@ -28,7 +28,7 @@ It starts at a certified size N0, below which no size is feasible
    k(N) - 1", whose level T0(N, k(N)) + p0(N, k(N) - 1) is at most
    fp_budget + TAIL_ABS_TOL plus the benign pmf at k(N) - 1.
 2. The pmf over a segment [lo, hi) of sizes (``_segment_level``).  With
-   x_lo a certified lower bound of k(lo) - 1 (one or two fp tails), and
+   x_lo a certified lower bound of k(lo) - 1 (one fp tail), and
    x_lo >= hi*b, p0(N, k(N) - 1) <= p0(hi*b, x_lo): above the mean the pmf
    falls in x, and below x it rises in the mean.  Otherwise the largest
    pmf at lo's mean bounds it, since the largest pmf of Pois(m) does not
@@ -53,7 +53,7 @@ It starts at a certified size N0, below which no size is feasible
 from __future__ import annotations
 
 import math
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import DomainError, Infeasible, validated
 from .kernels import (
@@ -247,8 +247,9 @@ def _certified_start(design: PassiveDesign, convention: Convention) -> int:
     sqrt(b + a)) / a)**2.
 
     The segment's level is the only convention switch: fp_budget under
-    ``strict``, ``_segment_level`` under ``published``, whose x_lo costs fp
-    tails at lo, spent only where its guess reaches the segment's top mean.
+    ``strict``, ``_segment_level`` under ``published``, whose x_lo costs one
+    fp tail at lo (``_fp_fails``), spent only where its guess reaches the
+    segment's top mean.
     The span doubles after two infeasible segments in a row and halves after
     one that is not.  The chain stops once the span is below one threshold
     period (1/b voters), or after four segments per halving of its first
@@ -263,11 +264,7 @@ def _certified_start(design: PassiveDesign, convention: Convention) -> int:
     lo = -math.log(fn + 2.0 * TAIL_ABS_TOL) / (b + a)
     lo = max(1, math.floor(lo)) if lo < 2**53 else 2**53
     span = (math.floor(guess) if guess < 2**53 else 2**53) - lo
-    x_lo = None  # a certified lower bound of k(lo) - 1, once tails are spent on it
-
-    def fp_fails(k: int) -> bool:  # k(lo) > k
-        return k < floor or poisson_tail(lo * b, k) > fp
-
+    x_lo = None  # a certified lower bound of k(lo) - 1, once a tail is spent on it
     grow = False
     for _ in range(4 * max(0, math.floor(span * b)).bit_length()):
         if span < 1.0 / b or lo >= 2**53:
@@ -277,8 +274,7 @@ def _certified_start(design: PassiveDesign, convention: Convention) -> int:
         if lag:  # the test alarms at k(N) - 1: its level adds the pmf there
             g = max(floor, poisson_quantile_guess(lo * b, z_fp))
             if x_lo is None and g - 1 >= hi * b:
-                k_lo = _one_lower(fp_fails, g, floor)
-                x_lo = 0 if k_lo is None else k_lo - 1
+                x_lo = g - 1 if _fp_fails(lo * b, design, floor, g - 1) else 0
             level = _segment_level(design, lo, hi, x_lo or 0)
         miss, slack = _segment_miss(design, hi - 1, level)
         if miss > fn + slack:
@@ -307,17 +303,10 @@ def _fn_guess(j: int, z: float, rate: float) -> float:
     return j * (1.0 - 1.0 / (9 * j) + z / (3.0 * math.sqrt(j))) ** 3 / rate
 
 
-def _one_lower(fails: Callable[[int], bool], guess: int, least: int) -> int | None:
-    """A certified lower bound, at least ``least``, on the point x0 where
-    ``fails`` turns false (true below x0, false from it on), from a guess >=
-    least: the guess if fails(guess - 1); else guess - 1, which is then x0
-    itself, if fails(guess - 2); else None.  A guess one too high costs one
-    more evaluation instead of an exact search."""
-    if fails(guess - 1):
-        return guess
-    if guess > least and fails(guess - 2):
-        return guess - 1
-    return None
+def _fp_fails(mean: float, design: PassiveDesign, floor: int, k: int) -> bool:
+    """Whether the alarm threshold at benign mean ``mean`` exceeds k, by one
+    tail: k is below the floor or the fp budget fails at k."""
+    return k < floor or poisson_tail(mean, k) > design.fp_budget
 
 
 def _climb(N: int, design: PassiveDesign, convention: Convention) -> int:
@@ -325,37 +314,26 @@ def _climb(N: int, design: PassiveDesign, convention: Convention) -> int:
     feasible, to the smallest feasible size.  The design's rates and normal
     points are computed once for all its steps."""
     floor, lag = _CONVENTIONS[convention]
-    b, fp, fn = design.base_rate, design.fp_budget, design.fn_budget
+    b, fn = design.base_rate, design.fn_budget
     rate = b + design.attack_rate
     z_fp, z_fn = upper_normal_point(design.fp_budget), upper_normal_point(design.fn_budget)
-
-    def fp_fails(k: int) -> bool:  # k(N) > k, at the current N's mean
-        return k < floor or poisson_tail(mean, k) > fp
-
-    def fn_fails(M: int) -> bool:  # need > M at the current miss index j
-        return _miss(M, design, j) > fn
-
     while True:
-        mean = N * b
-        g = max(floor, poisson_quantile_guess(mean, z_fp))
-        k_lo = _one_lower(fp_fails, g, floor) if g <= _THRESHOLD_CAP else None
-        if k_lo is not None:
-            j = k_lo - lag
+        g = max(floor, poisson_quantile_guess(N * b, z_fp))
+        if g <= _THRESHOLD_CAP and _fp_fails(N * b, design, floor, g - 1):
+            j = g - lag  # k(N) >= g; need(N) >= c if the miss at j fails at c - 1
             h = _fn_guess(j, z_fn, rate)
-            if N < h <= 2**53 and (step := _one_lower(fn_fails, math.ceil(h), N + 1)) is not None:
-                N = step
+            if N < h <= 2**53 and _miss((c := math.ceil(h)) - 1, design, j) > fn:
+                N = c
                 continue
-        if k_lo != g - 1:  # k(N) is not pinned: search for it
-            k, j = _threshold(N, design, convention)
-            if k > _THRESHOLD_CAP:
-                raise Infeasible(
-                    "no alarm threshold below 1e7 meets both budgets;"
-                    " larger thresholds are not searched"
-                )
-        need = _smallest_fn_ok(design, j)
-        if need <= N:
+        k, j = _threshold(N, design, convention)
+        if k > _THRESHOLD_CAP:
+            raise Infeasible(
+                "no alarm threshold below 1e7 meets both budgets;"
+                " larger thresholds are not searched"
+            )
+        if _miss(N, design, j) <= fn:
             return N
-        N = need
+        N = _smallest_fn_ok(design, j)
 
 
 def min_contest_size(
@@ -378,19 +356,18 @@ def min_contest_size(
        L <= need(N): climbing from N = 1 to any such L while N < need(N)
        stops at the smallest feasible size.
 
-    Each step of ``_climb`` climbs to such an L, certified by one tail per
-    guess, with g and c the exact searches' own guesses (c the ceiling of
-    ``_fn_guess``): k(N) >= g if the fp budget fails at g - 1, and need(N)
-    >= c if the fn budget fails at size c - 1 at g's miss index (need is no
-    larger at a lower threshold).  A guess one too high is retried one
-    lower with one more tail: k(N) = g - 1 if the fp budget fails at g - 2,
-    and need(N) >= c - 1 if the fn budget fails at size c - 2.  Only an
-    exact step, taken where a bound fails or would not pass N, stops the
-    climb; where k(N) is pinned it runs the size search alone.  Where
-    no size up to 2**53 is feasible, which limit comes first (the 1e7
-    threshold cap or 2**53) depends on the path, so also on the start: a
-    start the chain certifies short of 2**53 can climb into the cap first.
-    From one start, the bounds have not been seen to change it.
+    Each step of ``_climb`` takes one of two rules.  A bounded step climbs
+    to such an L, certified by one tail per guess, with g and c the exact
+    searches' own guesses (c the ceiling of ``_fn_guess``): k(N) >= g if
+    the fp budget fails at g - 1, and need(N) >= c if the fn budget fails at
+    size c - 1 at g's miss index (need is no larger at a lower threshold).
+    Where a bound fails or would not pass N, an exact step takes k(N) and
+    stops if N meets the fn budget there (the feasibility certificate
+    itself), else climbs to need(N).  Where no size up to 2**53 is
+    feasible, which limit comes first (the 1e7 threshold cap or 2**53)
+    depends on the path, so also on the start: a start the chain certifies
+    short of 2**53 can climb into the cap first.  From one start, the
+    bounded steps have not been seen to change it.
 
     The argument holds from any start below which no size is feasible.
     The climb starts at ``_certified_start``, a few thresholds short of the
@@ -403,7 +380,8 @@ def min_contest_size(
     computed miss probability wobbles by an ulp between neighbouring sizes,
     so the minimum holds to within a few voters (2-6 seen): a climb
     from another start may stop elsewhere, and both pass the N / N - 1
-    certificate.
+    certificate.  The climb stops only where N passes its own feasibility
+    certificate, so the wobble cannot stop it at a size that fails it.
     """
     if convention not in _CONVENTIONS:
         raise DomainError(f"unknown convention {convention!r}")

@@ -35,7 +35,10 @@ double read is the one a single draw of the whole chunk puts there, so
 neither the order nor the block size ever changes a report.  A chunk holds
 one float array of a block at a time (8 bytes per cell) and the kept
 positions, whatever the test count.  The binomial continues from the flips'
-generator, which the last flip block leaves where the one-shot draw did.
+generator, which the last flip block leaves where the one-shot draw did.  A
+script tester's hit row counts as one more array, of mass its matching
+share, that costs no draw: sparser than the flips, it is read first, so the
+flips are read only at its columns.
 
 A uniform lies in an allowed run iff an odd number of run ends lie at or
 below it.  For a few ends the chunk compares it with each end; for more it
@@ -370,7 +373,10 @@ def _triggered_tests(
     (``tests.masses``, or ``q`` for the flips) is read in full, and each
     other, in order of mass, only at the cells that every array before it
     kept (``_read_at``).  An array of mass 0 or 1 keeps no cell or every
-    cell, so it is advanced past the block unread.
+    cell, so it is advanced past the block unread.  A script's ``hit`` row
+    is read first where it keeps fewer of the block's columns than ``q``
+    does of the flips, so the flips are read only at its columns; otherwise
+    it filters the kept cells at the end.
     """
     width = cols.stop - cols.start
     cells = rows * width
@@ -379,6 +385,9 @@ def _triggered_tests(
         for mass, rng, ends, guide in zip(tests.masses, rngs, tests.runs, tests.guides)
     ]
     kept = None  # every cell
+    hit = None if tests.hit is None else tests.hit[cols]
+    if hit is not None and np.count_nonzero(hit) < q * width:
+        kept, hit = (np.arange(rows)[:, None] * width + np.flatnonzero(hit)).ravel(), None
     for mass, rng, keeps in sorted(arrays, key=lambda array: array[0]):
         if mass in (0.0, 1.0):
             rng.bit_generator.advance(cells)
@@ -390,8 +399,8 @@ def _triggered_tests(
             kept = kept[keeps(_read_at(rng, kept, cells))]
     if kept is None:
         kept = np.arange(cells)
-    if tests.hit is not None:
-        kept = kept[tests.hit[cols][kept % width]]
+    if hit is not None:
+        kept = kept[hit[kept % width]]
     return kept
 
 
@@ -617,13 +626,17 @@ def _draws_per_test(tests: _TestDraw, q: float) -> float:
     """Uniform draws one test costs as ``_triggered_tests`` reads it: the
     array of least mass in full, and each next one at the share of cells
     still kept, a jump counted as ``_JUMP_DRAWS`` draws, up to a full read.
-    Arrays of mass 0 or 1 are not read, and after one of mass 0 none is."""
+    Arrays of mass 0 or 1 are not read, and after one of mass 0 none is.  A
+    script's hit row is an array of its matching share that costs nothing."""
+    arrays = [(q, 1.0)] + [(mass, 1.0) for mass in tests.masses]
+    if tests.hit is not None:
+        arrays.append((np.count_nonzero(tests.hit) / max(tests.count, 1), 0.0))  # no scripts: share 0
     draws = 0.0
     kept = 1.0
-    for mass in sorted((q, *tests.masses)):
+    for mass, cost in sorted(arrays, key=lambda array: array[0]):
         if mass in (0.0, 1.0):
             break
-        draws += min(1.0, kept * _JUMP_DRAWS)
+        draws += cost * min(1.0, kept * _JUMP_DRAWS)
         kept *= mass
     return draws
 

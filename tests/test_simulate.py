@@ -12,6 +12,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -346,10 +347,19 @@ class TestPoolBreakEven:
         run_parallel_sim(s._replace(mallory=s.mallory._replace(flip_prob=0.5)), workers=4)
         assert sent["pools"] == [3]
 
+    @pytest.mark.parametrize("q, per_test", [(0.05, 0.002 * simulate._JUMP_DRAWS), (0.0005, 1.0)])
+    def test_script_hit_row_costs_no_draw(self, q, per_test):
+        # the hit row (a share of 0.002) keeps the flips' cells below q, or
+        # filters them after a full read above it
+        tests = simulate._resolve_tests(script_read_scenario(q))[0]
+        assert simulate._draws_per_test(tests, q) == pytest.approx(per_test)
+
     @pytest.mark.parametrize("name, pools", [
         ("passive_poisson_gap", []),  # 100,000 trials of four binomials: 6.4 M draws
         ("subpopulation_attack", [2]),  # 299 tests of one trigger array, flips certain: 31.5 M draws
         ("rare_flip_attack", [2]),  # 1,000 flips and 2 trigger cells jumped to: 34.7 M draws
+        # 1,000 scripts, one matching: its flip jumped to, 376 draws a trial, 18.8 M
+        ("logic_and_accuracy_scripts", [2]),
     ])
     def test_shipped_scenarios(self, monkeypatch, scenario_dir, name, pools):
         sent = inline_pool(monkeypatch)
@@ -359,7 +369,10 @@ class TestPoolBreakEven:
     @pytest.mark.usefixtures("pool_forced")
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize(
-        "name", ["passive_poisson_gap", "subpopulation_attack", "whole_space_flip", "rare_flip_attack"]
+        "name", [
+            "passive_poisson_gap", "subpopulation_attack", "whole_space_flip", "rare_flip_attack",
+            "logic_and_accuracy_scripts",
+        ]
     )
     def test_forced_pool_keeps_the_bytes(self, scenario_dir, name, workers):
         # real worker processes
@@ -406,6 +419,13 @@ class TestParallelSim:
     def test_zero_tests(self):
         s = scenario(pat=PatStrategy(mode="uniform", test_count=0))
         report = run_parallel_sim(s)
+        assert report.empirical_detection.value == 0.0
+
+    def test_zero_scripts(self):
+        s = scenario(pat=PatStrategy(mode="script", test_count=0, scripts=()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty hit row has no share to divide out
+            report = run_parallel_sim(s)
         assert report.empirical_detection.value == 0.0
 
 
@@ -1088,6 +1108,55 @@ class TestScriptPins:
         assert run_parallel_sim(script_pin_scenario(), workers=workers).to_json() == SCRIPT_PINNED
 
 
+def script_read_scenario(q: float) -> SimScenario:
+    """1,000 scripts against a two-attribute trigger, of which the two (3, 1)
+    scripts match: a hit share of 0.002, below a flip probability ``q`` of
+    0.05 and above one of 0.0005."""
+    scripts = tuple(Transaction((3, 1) if i in (17, 600) else (i % 10, 0)) for i in range(1000))
+    return scenario(
+        mallory=MalloryStrategy.from_mapping({"profile": [3], "review": [1]}, q),
+        pat=PatStrategy("script", 1000, scripts=scripts),
+        trials=2 * CHUNK_TRIALS + 11,
+        seed=4242,
+    )
+
+
+#: Reports of a script tester that reads every flip and then filters by its
+#: hit row, byte for byte.
+SCRIPT_READ_PINNED = {
+    "hits-below-q": (
+        '{"label": "", "trials": 8203, "seed": 4242, '
+        '"empirical_detection": {"value": 0.10410825307814214, '
+        '"std_error": 0.0033719722485444988, "trials": 8203}, '
+        '"empirical_altered_fraction": {"value": 0.0025127392417408265, '
+        '"std_error": 2.472043064244792e-05, "trials": 8203}, '
+        '"empirical_fp": null, "empirical_fn": null, '
+        '"analytic": {"triggered_scripts": 2.0, "detection": 0.0975, '
+        '"altered_fraction": 0.0025000000000000005}}'
+    ),
+    "hits-above-q": (
+        '{"label": "", "trials": 8203, "seed": 4242, '
+        '"empirical_detection": {"value": 0.0014628794343532854, '
+        '"std_error": 0.00042198791982195306, "trials": 8203}, '
+        '"empirical_altered_fraction": {"value": 2.68194562964769e-05, '
+        '"std_error": 2.557100533547039e-06, "trials": 8203}, '
+        '"empirical_fp": null, "empirical_fn": null, '
+        '"analytic": {"triggered_scripts": 2.0, "detection": 0.00099975, '
+        '"altered_fraction": 2.5e-05}}'
+    ),
+}
+SCRIPT_READ_Q = {"hits-below-q": 0.05, "hits-above-q": 0.0005}
+
+
+class TestScriptReadPins:
+    @pytest.mark.usefixtures("pool_forced")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("share", list(SCRIPT_READ_PINNED))
+    def test_parallel(self, share, workers):
+        report = run_parallel_sim(script_read_scenario(SCRIPT_READ_Q[share]), workers=workers)
+        assert report.to_json() == SCRIPT_READ_PINNED[share]
+
+
 class TestResolvedOnce:
     @pytest.mark.parametrize("run", [run_parallel_sim, run_passive_sim])
     def test_scenario_resolution_does_not_grow_with_chunks(self, monkeypatch, run):
@@ -1385,6 +1454,18 @@ class TestReadOrder:
         # both generators stand past the block: the flips' where the binomial starts
         assert np.array_equal(rngs[1].rng.random(3), one_shot.random(3))
 
+    @pytest.mark.parametrize("q, drawn", [(0.05, 0), (0.0005, 40 * 1000)])
+    def test_script_flips_read_only_at_hits_below_q(self, q, drawn):
+        tests = simulate._resolve_tests(script_read_scenario(q))[0]
+        seq = np.random.SeedSequence(5)
+        [rng] = [CountingGenerator(rng) for rng in simulate._array_rngs(seq, 1, 40 * 1000)]
+        fired = simulate._triggered_tests(tests, [rng], q, 40, slice(0, 1000))
+        # below q the flips are read by jumps at the 80 hit cells; above it in full
+        assert rng.drawn == drawn
+        u = np.random.default_rng(seq).random(40 * 1000)
+        assert np.array_equal(fired, np.flatnonzero((u < q) & np.tile(tests.hit, 40)))
+        assert np.array_equal(rng.rng.random(3), np.random.default_rng(seq).random(40 * 1000 + 3)[-3:])
+
 
 # -- every pin again, with each block read another way -------------------------
 
@@ -1406,6 +1487,11 @@ class TestFactoredPinsEveryRead(TestFactoredPins):
 
 @pytest.mark.usefixtures("read_regime")
 class TestScriptPinsEveryRead(TestScriptPins):
+    pass
+
+
+@pytest.mark.usefixtures("read_regime")
+class TestScriptReadPinsEveryRead(TestScriptReadPins):
     pass
 
 
