@@ -8,8 +8,9 @@ The file holds one block per call: a ``$ bmdlimits ...`` line with the
 call's arguments, then its exact stdout.  The calls are the README's
 command-line examples in order, then ``EXTRA``: the ``json-lines`` output of
 each record-emitting form, one ``markdown`` table, the simulator's
-``--seed`` override, a script tester's logic-and-accuracy deck and the
-published grid under ``--convention strict`` at both budgets.  ``tests/test_cli_examples.py`` replays every block
+``--seed`` override, a script tester's logic-and-accuracy deck, the
+published grid under ``--convention strict`` at both budgets and an oracle
+above 64 flawed printouts.  ``tests/test_cli_examples.py`` replays every block
 through ``cli.run``, and CI compares the stdout of each numpy-free call,
 run in a fresh interpreter, with its block.
 """
@@ -47,6 +48,7 @@ EXTRA = [
      "--detect-rate", "0.07,0.25", "--base-rate", "0.005,0.01,0.015"],
     ["passive", "--convention", "strict", "--fp", "0.01", "--fn", "0.01", "--margin", "0.01,0.02,0.03,0.04,0.05",
      "--detect-rate", "0.07,0.25", "--base-rate", "0.005,0.01,0.015"],
+    ["oracle", "--population", "1000000000000000", "--flawed", "65"],
 ]
 
 

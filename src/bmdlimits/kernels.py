@@ -52,25 +52,28 @@ def poisson_tail(mean: float, k: int) -> float:
         s = float(Fraction(mean) - k) / k
     else:
         s = (mean - k) / k
-    if -0.3 < s < 0.3:
-        # eta**2 / 2 = s - log(1 + s) = s t - 2 (atanh(t) - t) with
-        # t = s / (2 + s): the series of atanh(t) - t keeps the digits that
-        # s - log1p(s) cancels near s = 0
-        t = s / (2.0 + s)
-        t2 = t * t
-        half_eta_sq = s * t - 2.0 * t * t2 * (
-            1 / 3 + t2 * (1 / 5 + t2 * (1 / 7 + t2 * (1 / 9 + t2 * (1 / 11 + t2 * (
-                1 / 13 + t2 * (1 / 15 + t2 * (1 / 17 + t2 * (1 / 19 + t2 * (1 / 21 + t2 / 23)))))))))
-        )
-    elif s > -1.0:
-        half_eta_sq = s - log1p(s)
-    else:  # mean < k * 2**-53: the tail is below exp(-35 k)
+    if s <= -1.0:  # mean < k * 2**-53: the tail is below exp(-35 k)
         return 0.0
+    half_eta_sq = _s_minus_log1p(s)  # eta**2 / 2
     u = k * half_eta_sq
     if u > 750.0:  # exp(-u) underflows: the tail is 0 or 1 in double precision
         return 1.0 if s > 0.0 else 0.0
     eta = copysign(sqrt(2.0 * half_eta_sq), s)
     return 0.5 * erfc(-copysign(sqrt(u), s)) - exp(-u) * _INV_SQRT_2PI / sqrt(k) * _temme_sum(eta, k)
+
+
+def _s_minus_log1p(s: float) -> float:
+    """s - log(1 + s) for s > -1.  For |s| < 0.3 it is s t - 2 (atanh(t) - t)
+    with t = s / (2 + s): the series of atanh(t) - t keeps the digits that
+    s - log1p(s) cancels near s = 0."""
+    if -0.3 < s < 0.3:
+        t = s / (2.0 + s)
+        t2 = t * t
+        return s * t - 2.0 * t * t2 * (
+            1 / 3 + t2 * (1 / 5 + t2 * (1 / 7 + t2 * (1 / 9 + t2 * (1 / 11 + t2 * (
+                1 / 13 + t2 * (1 / 15 + t2 * (1 / 17 + t2 * (1 / 19 + t2 * (1 / 21 + t2 / 23)))))))))
+        )
+    return s - log1p(s)
 
 
 def _pmf_tail(mean: float, k: int) -> float:
@@ -155,14 +158,13 @@ def poisson_upper_quantile(mean: float, alpha: float) -> int:
     return smallest_int_where(lambda k: poisson_tail(mean, k) <= alpha, guess=guess, hi_limit=None)
 
 
-#: Largest population the solvers pass to ``log_no_replacement_miss_prob``:
-#: ``math.lgamma`` overflows past about 2.56e305, where x ln x leaves the
-#: float range.
-_LGAMMA_LIMIT = 2.5e305
-
-
 #: Most factors ``log_no_replacement_miss_prob`` sums one by one.
 _FEW_FACTORS = 64
+
+#: Below this argument Stirling's remainder is taken from ``math.lgamma``.
+_STIRLING_SERIES_FROM = 16
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> float:
@@ -173,9 +175,22 @@ def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> fl
     i.e. C(population - flawed, draws) / C(population, draws), which is
     C(population - draws, flawed) / C(population, flawed).  With at most
     ``_FEW_FACTORS`` flawed or drawn units it is an ``fsum`` of those few log
-    factors, each within a few ulps at any population V; otherwise a
-    difference of ``lgamma`` values, off by about 4 * 2**-53 * V ln V in the
-    log.  Past ``_LGAMMA_LIMIT`` the population overflows ``math.lgamma``.
+    factors, each within a few ulps at any population V.  Above that, with f
+    the fewer and m the more of the two, it is a Stirling difference in log1p
+    form (DLMF 5.11):
+
+        ln P = f ln((V - m + 1) / (V + 1)) + Q(V - m + 1) - Q(V + 1),
+        Q(y) = ln Γ(y) - ln Γ(y - f) - f ln y = sum_{i=1}^{f} log(1 - i/y)
+             = (y - f - 1/2) h(-f/y) - (f + 1/2) f/y + w(y) - w(y - f),
+
+    with h(s) = s - log(1 + s) and w(x) = ln Γ(x) - (x - 1/2) ln x + x - ln(2π)/2
+    Stirling's remainder: its four terms 1/(12x) - 1/(360x³) + 1/(1260x⁵) -
+    1/(1680x⁷) from x = ``_STIRLING_SERIES_FROM`` = 16 on, where the fifth,
+    the truncation error, is below 1.2e-14, and ``math.lgamma`` of x < 16
+    below.  Q grows with y, so both parts of ln P are at most 0 and no digits
+    cancel.  Against 50-digit ``mpmath`` the log is within 2**-49 (16 * 2**-53)
+    of its size at any V in the float range, the domain of this branch
+    (tests/test_kernels.py); the worst of 15,000 random queries was 4.8 * 2**-53.
     """
     if population < 1:
         raise DomainError(f"population must be >= 1, got {population}")
@@ -193,13 +208,27 @@ def log_no_replacement_miss_prob(population: int, flawed: int, draws: int) -> fl
         if 2 * many < population - few:  # every many / top is below 1/2
             return math.fsum([log1p(-many / top) for top in tops])
         return math.fsum([math.log((top - many) / top) for top in tops])
-    good = population - flawed
-    return (
-        math.lgamma(good + 1)
-        - math.lgamma(good - draws + 1)
-        - math.lgamma(population + 1)
-        + math.lgamma(population - draws + 1)
-    )
+    top = population + 1
+    head = log1p(-many / top) if 2 * many < top else math.log((top - many) / top)
+    return few * head + _stirling_gap(top - many, few) - _stirling_gap(top, few)
+
+
+def _stirling_gap(y: int, f: int) -> float:
+    """Q(y) = ln Γ(y) - ln Γ(y - f) - f ln y of ``log_no_replacement_miss_prob``,
+    for y - f >= 1.  From s = -f/y <= -1/2 on, h(s) takes ln((y - f) / y) of
+    the exact ratio, not log1p of the rounded s, which loses digits near -1."""
+    s = -f / y
+    h = _s_minus_log1p(s) if 2 * f < y else s - math.log((y - f) / y)
+    x, y = float(y - f), float(y)  # 1.0 / (y * y) of an int y past 1e154 overflows
+    return (x - 0.5) * h + (f + 0.5) * s + _stirling_remainder(y) - _stirling_remainder(x)
+
+
+def _stirling_remainder(x: float) -> float:
+    """w(x) = ln Γ(x) - (x - 1/2) ln x + x - ln(2π)/2 for x >= 1."""
+    if x < _STIRLING_SERIES_FROM:
+        return math.lgamma(x) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
+    t = 1.0 / (x * x)
+    return (1 / 12 - t * (1 / 360 - t * (1 / 1260 - t / 1680))) / x
 
 
 def smallest_int_where(

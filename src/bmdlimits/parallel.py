@@ -8,12 +8,7 @@ import sys
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import DomainError, Infeasible, validated
-from .kernels import (
-    _LGAMMA_LIMIT,
-    check_float_range,
-    log_no_replacement_miss_prob,
-    smallest_int_where,
-)
+from .kernels import check_float_range, log_no_replacement_miss_prob, smallest_int_where
 
 Sampling = Literal["with_replacement", "without_replacement"]
 
@@ -29,8 +24,7 @@ class OracleBoundQuery(NamedTuple):
     def _check(self) -> None:
         if self.population < 1:
             raise DomainError("population must be >= 1")
-        if self.population > _LGAMMA_LIMIT:
-            raise DomainError("population is too large for math.lgamma (above 2.5e305)")
+        check_float_range(population=self.population)
         if not 0 <= self.flawed <= self.population:
             raise DomainError("flawed must be in [0, population]")
         if not 0.0 < self.confidence < 1.0:
@@ -130,22 +124,18 @@ def min_electorate_for_budget(
     altered count is re-rounded at each size), so the scan is linear; it stops
     below 10**6 machines.
     """
-    # the miss probability, and the largest electorate it takes: past the
-    # float range, or without replacement the range of math.lgamma
     if sampling == "with_replacement":
 
         def log_miss_at(v: int, f: int, n: int) -> float:
             # with every voter altered every test finds one
             return n * math.log1p(-f / v) if f < v else -math.inf
 
-        limit, why = sys.float_info.max, "to convert to a float (above 1.8e308)"
     elif sampling == "without_replacement":
         log_miss_at = log_no_replacement_miss_prob
-        limit, why = _LGAMMA_LIMIT, "for math.lgamma (above 2.5e305)"
     else:
         raise DomainError(f"unknown sampling convention {sampling!r}")
     log_alpha = math.log1p(-q.confidence)
-    most = int(limit) // q.bmd_daily_capacity
+    most = int(sys.float_info.max) // q.bmd_daily_capacity  # voters stay in the float range
     for bmds in range(1, min(most + 1, 1_000_000)):
         voters = bmds * q.bmd_daily_capacity
         tests = bmds * q.tests_per_bmd_per_day
@@ -162,8 +152,8 @@ def min_electorate_for_budget(
                 achieved_detection=-math.expm1(log_miss),
                 sampling=sampling,
             )
-    if most < 999_999:
-        raise DomainError(f"voters is too large {why} at {most + 1} machines")
+    if most < 999_999:  # the next electorate is past the float range
+        check_float_range(voters=(most + 1) * q.bmd_daily_capacity)
     raise Infeasible(
         "no machine count below 1e6 reaches the target confidence;"
         " larger counts are not searched"

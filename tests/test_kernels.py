@@ -337,21 +337,46 @@ class TestNoReplacementMiss:
         else:
             assert got == pytest.approx(float(miss_prob_exact(population, flawed, draws)), rel=1e-12)
 
+    @staticmethod
+    def many_factors(population, flawed, draws):
+        """Flawed and drawn counts above 64 from two fractions of their range
+        (past 2**53 the float product can round past its end)."""
+        flawed = 65 + int(flawed * (population // 2 - 65))
+        return flawed, min(65 + int(draws * (population - flawed - 65)), population - flawed)
+
     @given(
         population=st.integers(min_value=130, max_value=10**4),
         flawed=st.floats(0.0, 1.0),
         draws=st.floats(0.0, 1.0),
     )
+    @example(population=4860, flawed=0.0, draws=0.0)  # the lgamma difference was 3e-11 off
     @settings(max_examples=100, deadline=None)
-    def test_many_factors_within_the_lgamma_bound(self, population, flawed, draws):
-        # above 64 flawed and drawn units the log is an lgamma difference,
-        # off by about 4 * 2**-53 * V ln V
-        flawed = 65 + int(flawed * (population // 2 - 65))
-        draws = 65 + int(draws * (population - flawed - 65))
+    def test_many_factors_within_the_stirling_bound(self, population, flawed, draws):
+        # above 64 flawed and drawn units: within 2**-49 of the log, against
+        # the log of the exact ratio of binomials
+        flawed, draws = self.many_factors(population, flawed, draws)
         exact = Fraction(math.comb(population - flawed, draws), math.comb(population, draws))
+        want = mpmath.log(mpmath.mpf(exact.numerator) / exact.denominator)
         got = log_no_replacement_miss_prob(population, flawed, draws)
-        want = math.log(exact.numerator) - math.log(exact.denominator)
-        assert abs(got - want) <= 4 * 2**-53 * population * math.log(population) + 1e-12 * abs(want)
+        assert abs(got - want) <= 2**-49 * abs(want)
+
+    @given(
+        exponent=st.floats(math.log10(130), 18.0),
+        flawed=st.floats(0.0, 1.0),
+        draws=st.floats(0.0, 1.0),
+        swap=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_many_factors_against_50_digit_loggamma(self, exponent, flawed, draws, swap):
+        population = int(10**exponent)
+        flawed, draws = self.many_factors(population, flawed, draws)
+        if swap:
+            flawed, draws = draws, flawed
+        v, f, n = population, flawed, draws
+        lg = mpmath.loggamma
+        want = lg(v - f + 1) - lg(v - f - n + 1) - lg(v + 1) + lg(v - n + 1)
+        got = log_no_replacement_miss_prob(population, flawed, draws)
+        assert abs(got - want) <= 2**-49 * abs(want)
 
     @given(
         population=st.integers(min_value=2, max_value=500),

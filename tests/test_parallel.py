@@ -2,11 +2,12 @@
 algebraic identities, and the published worked examples."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmdlimits.errors import DomainError, Infeasible
@@ -119,24 +120,31 @@ class TestOracleMinSamples:
         with pytest.raises(Infeasible):
             oracle_min_samples(OracleBoundQuery(100, 0, 0.95))
 
-    def test_largest_population_has_finite_lgamma(self):
-        from bmdlimits.kernels import _LGAMMA_LIMIT, log_no_replacement_miss_prob
+    def test_largest_population_never_overflows(self):
+        from bmdlimits.kernels import log_no_replacement_miss_prob
 
-        # every lgamma the kernel takes is finite at the largest population
-        largest = int(_LGAMMA_LIMIT)
-        for draws in (1, 2**53, largest // 2):
-            assert math.isfinite(log_no_replacement_miss_prob(largest, 15, draws))
+        # above 64 factors the kernel works in floats: no int past 1e154 is squared
+        largest = int(sys.float_info.max)
+        for flawed, draws in [(65, 65), (65, 2**53), (65, largest // 2), (65, largest - 66),
+                              (largest // 2, 65), (largest // 3, largest // 3),
+                              (largest // 2, largest // 2 - 5), (10**305, 10**307)]:
+            got = log_no_replacement_miss_prob(largest, flawed, draws)
+            assert got == -math.inf or math.isfinite(got)
         # its answer, ~0.18 of the population, is past 2**53: not certifiable
         with pytest.raises(DomainError, match=r"2\*\*53"):
             oracle_min_samples(OracleBoundQuery(largest, 15, 0.95))
-        with pytest.raises(DomainError, match="population is too large"):
+
+    def test_population_past_the_float_range(self):
+        largest = int(sys.float_info.max)
+        with pytest.raises(DomainError, match="population is too large to convert to a float"):
             OracleBoundQuery(largest + 1, 15, 0.95)
 
-    @pytest.mark.parametrize("flawed", [1, 15, 64])
+    @pytest.mark.parametrize("flawed", [1, 15, 64, 65, 100, 1000, 10**4])
     @pytest.mark.parametrize("population", [10**8, 3 * 10**8, 10**9, 10**12, 10**15])
     def test_certified_by_a_50_digit_product(self, population, flawed):
         # the lgamma difference once printed 54,310,871 at 3e8 and 15 flawed,
-        # whose miss is 0.0500000290: too few printouts
+        # whose miss is 0.0500000290: too few printouts; and 16,777,216 at
+        # 1e15 and 65 flawed, where 45,042,258,123,013 are needed
         n = oracle_min_samples(OracleBoundQuery(population, flawed, 0.95))
         with mpmath.workdps(50):
             alpha = 1 - mpmath.mpf(0.95)  # the float the solver reads
@@ -146,6 +154,10 @@ class TestOracleMinSamples:
                 return mpmath.fprod(1 - mpmath.mpf(n) / (population - i) for i in range(flawed))
 
             assert miss(n) <= alpha < miss(n - 1)
+
+    def test_past_2_53_printouts_at_1e18(self):
+        with pytest.raises(DomainError, match=r"more than 2\*\*53 printouts needed"):
+            oracle_min_samples(OracleBoundQuery(10**18, 65, 0.95))
 
     @given(
         population=st.integers(min_value=2, max_value=200),
@@ -183,6 +195,29 @@ class TestElectorateBudget:
             if altered == 0:
                 continue
             assert (1 - altered / voters) ** tests > 0.05
+
+    @given(
+        tests=st.integers(min_value=1, max_value=20),
+        capacity=st.integers(min_value=20, max_value=1000),
+        altered_fraction=st.floats(min_value=-2.0, max_value=math.log10(0.3)).map(lambda e: 10**e),
+        confidence=st.sampled_from([0.5, 0.9, 0.95, 0.99]),
+    )
+    @example(tests=2, capacity=1000, altered_fraction=0.05, confidence=0.99)  # 90 tests, 2,250 altered
+    @settings(max_examples=50, deadline=None)
+    def test_without_replacement_by_brute_force(self, tests, capacity, altered_fraction, confidence):
+        # scan machine counts from 1 with the exact miss C(V - A, T) / C(V, T);
+        # past 64 tests and altered voters the kernel is a Stirling difference
+        q = BudgetedTestQuery(tests, capacity, altered_fraction, confidence)
+        alpha = 1 - Fraction(confidence)
+        for bmds in range(1, 1_000_000):
+            voters, draws = bmds * capacity, bmds * tests
+            altered = math.floor(altered_fraction * voters + 0.5)
+            if altered and math.comb(voters - altered, draws) * alpha.denominator <= (
+                alpha.numerator * math.comb(voters, draws)
+            ):
+                break
+        res = min_electorate_for_budget(q, "without_replacement")
+        assert (res.bmds, res.altered) == (bmds, altered)
 
     def test_without_replacement_differs(self):
         res = min_electorate_for_budget(
