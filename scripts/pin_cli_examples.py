@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Pin the command line's bytes: write ``tests/data/cli_examples.txt``.
 
-Usage: PYTHONPATH=src python3 scripts/pin_cli_examples.py [output.txt]
+Usage: python3 scripts/pin_cli_examples.py [output.txt]
 (from the repository root; the default output is the committed copy).
 
 The file holds one block per call: a ``$ bmdlimits ...`` line with the
@@ -10,21 +10,23 @@ command-line examples in order, then ``EXTRA``: the ``json-lines`` output of
 each record-emitting form, one ``markdown`` table, the simulator's
 ``--seed`` override, a script tester's logic-and-accuracy deck, the
 published grid under ``--convention strict`` at both budgets and an oracle
-above 64 flawed printouts.  ``tests/test_cli_examples.py`` replays every block
-through ``cli.run``, and CI compares the stdout of each numpy-free call,
-run in a fresh interpreter, with its block.
+above 64 flawed printouts.  The ``repro`` block is the one golden copy of
+the published numbers.
+
+Every block's stdout comes from ``stdout_of``: the exact call in a fresh
+interpreter.  ``tests/test_cli_examples.py`` replays every block the same
+way; CI also runs it without numpy (the ``simulate`` blocks skip) and under
+``PYTHONOPTIMIZE=1``, which strips ``assert``.
 """
 
-import io
 import json
 import os
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
-
-from bmdlimits.cli import run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT = ROOT / "tests" / "data" / "cli_examples.txt"
@@ -73,25 +75,23 @@ def read_pins(path=DEFAULT) -> list[tuple[list[str], str]]:
 
 
 def stdout_of(argv: list[str]) -> str:
-    """What ``bmdlimits argv`` prints, from ``cli.run`` in this process, run
-    from the repository root, or from a directory holding ``my_space.json``
-    if ``argv`` names it.  A report's bytes do not depend on ``--workers``,
-    so a simulation runs on one worker."""
-    argv = list(argv)
-    if "--workers" in argv:
-        argv[argv.index("--workers") + 1] = "1"
-    out = io.StringIO()
-    here = os.getcwd()
+    """What ``bmdlimits argv`` prints: the exact call, run as ``python -m
+    bmdlimits`` in a fresh interpreter with this tree's ``src`` first on
+    ``PYTHONPATH``, from the repository root, or from a directory holding
+    ``my_space.json`` if ``argv`` names it.  A nonzero exit raises."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
         pathlib.Path(tmp, "my_space.json").write_text(json.dumps(MY_SPACE), encoding="utf-8")
-        os.chdir(tmp if "my_space.json" in argv else ROOT)
-        try:
-            code = run(argv, out=out)
-        finally:
-            os.chdir(here)
-    if code != 0:
-        raise SystemExit(f"bmdlimits {shlex.join(argv)}: exit code {code}")
-    return out.getvalue()
+        done = subprocess.run(
+            [sys.executable, "-m", "bmdlimits", *argv],
+            cwd=tmp if "my_space.json" in argv else ROOT,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+        )
+    if done.returncode != 0:
+        stderr = done.stderr.decode(errors="replace")
+        raise RuntimeError(f"bmdlimits {shlex.join(argv)}: exit code {done.returncode}\n{stderr}")
+    return done.stdout.decode("utf-8")
 
 
 def main() -> None:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bmdlimits.errors import DomainError, Infeasible
@@ -278,3 +278,79 @@ class TestSessionMinutes:
     def test_domain(self):
         with pytest.raises(DomainError):
             session_minutes([5], -1.0)
+
+
+def log_uniform_int(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(hi, max(lo, round(10**e))))
+
+
+@st.composite
+def oracle_queries(draw):
+    """(population, fewer flawed, more flawed), populations log-uniform to
+    1e15 and flawed counts log-uniform up to the population."""
+    population = draw(log_uniform_int(2, 10**15))
+    flawed = draw(log_uniform_int(1, population))
+    return population, flawed, draw(log_uniform_int(flawed, population))
+
+
+confidences = st.floats(0.05, 0.999)
+
+
+class TestOrderRelations:
+    """Orders that follow from the definitions, checked where no scan
+    reaches.  Each relation makes the set of passing sizes only grow, so
+    the least one cannot rise; a violation is a solver bug."""
+
+    @given(query=oracle_queries(), confidence=confidences)
+    @settings(max_examples=200, deadline=None)
+    def test_oracle_sample_does_not_rise_with_flawed(self, query, confidence):
+        """The miss C(V - n, F) / C(V, F) = prod over i < F of
+        (1 - n / (V - i)) gains a factor at most 1 with each flawed
+        printout, so a sample that passes at F passes at any larger F."""
+        population, fewer, more = query
+        n = oracle_min_samples(OracleBoundQuery(population, fewer, confidence))
+        assert oracle_min_samples(OracleBoundQuery(population, more, confidence)) <= n
+
+    @given(query=oracle_queries(), confidences=st.tuples(confidences, confidences).map(sorted))
+    @settings(max_examples=200, deadline=None)
+    def test_oracle_sample_does_not_fall_with_confidence(self, query, confidences):
+        """A higher confidence lowers the miss a sample must reach, so a
+        sample that passes at it passes at any lower confidence."""
+        population, flawed, _ = query
+        lower, higher = confidences
+        n = oracle_min_samples(OracleBoundQuery(population, flawed, higher))
+        assert oracle_min_samples(OracleBoundQuery(population, flawed, lower)) <= n
+
+    @given(query=oracle_queries(), confidence=st.floats(0.05, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_oracle_sample_at_most_the_iid_count(self, query, confidence):
+        """Each draw without replacement misses with probability
+        (V - F - j) / (V - j) <= 1 - F / V, so the miss of n draws without
+        replacement is at most (1 - F / V)**n: the iid count passes.  With
+        populations to 1e15 and confidences to 0.99 the iid count stays
+        below 2**53, where ``min_tests_iid`` stops."""
+        population, flawed, _ = query
+        assume(flawed < population)  # at F = V one draw finds a flaw, and p = 1 is no iid rate
+        n = oracle_min_samples(OracleBoundQuery(population, flawed, confidence))
+        assert n <= min_tests_iid(flawed / population, confidence)
+
+    @given(
+        tests=st.integers(1, 40),
+        capacity=st.integers(41, 1000),
+        altered_fraction=st.floats(-4.0, math.log10(0.3)).map(lambda e: 10**e),
+        confidence=st.floats(0.5, 0.999),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_electorate_without_replacement_at_most_with(self, tests, capacity, altered_fraction, confidence):
+        """At each machine count both samplings face the same altered
+        count, and the miss without replacement is at most the miss with
+        it (as for the oracle against the iid count), so the first count
+        passing with replacement passes without: where the scan with
+        replacement answers below its 1e6 cap, the scan without answers
+        no later."""
+        q = BudgetedTestQuery(tests, capacity, altered_fraction, confidence)
+        try:
+            with_replacement = min_electorate_for_budget(q).bmds
+        except Infeasible:
+            assume(False)
+        assert min_electorate_for_budget(q, "without_replacement").bmds <= with_replacement

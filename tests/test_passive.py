@@ -674,3 +674,107 @@ class TestBoundedClimb:
         design = PassiveDesign(0.03, 0.07, 0.3, 1e-6, 1e-6)
         assert min_contest_size(design, "published").contest_size == 24_634_442
         assert solver_calls["poisson_tail"] <= 11_000
+
+
+def least_size(args, convention):
+    """The least contest size of a design, or None where the solver finds
+    none (past 2**53 voters or the 1e7 threshold cap)."""
+    try:
+        return min_contest_size(PassiveDesign(*args), convention).contest_size
+    except Infeasible:
+        return None
+
+
+def ulp_slack(size):
+    """Voters a least size may sit above a smaller one's in a proven order:
+    past about 6e14 voters the computed miss wobbles by an ulp between
+    neighbouring sizes, so a least size holds to within a few voters (2-6
+    seen; ``min_contest_size``).  Below that the order is exact."""
+    return 6 if size > 6e14 else 0
+
+
+@st.composite
+def design_args(draw):
+    """(margin, d, b, fp, fn) whose normal-approximation answer is
+    log-uniform from 10 voters to 2**53, or to where the alarm threshold
+    would pass the 1e7 cap."""
+    b = draw(log_uniform(1e-9, 0.3))
+    d = draw(log_uniform(1e-3, 0.9))
+    fp = draw(log_uniform(1e-6, 0.3))
+    fn = draw(log_uniform(1e-6, 0.3))
+    size = draw(log_uniform(10, min(2.0**53, 1e7 / b)))
+    a = (-NormalDist().inv_cdf(fp) - NormalDist().inv_cdf(fn)) * math.sqrt(b / size)
+    return min(2 * a / d, 0.5), d, b, fp, fn
+
+
+#: an answer past 6e14 voters, where ``ulp_slack`` applies
+WOBBLE = (1.2e-11, 0.5, 1.05e-9, 0.05, 0.05)
+conventions = st.sampled_from(["published", "strict"])
+growth = st.floats(1.0, 2.0)
+
+
+class TestOrderRelations:
+    """Orders of least sizes that follow from the definitions, checked on
+    designs up to 2**53 voters, far past any brute-force scan.  Each relation makes the feasible
+    set only grow, so the least size cannot rise; at a design the solver
+    answers, the other design answers too (its least size has no higher
+    alarm threshold, so the 1e7 cap does not bind first).  A violation is
+    a solver bug, apart from ``ulp_slack``."""
+
+    @given(args=design_args(), grow_margin=growth, grow_d=growth, convention=conventions)
+    @example(args=WOBBLE, grow_margin=1 + 2**-52, grow_d=1.0, convention="published")
+    @settings(max_examples=80, deadline=None)
+    def test_least_size_does_not_rise_with_margin_times_detect_rate(
+        self, args, grow_margin, grow_d, convention
+    ):
+        """The alarm threshold k(N) reads only b and the fp budget, and the
+        miss P{Pois(N (b + margin d / 2)) < j} falls as the attacked mean
+        rises; so every size feasible at margin d is feasible at any larger
+        margin d."""
+        margin, d, b, fp, fn = args
+        n = least_size(args, convention)
+        assume(n is not None)
+        louder = least_size((min(margin * grow_margin, 0.999), min(d * grow_d, 0.999), b, fp, fn), convention)
+        assert louder is not None and louder <= n + ulp_slack(n)
+
+    @given(args=design_args(), grow=growth, convention=conventions)
+    @example(args=WOBBLE, grow=1 + 2**-52, convention="strict")
+    @settings(max_examples=80, deadline=None)
+    def test_least_size_does_not_rise_with_the_fp_budget(self, args, grow, convention):
+        """A larger fp budget admits every threshold the smaller one does,
+        so k(N) does not rise, nor does the miss index j = k(N) - lag, and
+        P{X < j} does not rise with j: every size feasible at fp is
+        feasible at any larger fp."""
+        margin, d, b, fp, fn = args
+        n = least_size(args, convention)
+        assume(n is not None)
+        looser = least_size((margin, d, b, fp * grow, fn), convention)
+        assert looser is not None and looser <= n + ulp_slack(n)
+
+    @given(args=design_args(), grow=growth, convention=conventions)
+    @example(args=WOBBLE, grow=1 + 2**-52, convention="published")
+    @settings(max_examples=80, deadline=None)
+    def test_least_size_does_not_rise_with_the_fn_budget(self, args, grow, convention):
+        """The fn budget does not enter k(N) or the miss, only the bound
+        the miss must meet: every size feasible at fn is feasible at any
+        larger fn."""
+        margin, d, b, fp, fn = args
+        n = least_size(args, convention)
+        assume(n is not None)
+        looser = least_size((margin, d, b, fp, fn * grow), convention)
+        assert looser is not None and looser <= n + ulp_slack(n)
+
+    @given(args=design_args())
+    @example(args=WOBBLE)
+    @settings(max_examples=80, deadline=None)
+    def test_published_never_needs_more_than_strict(self, args):
+        """At every N the two conventions floor one threshold k(N):
+        k_pub = max(2, k(N)) and k_strict = max(1, k(N)), so
+        k_pub - 1 <= k_strict, and the published miss P{X <= k_pub - 2} =
+        P{X < k_pub - 1} is at most the strict miss P{X < k_strict}.  Both
+        thresholds meet the fp budget, so every size feasible under
+        ``strict`` is feasible under ``published``."""
+        strict = least_size(args, "strict")
+        assume(strict is not None)
+        published = least_size(args, "published")
+        assert published is not None and published <= strict + ulp_slack(strict)
